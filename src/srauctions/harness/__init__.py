@@ -7,9 +7,11 @@ from .experiments import (
     criterion_instance,
     exact_pricing_plan,
     lazy_vcg_k_uniform,
+    lottery_k_uniform,
     posted_price_runs,
     run_experiment,
     second_price_of_pooled,
+    two_mech_k_uniform,
 )
 from .montecarlo import (
     Accumulator,

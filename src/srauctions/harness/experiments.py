@@ -53,7 +53,10 @@ from ..lp import (
     make_pricing_plan,
     solve,
 )
-from ..mechanisms import (
+# two_mech_budget and lottery_mechanism are not called here: they are the
+# row-by-row references for the vectorized runners below, and stay bound in
+# this module because bench/tracer.py counts their calls here.
+from ..mechanisms import (  # noqa: F401
     KUniformMatroid,
     lottery_mechanism,
     two_mech_budget,
@@ -133,6 +136,120 @@ def lazy_vcg_k_uniform(
     keep = top_vals >= res
     pay = np.maximum(res, base)
     revenue = (keep * pay).sum(axis=1)
+    return revenue, welfare
+
+
+def _first_loser(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and index of the strongest bidder a k-winner cap leaves out.
+
+    Rows of ``weights`` are ranked as ``KUniformMatroid.best_set`` ranks
+    them (larger weight first, ties to the smaller index); the entry at
+    place k is returned as (T, 1) columns, or (0, n) when n <= k.
+    """
+    T, n = weights.shape
+    if k >= n:
+        return np.zeros((T, 1)), np.full((T, 1), n)
+    place = np.argsort(-weights, axis=1, kind="stable")[:, k : k + 1]
+    return np.take_along_axis(weights, place, axis=1), place
+
+
+def _beats(weight, index, bar: np.ndarray, rival: np.ndarray) -> np.ndarray:
+    """Whether bidder ``index`` at ``weight`` takes a place from the first
+    loser (bar, rival): a positive weight ranked ahead of it."""
+    return (weight > 0.0) & ((weight > bar) | ((weight == bar) & (index < rival)))
+
+
+def _step_virtual_values(prior: DiscreteTabular, x: np.ndarray) -> np.ndarray:
+    """Virtual value of the largest atom at or below each x; -inf below the
+    least atom (the step extension of ``mechanisms._virtual_step``)."""
+    idx = np.searchsorted(prior.support, x + 1e-12) - 1
+    return np.where(idx >= 0, prior.virtual_values()[np.maximum(idx, 0)], -np.inf)
+
+
+def two_mech_k_uniform(
+    values: np.ndarray,
+    budgets,
+    coins: np.ndarray,
+    priors,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coin-flip budgeted mechanism on a k-winner cap, vectorized.
+
+    ``values`` is (T, n), ``budgets`` broadcasts against it, ``coins`` holds
+    1 or 2 per row and ``priors`` one DiscreteTabular per bidder.  Coin 1
+    gives the k largest reserve prices away for free; coin 2 runs the
+    virtual-surplus auction on the budget-capped profile, where a winner
+    pays the least support atom whose virtual value is positive and beats
+    the k-th competitor (ties to the smaller index).  Returns (revenue,
+    welfare) per row, matching ``two_mech_budget`` row by row.
+    """
+    T, n = values.shape
+    if len(priors) != n or not all(isinstance(d, DiscreteTabular) for d in priors):
+        raise TypeError("need one DiscreteTabular prior per bidder")
+    if not np.isin(coins, (1, 2)).all():
+        raise ValueError("coins must be 1 or 2")
+    capped = np.minimum(values, budgets)
+    eligible = np.column_stack(
+        [_step_virtual_values(d, capped[:, i]) for i, d in enumerate(priors)]
+    )
+    eligible = np.maximum(eligible, 0.0)
+    bar, rival = _first_loser(eligible, k)
+    won = _beats(eligible, np.arange(n), bar, rival)
+    # a winner's own atom beats the bar, so the least atom that does lies
+    # at or below its capped value
+    payments = np.zeros((T, n))
+    for i, d in enumerate(priors):
+        beats = _beats(d.virtual_values(), i, bar, rival)
+        least = d.support[np.argmax(beats, axis=1)]
+        payments[:, i] = np.where(won[:, i], least, 0.0)
+    reserves = np.array([[float(d.reserve_price) for d in priors]])
+    free = _beats(reserves, np.arange(n), *_first_loser(reserves, k))
+    coin_one = (coins == 1)[:, None]
+    winners = np.where(coin_one, free, won)
+    revenue = np.where(coin_one, 0.0, payments).sum(axis=1)
+    welfare = np.where(winners, values, 0.0).sum(axis=1)
+    return revenue, welfare
+
+
+def lottery_k_uniform(
+    values: np.ndarray,
+    budgets: np.ndarray,
+    uniforms: np.ndarray,
+    reserves,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The threshold lottery on a k-winner cap, vectorized.
+
+    All arrays are (T, n) except ``reserves`` (n,), the menu anchors r_i.
+    Members of each row's budget-capped welfare set face the offer
+    ``lottery_offer(T_i, r_i)`` and respond as ``lottery_bidder_choice``
+    does; a menu ticket wins when the cell's uniform falls below its win
+    probability.  Returns (revenue, welfare) per row, matching
+    ``lottery_mechanism`` fed the same uniform.
+    """
+    v = np.asarray(values, dtype=float)
+    b = np.asarray(budgets, dtype=float)
+    r = np.asarray(reserves, dtype=float)
+    weights = np.minimum(v, b)
+    bar, rival = _first_loser(weights, k)
+    member = _beats(weights, np.arange(v.shape[1]), bar, rival)
+    # KUniformMatroid.inclusion_threshold: for a member, the k-th largest
+    # positive competing weight is the first loser's (0 if not positive)
+    p = np.maximum(bar, 0.0)
+    posted = p >= r / 3.0
+    finite = np.isfinite(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # menu cells have r > 3p >= 0; posted cells discard these values
+        a_min = 2.0 * p / r
+        unaffordable = finite & (b < a_min * r / 2.0 - 1e-15)
+        a_cap = np.where(finite, np.minimum(2.0 / 3.0, 2.0 * b / r), 2.0 / 3.0)
+        a = np.minimum(np.maximum(v / r - 1.0 / 6.0, a_min), a_cap)
+        price = a * r / 2.0
+        utility = (1.0 / 3.0 + a) * (v - price)
+    menu_buy = ~unaffordable & (utility >= 0.0) & (uniforms < 1.0 / 3.0 + a)
+    bought = member & np.where(posted, (v >= p) & (b >= p), menu_buy)
+    revenue = np.where(bought, np.where(posted, p, price), 0.0).sum(axis=1)
+    welfare = np.where(bought, v, 0.0).sum(axis=1)
     return revenue, welfare
 
 
@@ -380,13 +497,13 @@ def run_two_mech(cfg: ExperimentConfig) -> Report:
     upper = oracle_exact_expectation(dists, lambda values: max(values))
     welf = Accumulator()
     rev = Accumulator()
-    for t in range(trials):
-        rng = stream(cfg.master_seed, t)
-        values = np.array([float(d.sample(rng, 1)[0]) for d in dists])
-        coin = 1 if rng.random() < 0.5 else 2
-        out = two_mech_budget(env, dists, values, budgets, coin=coin)
-        welf.add(out.welfare)
-        rev.add(out.revenue)
+    for chunk, (_, step) in enumerate(_chunks(trials)):
+        rng = stream(cfg.master_seed, chunk)
+        values = np.column_stack([d.sample(rng, step) for d in dists])
+        coins = np.where(rng.random(step) < 0.5, 1, 2)
+        revenue, welfare = two_mech_k_uniform(values, budgets, coins, dists, env.k)
+        welf.add_batch(welfare)
+        rev.add_batch(revenue)
     metrics = [
         MetricSummary.exact("welfare_upper_bound", upper),
         MetricSummary.from_accumulator("welfare", welf),
@@ -400,21 +517,35 @@ def run_two_mech(cfg: ExperimentConfig) -> Report:
 _BUDGET_LO, _BUDGET_HI = 0.75, 3.0
 
 
-def _lottery_trial(
-    rng: np.random.Generator,
-    env,
-    dists,
-    reserves,
-) -> tuple[float, float]:
-    d = dists[0]
-    values = d.sample(rng, 2)
-    budgets = np.where(rng.random(2) < 0.5, _BUDGET_HI, _BUDGET_LO)
-    capped_virtual = np.where(
-        values < budgets, np.asarray(d.virtual_valuation(values)), budgets
+def _lottery_metrics(
+    seed: int, trials: int, d: ValuationDistribution, reserves, factor: float
+) -> tuple[MetricSummary, MetricSummary, MetricSummary]:
+    """Revenue, benchmark and factor margin of the single-item lottery.
+
+    Each row draws two bidders' values from ``d`` and private budgets; its
+    benchmark is max(0, max_i capped virtual value).
+    """
+    rev = Accumulator()
+    upper = Accumulator()
+    gap = Accumulator()
+    for chunk, (_, step) in enumerate(_chunks(trials)):
+        rng = stream(seed, chunk)
+        values = d.sample(rng, 2 * step).reshape(step, 2)
+        budgets = np.where(rng.random((step, 2)) < 0.5, _BUDGET_HI, _BUDGET_LO)
+        uniforms = rng.random((step, 2))
+        capped_virtual = np.where(
+            values < budgets, d.virtual_valuation(values), budgets
+        )
+        ub = np.maximum(capped_virtual.max(axis=1), 0.0)
+        revenue, _ = lottery_k_uniform(values, budgets, uniforms, reserves, 1)
+        rev.add_batch(revenue)
+        upper.add_batch(ub)
+        gap.add_batch(revenue - ub / factor)
+    return (
+        MetricSummary.from_accumulator("revenue", rev),
+        MetricSummary.from_accumulator("opt_upper_bound", upper),
+        _bound_metric("factor_margin", gap, 0.0, factor),
     )
-    upper = max(0.0, float(capped_virtual.max()))
-    out = lottery_mechanism(env, dists, values, budgets, rng, reserves=reserves)
-    return out.revenue, upper
 
 
 def run_lottery(cfg: ExperimentConfig) -> Report:
@@ -428,23 +559,10 @@ def run_lottery(cfg: ExperimentConfig) -> Report:
     trials = cfg.trials or 200_000
     alpha = 0.5
     d = make_falpha(alpha, 1.0)
-    env = KUniformMatroid(1, 2)
     factor = 3.0 * (1.0 + alpha ** (-1.0 / (1.0 - alpha)))
-    rev = Accumulator()
-    upper = Accumulator()
-    gap = Accumulator()
-    for t in range(trials):
-        rng = stream(cfg.master_seed, t)
-        revenue, ub = _lottery_trial(rng, env, [d, d], None)
-        rev.add(revenue)
-        upper.add(ub)
-        gap.add(revenue - ub / factor)
-    metrics = [
-        MetricSummary.from_accumulator("revenue", rev),
-        MetricSummary.from_accumulator("opt_upper_bound", upper),
-        _bound_metric("factor_margin", gap, 0.0, factor),
-    ]
-    return _finish("lottery", metrics, cfg, trials, started)
+    reserves = [d.reserve_price] * 2
+    metrics = _lottery_metrics(cfg.master_seed, trials, d, reserves, factor)
+    return _finish("lottery", list(metrics), cfg, trials, started)
 
 
 def run_lottery_samp(cfg: ExperimentConfig) -> Report:
@@ -469,28 +587,21 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
         * (1.0 + 1.0 / (alpha ** (1.0 / (1.0 - alpha)) * (1.0 - erosion)))
     )
     d = make_falpha(alpha, 1.0)
-    env = KUniformMatroid(1, 2)
     models = [
         build_empirical(d.sample(meta_stream(cfg.master_seed, slot), p.m), p)
         for slot in range(k)
     ]
     reserves = [m.empirical_reserve() for m in models]
     covered = sum(m.coverage_event_holds(d) for m in models)
-    rev = Accumulator()
-    upper = Accumulator()
-    gap = Accumulator()
-    for t in range(trials):
-        rng = stream(cfg.master_seed, t)
-        revenue, ub = _lottery_trial(rng, env, [d, d], reserves)
-        rev.add(revenue)
-        upper.add(ub)
-        gap.add(revenue - ub / factor)
+    revenue, upper, margin = _lottery_metrics(
+        cfg.master_seed, trials, d, reserves, factor
+    )
     metrics = [
-        MetricSummary.from_accumulator("revenue", rev),
-        MetricSummary.from_accumulator("opt_upper_bound", upper),
+        revenue,
+        upper,
         MetricSummary.exact("empirical_reserve[0]", reserves[0]),
         MetricSummary.exact("empirical_reserve[1]", reserves[1]),
-        _bound_metric("factor_margin", gap, 0.0, factor),
+        margin,
     ]
     notes = (f"m={p.m}", f"models_covered={covered}/{k}")
     return _finish("lottery-samp", metrics, cfg, trials, started, notes)

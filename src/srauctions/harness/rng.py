@@ -8,10 +8,14 @@ byte-for-byte reproducible.
 
 Stream index conventions used by the experiments:
 
-* index ``t`` in ``[0, trials)`` -- the RNG for Monte Carlo trial ``t``;
+* index ``c`` -- block ``c`` of the trials of ``two-mech``, ``lottery`` and
+  ``lottery-samp``, which run in blocks of at most 250,000 rows
+  (``experiments._chunks``); resample ``c`` of ``vcgl-samp``; trial ``c`` of
+  ``monte_carlo``;
 * indices at or above ``META_STREAM_BASE`` -- one-off draws such as sampling
   the training data for an empirical model, so they can never collide with a
-  trial stream.
+  trial stream, and the experiments that draw all their trials in sequence
+  from one generator per case.
 """
 
 from __future__ import annotations

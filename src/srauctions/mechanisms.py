@@ -70,6 +70,34 @@ class Environment(ABC):
         ``include_zero`` asks for zero-weight bidders to stay in.
         """
 
+    def inclusion_threshold(self, weights, i: int) -> float:
+        """Infimum of the weights v' that put bidder ``i`` in ``best_set``.
+
+        Every other weight stays as given.  Membership is monotone in v',
+        so a bisection to 1e-9 over [0, max weight + 1] finds it; 0 when
+        bidder ``i`` is a member at weight 0, inf when it never is.
+        Environments with a closed form override this.
+        """
+        w = np.array(weights, dtype=float)
+        hi = float(w.max()) + 1.0
+
+        def member(vprime: float) -> bool:
+            w[i] = vprime
+            return i in self.best_set(w)[0]
+
+        if member(0.0):
+            return 0.0
+        if not member(hi):
+            return float("inf")
+        lo = 0.0
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            if member(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
 
 class ExplicitFeasibleSets(Environment):
     """Feasibility by exhaustive listing, validated downward-closed."""
@@ -136,6 +164,17 @@ class KUniformMatroid(Environment):
         )
         chosen = tuple(sorted(order[: self.k]))
         return chosen, float(sum(v[i] for i in chosen))
+
+    def inclusion_threshold(self, weights, i: int) -> float:
+        """The k-th largest positive weight among the other bidders.
+
+        0 when fewer than k of them are positive, inf when k = 0.
+        """
+        if self.k == 0:
+            return float("inf")
+        others = np.delete(np.asarray(weights, dtype=float), i)
+        positive = np.sort(others[others > 0.0])
+        return float(positive[-self.k]) if positive.size >= self.k else 0.0
 
 
 class _DoubledEnvironment(Environment):
@@ -464,38 +503,16 @@ def compute_B_set_and_thresholds(env: Environment, values, budgets):
     """The budget-capped welfare set and each bidder's inclusion threshold.
 
     The set maximizes sum of min{v_i, B_i} over feasible sets.  T_i is the
-    least v' such that bidder i joins the set when both its value and its
-    budget are replaced by v'; found by bisection (monotone membership),
-    with membership at ties favoring inclusion through the index rule.
+    infimum of the v' that make bidder i join the set when both its value
+    and its budget are replaced by v' (``Environment.inclusion_threshold``).
     """
     v = np.asarray(values, dtype=float)
     b = np.asarray(budgets, dtype=float)
     weights = np.minimum(v, b)
     b_set, _ = env.best_set(weights)
-    thresholds = np.zeros(env.n_bidders)
-    hi_all = float(weights.max()) + 1.0 if len(weights) else 1.0
-
-    for i in range(env.n_bidders):
-
-        def member(vprime: float, i=i) -> bool:
-            trial = weights.copy()
-            trial[i] = vprime
-            return i in env.best_set(trial)[0]
-
-        if member(0.0):
-            thresholds[i] = 0.0
-            continue
-        lo, hi = 0.0, hi_all
-        if not member(hi):
-            thresholds[i] = float("inf")
-            continue
-        while hi - lo > 1e-9:
-            mid = 0.5 * (lo + hi)
-            if member(mid):
-                hi = mid
-            else:
-                lo = mid
-        thresholds[i] = hi
+    thresholds = np.array(
+        [env.inclusion_threshold(weights, i) for i in range(env.n_bidders)]
+    )
     return tuple(sorted(b_set)), thresholds
 
 
@@ -510,20 +527,21 @@ def lottery_mechanism(
     """Offer every bidder the lottery system (T_i, r_i).
 
     ``reserves`` defaults to each distribution's exact reserve price; pass
-    sample-based reserves for the empirical variant.  Only members of the
-    budget-capped welfare set can afford a profitable purchase, so realized
-    winners always form a feasible set.
+    sample-based reserves for the empirical variant.  Offers go to the
+    members of the budget-capped welfare set only, so realized winners
+    always form a feasible set.  Any other bidder's capped weight is below
+    its threshold, where no purchase is affordable and profitable, or ties
+    it and lost the tie on index: two bidders capped at one shared budget
+    would otherwise both buy a single item at that price.
     """
     v = np.asarray(values, dtype=float)
     if reserves is None:
         reserves = [float(d.reserve_price) for d in dists]
     r = np.asarray(reserves, dtype=float)
-    _, thresholds = compute_B_set_and_thresholds(env, v, budgets)
+    b_set, thresholds = compute_B_set_and_thresholds(env, v, budgets)
     winners = []
     payments = {}
-    for i in range(env.n_bidders):
-        if not math.isfinite(thresholds[i]):
-            continue
+    for i in b_set:
         offer = lottery_offer(thresholds[i], r[i])
         choice = lottery_bidder_choice(offer, float(v[i]), float(budgets[i]), rng)
         if choice.bought:

@@ -32,6 +32,7 @@ from srauctions.harness import (
     exact_pricing_plan,
     expected_order_statistic_iid,
     lazy_vcg_k_uniform,
+    lottery_k_uniform,
     meta_stream,
     monte_carlo,
     myerson_optimal_revenue_iid,
@@ -43,15 +44,19 @@ from srauctions.harness import (
     run_experiment,
     second_price_of_pooled,
     stream,
+    two_mech_k_uniform,
     wilson_interval,
 )
 from srauctions.harness.cli import main as cli_main
+from srauctions.harness.experiments import DEFAULT_SEED, _two_mech_setup
 from srauctions.lp import PricingPlan
 from srauctions.mechanisms import (
     ExplicitFeasibleSets,
     KUniformMatroid,
+    lottery_mechanism,
     myerson_single_item,
     posted_price_mechanism,
+    two_mech_budget,
     vcg,
     vcg_lazy,
     vcg_with_duplicates,
@@ -62,6 +67,16 @@ COIN = DiscreteTabular((1.0, 2.0), (0.5, 0.5))  # phi = (0, 2)
 
 def single_item(n):
     return KUniformMatroid(1, n)
+
+
+class FixedUniform:
+    """Stands in for a Generator whose every ``random()`` draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = float(u)
+
+    def random(self):
+        return self.u
 
 
 class TestRngStreams:
@@ -287,6 +302,25 @@ class TestOracleAgreement:
             dists, lambda v: vcg(env, list(v)).revenue, trials=6000, seed=22
         )
 
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+    def test_two_mech_experiment_matches_enumeration(self, seed):
+        # every profile and both coins through the per-auction mechanism
+        rep = run_experiment(
+            "two-mech", ExperimentConfig(experiment_id="two-mech", master_seed=seed)
+        )
+        env, dists, budgets = _two_mech_setup(seed)
+        for name in ("welfare", "revenue"):
+
+            def coin_mean(v):
+                return 0.5 * sum(
+                    getattr(two_mech_budget(env, dists, list(v), budgets, coin), name)
+                    for coin in (1, 2)
+                )
+
+            exact = oracle_exact_expectation(dists, coin_mean)
+            m = rep.metric(name)
+            assert abs(m.value - exact) <= 4 * m.stderr
+
     def test_myerson_revenue_random_discrete(self):
         rng = stream(78, 0)
         dists = [make_random_alpha_sr_discrete(rng, 0.4) for _ in range(2)]
@@ -334,6 +368,80 @@ class TestVectorizedRunners:
         revenue, welfare = lazy_vcg_k_uniform(values, 1, np.array([1.0]))
         assert revenue.tolist() == [1.0, 0.0]
         assert welfare.tolist() == [2.0, 0.5]
+
+    def test_two_mech_matches_mechanism(self):
+        rng = stream(37, 0)
+        coin = DiscreteTabular((1.0, 2.0), (0.5, 0.5))  # phi(1) is exactly 0
+        rand = [make_random_alpha_sr_discrete(rng, 0.5) for _ in range(2)]
+        cases = (
+            ([coin, coin, rand[0]], (1.5, 2.5, 2.5)),
+            ([rand[0], rand[1], rand[0]], (1.5, 2.5, 4.0)),  # same-prior ties
+            ([rand[1], coin, rand[1], coin], (2.5, 1.5, 9.0, 9.0)),
+        )
+        for priors, budgets in cases:
+            n = len(priors)
+            values = np.column_stack([d.sample(rng, 300) for d in priors])
+            values[:20] = values[:20, :1]  # equal values, so equal virtual values
+            coins = rng.integers(1, 3, 300)
+            for k in (0, 1, 2, n):
+                env = KUniformMatroid(k, n)
+                revenue, welfare = two_mech_k_uniform(values, budgets, coins, priors, k)
+                for t in range(300):
+                    out = two_mech_budget(env, priors, values[t], budgets, int(coins[t]))
+                    assert revenue[t] == pytest.approx(out.revenue, abs=1e-12)
+                    assert welfare[t] == pytest.approx(out.welfare, abs=1e-12)
+
+    def test_two_mech_rejects_bad_input(self):
+        values = np.ones((2, 2))
+        with pytest.raises(ValueError, match="coins"):
+            two_mech_k_uniform(values, (1.0, 1.0), np.array([1, 3]), [COIN, COIN], 1)
+        with pytest.raises(TypeError):
+            two_mech_k_uniform(
+                values, (1.0, 1.0), np.array([1, 2]), [COIN, make_falpha(0.5, 1.0)], 1
+            )
+
+    def test_lottery_matches_mechanism(self):
+        rng = stream(38, 0)
+        d = make_falpha(0.5, 1.0)
+        n, rows = 3, 400
+        # small anchors post prices, large ones open menus; low budgets
+        # leave menus unaffordable, and shared budgets tie capped weights.
+        # The last three rows put a value on its posted price, a uniform on
+        # its win probability (a = 0 when everyone is a member), and, in the
+        # last case, the cheapest ticket of the tie winner 3.6e-15 above
+        # its budget.
+        tight = 21.429957571017287
+        edge_values = [(2.0, 2.0, 0.1), (0.1, 0.1, 0.1), (30.0, 30.0, 0.1)]
+        edge_budgets = [(3.0, 3.0, 3.0), (math.inf,) * 3, (tight,) * 3]
+        edge_uniforms = [0.5, 1.0 / 3.0, 0.0]
+        cases = (
+            (1.0, 1.0, 1.0),
+            (4.0, 6.0, 0.5),
+            (0.0, 9.0, 3.0),
+            (81.00969298941001, 81.00969298941001, 1.0),
+        )
+        for reserves in cases:
+            values = d.sample(rng, rows * n).reshape(rows, n)
+            budgets = rng.choice([0.2, 0.75, 3.0, math.inf], size=(rows, n))
+            uniforms = np.repeat(rng.random((rows, 1)), n, axis=1)
+            values[-3:], budgets[-3:] = edge_values, edge_budgets
+            uniforms[-3:] = np.array(edge_uniforms)[:, None]
+            for k in (0, 1, 2, n):
+                env = KUniformMatroid(k, n)
+                revenue, welfare = lottery_k_uniform(
+                    values, budgets, uniforms, reserves, k
+                )
+                for t in range(rows):
+                    out = lottery_mechanism(
+                        env,
+                        [d] * n,
+                        values[t],
+                        budgets[t],
+                        FixedUniform(uniforms[t, 0]),
+                        reserves=reserves,
+                    )
+                    assert revenue[t] == pytest.approx(out.revenue, abs=1e-12)
+                    assert welfare[t] == pytest.approx(out.welfare, abs=1e-12)
 
     def test_posted_price_single_row_reproduces_scalar(self):
         inst = criterion_instance()

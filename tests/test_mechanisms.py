@@ -21,6 +21,7 @@ from srauctions.lp import (
     solve,
 )
 from srauctions.mechanisms import (
+    Environment,
     ExplicitFeasibleSets,
     KUniformMatroid,
     LotteryOffer,
@@ -378,6 +379,43 @@ class TestBSetAndThresholds:
         assert t[0] == pytest.approx(2.0, abs=1e-8)
 
 
+class TestInclusionThreshold:
+    def test_k_uniform_closed_form_matches_bisection(self):
+        rng = rng_of(118)
+        n = 5
+        for trial in range(40):
+            w = rng.choice([0.0, 0.5, 1.0, 2.0, 3.5], size=n)  # ties and zeros
+            if trial % 2:
+                w = np.where(w > 0.0, rng.uniform(0.0, 4.0, n), 0.0)
+            for k in (0, 1, 2, n):
+                env = KUniformMatroid(k, n)
+                for i in range(n):
+                    closed = env.inclusion_threshold(w, i)
+                    bisected = Environment.inclusion_threshold(env, w, i)
+                    if math.isinf(bisected):
+                        assert closed == bisected
+                    else:
+                        assert closed == pytest.approx(bisected, abs=1e-9)
+
+    def test_k_uniform_reads_the_kth_competitor(self):
+        env = KUniformMatroid(2, 4)
+        w = [3.0, 1.0, 3.0, 0.0]
+        assert [env.inclusion_threshold(w, i) for i in range(4)] == [1.0, 3.0, 1.0, 3.0]
+        assert KUniformMatroid(3, 4).inclusion_threshold(w, 3) == 1.0
+        # fewer than k positive competitors: any positive weight joins
+        assert KUniformMatroid(3, 4).inclusion_threshold([3.0, 0.0, 3.0, 0.0], 3) == 0.0
+
+    def test_explicit_family_bisects(self):
+        # {0, 1} (weight w0 + 1) against {2} (weight 3): bidder 0 joins at 2
+        env = ExplicitFeasibleSets(3, [{0}, {1}, {2}, {0, 1}])
+        assert env.inclusion_threshold([1.0, 1.0, 3.0], 0) == pytest.approx(
+            2.0, abs=1e-8
+        )
+        assert env.inclusion_threshold([1.0, 1.0, 3.0], 2) == pytest.approx(
+            2.0, abs=1e-8
+        )
+
+
 class TestLotteryMechanism:
     def test_high_thresholds_collapse_to_posted_offers(self):
         d = make_falpha(0.5, 1.0)  # reserve 1
@@ -432,6 +470,16 @@ class TestLotteryMechanism:
             assert env.is_feasible(out.winners)
             for i in out.winners:
                 assert out.payments[i] <= b[i] + 1e-9
+
+    def test_tied_capped_weights_sell_one_item(self):
+        # both bidders capped at 0.75 tie for the item; the threshold of each
+        # is 0.75, and only the index winner of the tie may take the offer
+        d = make_falpha(0.5, 1.0)
+        out = lottery_mechanism(
+            single_item(2), [d, d], [5.0, 5.0], [0.75, 0.75], rng_of(117)
+        )
+        assert out.winners == (0,)
+        assert out.payments[0] == 0.75
 
     def test_empirical_reserves_slot_in(self):
         d = make_falpha(0.5, 4.0)
