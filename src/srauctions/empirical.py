@@ -148,16 +148,21 @@ def _hull_prefilter(pts: np.ndarray) -> np.ndarray:
 
 
 def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Upper concave hull of points sorted by x, by the monotone-chain scan.
+    """Upper concave hull of the points, by the monotone-chain scan.
 
+    Points are sorted by x (stably) only when the x column is not already
+    nondecreasing, so a caller that holds them in x order, as
+    `build_empirical` does, pays one O(n) check instead of a sort.
     Returns the hull vertices as an (k, 2) array; every vertex is one of the
     inputs.  Collinear interior points are absorbed.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an iterable of (x, y) pairs")
-    order = np.argsort(pts[:, 0], kind="stable")
-    pts = _hull_prefilter(pts[order])
+    x = pts[:, 0]
+    if not np.all(x[1:] >= x[:-1]):
+        pts = pts[np.argsort(x, kind="stable")]
+    pts = _hull_prefilter(pts)
     hull_x: list[float] = []
     hull_y: list[float] = []
     for x, y in pts:
@@ -238,11 +243,12 @@ class EmpiricalModel:
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
         qs = self.revenue_points[:, 0]
         rs = self.revenue_points[:, 1]
-        # value of the raw curve at each breakpoint; qs[0] = 0 is the anchor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(qs > 0, rs / np.where(qs > 0, qs, 1.0), np.inf)
-        vals[0] = np.inf
-        # vals is nonincreasing; find the first breakpoint with vals <= v
+        # breakpoint values: +inf at the anchor (0, 0), the retained samples,
+        # 0 at (1, 0).  They are taken from the sort, which is exactly
+        # nonincreasing; R/q ratios are not, as rounding wobbles inside ties.
+        kept = self.quantile_points[:, 1]
+        vals = np.concatenate(([np.inf], kept, [0.0]))
+        # find the first breakpoint with vals <= v
         idx = np.searchsorted(-vals, -v_arr, side="left")
         idx = np.clip(idx, 1, len(qs) - 1)
         q1, r1 = qs[idx - 1], rs[idx - 1]
@@ -254,7 +260,7 @@ class EmpiricalModel:
             cross = np.where(np.abs(denom) > 1e-300, c0 / denom, q2)
         cross = np.clip(cross, q1, q2)
         # exact hit at a breakpoint (v equals a sample value) lands on it
-        exact = vals[idx] >= v_arr - 1e-15
+        exact = vals[idx] == v_arr
         out = np.where(exact, qs[idx], cross)
         out = np.maximum(out, self.xi_bar)
         out = np.where(v_arr > self.point_mass_value + 1e-12, self.xi_bar, out)
@@ -268,6 +274,19 @@ class EmpiricalModel:
     def retained_quantiles(self) -> np.ndarray:
         return self.quantile_points[:, 0]
 
+    def _distinct_retained(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct retained values (descending) and their leftmost quantiles.
+
+        A value's leftmost quantile is the grid point t_j of its first
+        occurrence, clipped below at xi_bar: what `quantile_of_value`
+        returns for it, read off the build's own sort without a search.
+        """
+        t, kept = self.quantile_points[:, 0], self.quantile_points[:, 1]
+        first = np.empty(len(kept), dtype=bool)
+        first[0] = True
+        np.not_equal(kept[1:], kept[:-1], out=first[1:])
+        return kept[first], np.maximum(t[first], self.xi_bar)
+
     def coverage_event_holds(self, d: ValuationDistribution, gamma: float | None = None) -> bool:
         """True iff, for every retained sample value, the true quantile meets
         a (1+gamma)^2 multiplicative bracket around its empirical quantile.
@@ -279,8 +298,7 @@ class EmpiricalModel:
         """
         g = self.params.gamma if gamma is None else float(gamma)
         factor = (1.0 + g) ** 2
-        values = np.unique(self.quantile_points[:, 1])
-        qbar = np.asarray(self.quantile_of_value(values), dtype=float)
+        values, qbar = self._distinct_retained()
         q_lo = np.asarray(d.quantile_of_value(values), dtype=float)
         q_hi = np.asarray(d.sale_probability(values), dtype=float)
         return bool(np.all(q_lo <= qbar * factor + 1e-15) and np.all(q_hi >= qbar / factor - 1e-15))
@@ -298,6 +316,13 @@ class EmpiricalModel:
 def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel:
     """Sort, discard the top floor(xi*m)-1 samples, and assemble the model.
 
+    This is the build's only sort.  The samples are sorted once by value,
+    unstably: equal floats are interchangeable (bar the sign of a zero), so
+    the model does not depend on input order.  The revenue points come out
+    in quantile order, so `concave_envelope` does not sort again, and
+    `EmpiricalModel.coverage_event_holds` reads leftmost quantiles off the
+    same descending array.
+
     A sub-lemma-grade sample count is allowed (with a warning); only an
     empty retained set is an error.
     """
@@ -313,8 +338,7 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
             SampleCountWarning,
             stacklevel=2,
         )
-    order = np.argsort(values, kind="stable")
-    desc = values[order[::-1]]
+    desc = np.sort(values)[::-1]
     kept_from = max(math.floor(p.xi * m), 1)
     if kept_from > m:
         raise InsufficientSamplesError(

@@ -162,20 +162,18 @@ class EmpiricalAtoms:
 
 
 def discretize_model(em: EmpiricalModel) -> EmpiricalAtoms:
-    distinct = np.unique(em.retained_values())[::-1]  # descending
+    distinct, leftmost = em._distinct_retained()  # descending values
     pmv = em.point_mass_value
-    atom_values = [pmv] + [float(u) for u in distinct if u < pmv - 1e-12]
-    inner = np.asarray(
-        em.quantile_of_value(np.asarray(atom_values[1:], dtype=float))
-    ) if len(atom_values) > 1 else np.empty(0)
-    boundaries = np.concatenate(([0.0], np.atleast_1d(inner), [1.0]))
+    below = distinct < pmv - 1e-12
+    atom_values = np.concatenate(([pmv], distinct[below]))
+    boundaries = np.concatenate(([0.0], leftmost[below], [1.0]))
     masses = np.diff(boundaries)
     if np.any(masses <= 0):
         raise ValueError("degenerate atom widths; empirical model malformed")
     cr_at = em.envelope_at(boundaries)
     virtuals = np.diff(cr_at) / masses
     return EmpiricalAtoms(
-        values=np.asarray(atom_values, dtype=float),
+        values=atom_values,
         masses=masses,
         virtuals=virtuals,
         boundaries=boundaries,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srauctions import make_falpha
+from srauctions import make_falpha, truncate_at
 from srauctions.empirical import (
     EmpiricalModel,
     InsufficientSamplesError,
@@ -34,6 +34,17 @@ def quiet_build(samples, p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleCountWarning)
         return build_empirical(samples, p)
+
+
+def tabular_prior():
+    """Power-tail prior truncated to {1, 2, 3, 4}: samples are mostly ties."""
+    return truncate_at(make_falpha(0.5, 1.0), 4.0, grid=[1.0, 2.0, 3.0, 4.0])
+
+
+def leftmost_quantile_reference(em, u):
+    """Brute force: the grid point of u's first occurrence, clipped at xi_bar."""
+    kept = em.retained_values()
+    return max(em.retained_quantiles()[np.flatnonzero(kept == u)[0]], em.xi_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +126,18 @@ class TestBuild:
         a = quiet_build([1, 5, 3], SampleParams(0.2, 0.4, 0.1))
         b = quiet_build([5, 3, 1], SampleParams(0.2, 0.4, 0.1))
         np.testing.assert_array_equal(a.revenue_points, b.revenue_points)
+
+    @pytest.mark.parametrize("prior", ["falpha", "tabular"])
+    def test_shuffled_copy_builds_identical_model(self, prior):
+        d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
+        rng = np.random.Generator(np.random.Philox(key=[15, 0]))
+        samples = d.sample(rng, 5000)
+        p = SampleParams(0.2, 0.05, 0.1)
+        a = quiet_build(samples, p)
+        b = quiet_build(rng.permutation(samples), p)
+        for name in ("sorted_samples", "quantile_points", "revenue_points", "envelope"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert (a.xi_bar, a.point_mass_value) == (b.xi_bar, b.point_mass_value)
 
     def test_single_sample_curve(self):
         em = quiet_build([7], SampleParams(0.2, 0.1, 0.1))
@@ -236,6 +259,16 @@ class TestEnvelope:
         assert tuple(em.envelope[0]) == (0.0, 0.0)
         assert tuple(em.envelope[-1]) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("prior", ["falpha", "tabular"])
+    def test_shuffled_points_give_the_presorted_hull(self, prior):
+        d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
+        rng = np.random.Generator(np.random.Philox(key=[16, 0]))
+        pts = quiet_build(d.sample(rng, 20000), SampleParams(0.2, 0.01, 0.1)).revenue_points
+        expected = concave_envelope(pts)
+        assert len(expected) > 2
+        shuffled = concave_envelope(rng.permutation(pts))
+        assert shuffled.tobytes() == expected.tobytes()
+
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             concave_envelope([(0, 0, 1), (1, 2, 3)])
@@ -288,6 +321,18 @@ class TestLookups:
     def test_duplicate_values_map_to_first_quantile(self):
         em = quiet_build([4, 4, 2], SampleParams(0.2, 0.1, 0.1))
         assert em.quantile_of_value(4.0) == pytest.approx(1 / 6)
+
+    def test_tied_values_map_to_their_leftmost_quantile(self):
+        # R/q ratios recomputed from the revenue points wobble by an ulp
+        # inside a run of ties; the lookup must still land on the run's start
+        d = tabular_prior()
+        p = SampleParams(0.2, 0.01, 0.1)
+        for seed in range(20):
+            rng = np.random.Generator(np.random.Philox(key=[seed, 17]))
+            em = quiet_build(d.sample(rng, 9888), p)
+            distinct = np.unique(em.retained_values())
+            expected = [leftmost_quantile_reference(em, u) for u in distinct]
+            np.testing.assert_array_equal(em.quantile_of_value(distinct), expected)
 
     def test_point_mass_clipping(self, em):
         assert em.value_at_quantile(0.01) == pytest.approx(5.0)
@@ -373,6 +418,35 @@ class TestCoverage:
         em = quiet_build(samples, SampleParams(0.1, 0.002, 0.1))
         # a looser gamma absorbs the same displacement
         assert em.coverage_event_holds(d, gamma=0.4)
+
+    @pytest.mark.parametrize(
+        "prior, gamma, xi, m",
+        [
+            ("falpha", 0.05, 0.05, 2000),  # some builds fail coverage here
+            ("tabular", 0.05, 0.05, 2000),
+            ("falpha", 0.2, 0.1, 2000),
+            ("tabular", 0.2, 0.01, 9888),
+        ],
+    )
+    def test_matches_brute_force_reference(self, prior, gamma, xi, m):
+        d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
+        p = SampleParams(gamma, xi, 0.1)
+        factor = (1 + gamma) ** 2
+        outcomes = []
+        for seed in range(30):
+            rng = np.random.Generator(np.random.Philox(key=[seed, 18]))
+            em = quiet_build(d.sample(rng, m), p)
+            expected = True
+            for u in np.unique(em.retained_values()):
+                qbar = leftmost_quantile_reference(em, u)
+                lo, hi = d.quantile_of_value(u), d.sale_probability(u)
+                if not (lo <= qbar * factor + 1e-15 and hi >= qbar / factor - 1e-15):
+                    expected = False
+                    break
+            assert em.coverage_event_holds(d) == expected, seed
+            outcomes.append(expected)
+        if gamma == 0.05:
+            assert 0 < sum(outcomes) < len(outcomes)
 
     def test_coverage_rate_at_theorem_grade(self):
         # 200 independent builds at m=9888; the guarantee is >= 1-delta

@@ -472,6 +472,21 @@ class TestDiscretize:
             assert atoms.values[0] == em.point_mass_value
             assert np.all(np.diff(atoms.virtuals) <= 1e-12)  # nonincreasing
 
+    def test_inner_atom_masses_are_tie_counts(self):
+        # at xi = 0.01 the point mass sits on the top value 4, leaving 3 and 2
+        # as inner atoms; the last atom ends at 1, not at a grid point
+        p = SampleParams(gamma=0.2, xi=0.01, delta=0.1)
+        inner = 0
+        for seed in range(20):
+            rng = np.random.default_rng(np.random.Philox(key=[seed, 34]))
+            em = quiet_build(_truncated_prior().sample(rng, 9888), p)
+            atoms = discretize_model(em)
+            kept = em.retained_values()
+            for value, mass in zip(atoms.values[1:-1], atoms.masses[1:-1]):
+                assert mass == pytest.approx(np.count_nonzero(kept == value) / em.m, abs=1e-12)
+                inner += 1
+        assert inner > 0
+
     def test_implied_curve_matches_the_envelope_at_boundaries(self):
         rng = np.random.default_rng(np.random.Philox(key=[32, 0]))
         _, models, _ = _criterion_models(rng)
