@@ -121,6 +121,15 @@ class ValuationDistribution(ABC):
         """Pr[value >= v]; coincides with ``quantile_of_value`` off atoms."""
         return self.quantile_of_value(v)
 
+    def quantile_interval(self, v):
+        """(Pr[value > v], Pr[value >= v]): the true quantile's range at v.
+
+        Off atoms both ends are ``quantile_of_value``, computed once; a
+        distribution with atoms overrides this with its sale probability.
+        """
+        q = self.quantile_of_value(v)
+        return q, q
+
     @abstractmethod
     def value_of_quantile(self, q):
         """The value v with q(v) = q; rejects q <= 0 on unbounded supports."""
@@ -409,6 +418,9 @@ class DiscreteTabular(ValuationDistribution):
         idx = np.searchsorted(self.support, arr, side="left")
         padded = np.concatenate((self._sale, [0.0]))
         return _scalarize(padded[idx], scalar)
+
+    def quantile_interval(self, v):
+        return self.quantile_of_value(v), self.sale_probability(v)
 
     def value_of_quantile(self, q):
         """Largest support value whose sale probability still reaches q."""

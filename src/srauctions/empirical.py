@@ -147,6 +147,27 @@ def _hull_prefilter(pts: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _run_ends(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-of-run and last-of-run masks over the runs of equal adjacent
+    values in ``vals``.
+
+    Both masks are views of one array of adjacent-element comparisons,
+    padded with True at each end.
+    """
+    edges = np.ones(len(vals) + 1, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=edges[1:-1])
+    return edges[:-1], edges[1:]
+
+
+def _run_end_points(revenue_points: np.ndarray, kept_vals: np.ndarray) -> np.ndarray:
+    """The anchored revenue points minus the interior of each run of equal
+    retained values; ``revenue_points`` itself when there are no ties."""
+    first, last = _run_ends(kept_vals)
+    if first.all():
+        return revenue_points
+    return revenue_points[np.concatenate(([True], first | last, [True]))]
+
+
 def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
     """Upper concave hull of the points, by the monotone-chain scan.
 
@@ -282,9 +303,7 @@ class EmpiricalModel:
         returns for it, read off the build's own sort without a search.
         """
         t, kept = self.quantile_points[:, 0], self.quantile_points[:, 1]
-        first = np.empty(len(kept), dtype=bool)
-        first[0] = True
-        np.not_equal(kept[1:], kept[:-1], out=first[1:])
+        first, _ = _run_ends(kept)
         return kept[first], np.maximum(t[first], self.xi_bar)
 
     def coverage_event_holds(self, d: ValuationDistribution, gamma: float | None = None) -> bool:
@@ -299,8 +318,7 @@ class EmpiricalModel:
         g = self.params.gamma if gamma is None else float(gamma)
         factor = (1.0 + g) ** 2
         values, qbar = self._distinct_retained()
-        q_lo = np.asarray(d.quantile_of_value(values), dtype=float)
-        q_hi = np.asarray(d.sale_probability(values), dtype=float)
+        q_lo, q_hi = d.quantile_interval(values)
         return bool(np.all(q_lo <= qbar * factor + 1e-15) and np.all(q_hi >= qbar / factor - 1e-15))
 
     def to_json_dict(self) -> dict:
@@ -322,6 +340,13 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     in quantile order, so `concave_envelope` does not sort again, and
     `EmpiricalModel.coverage_event_holds` reads leftmost quantiles off the
     same descending array.
+
+    The hull is fed only the two anchors and the first and last point of
+    each run of equal retained values.  A run's points (t_j, t_j * v) lie on
+    the ray R = v * q, so its interior points cannot be hull vertices; left
+    in, rounding can make them spurious ones at large value scales.  A
+    build without ties passes ``revenue_points`` whole, uncopied.  The
+    model keeps every revenue point either way.
 
     A sub-lemma-grade sample count is allowed (with a warning); only an
     empty retained set is an error.
@@ -355,7 +380,7 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
             [1.0, 0.0],
         )
     )
-    envelope = concave_envelope(revenue_points)
+    envelope = concave_envelope(_run_end_points(revenue_points, kept_vals))
     xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(t[0]))
     raw_at_xi_bar = float(np.interp(xi_bar, revenue_points[:, 0], revenue_points[:, 1]))
     point_mass_value = raw_at_xi_bar / xi_bar if xi_bar > 0 else float(kept_vals[0])

@@ -123,6 +123,9 @@ class TestDiscreteTabular:
         assert self.d.quantile_of_value(1.0) == 0.5
         assert self.d.sale_probability(2.0) == 0.5
         assert self.d.quantile_of_value(2.0) == 0.0
+        lo, hi = self.d.quantile_interval(np.array([0.5, 1.0, 1.5, 2.0, 3.0]))
+        assert lo.tolist() == [1.0, 0.5, 0.5, 0.0, 0.0]
+        assert hi.tolist() == [1.0, 1.0, 0.5, 0.5, 0.0]
 
     def test_hull_through_vertices(self):
         assert revenue_curve_hull(self.d, 0.5) == pytest.approx(1.0)
@@ -385,6 +388,13 @@ def test_survival_equals_exponential_of_cumulative_hazard():
         vs = np.linspace(0.0, 40.0, 200)
         surv = np.asarray(d.quantile_of_value(vs))
         assert np.max(np.abs(np.exp(-np.asarray(d.cumulative_hazard(vs))) - surv)) <= 1e-6
+
+
+@pytest.mark.parametrize("dist", [make_falpha(0.5, 2.0), make_exponential(0.7)])
+def test_quantile_interval_collapses_off_atoms(dist):
+    vs = np.linspace(0.0, 30.0, 61)
+    lo, hi = dist.quantile_interval(vs)
+    assert lo.tobytes() == hi.tobytes() == np.asarray(dist.sale_probability(vs)).tobytes()
 
 
 def test_reserve_scales_with_value_axis():

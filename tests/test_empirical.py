@@ -8,6 +8,7 @@ the quantile-bracketing event and use the closed-form revenue curve of the
 alpha-power family as ground truth.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srauctions import make_falpha, truncate_at
+from srauctions.dists import DiscreteTabular
 from srauctions.empirical import (
     EmpiricalModel,
     InsufficientSamplesError,
@@ -28,6 +30,7 @@ from srauctions.empirical import (
     theorem_grade_threshold,
     validate_params,
 )
+from srauctions.harness import criterion_instance
 
 
 def quiet_build(samples, p):
@@ -39,6 +42,18 @@ def quiet_build(samples, p):
 def tabular_prior():
     """Power-tail prior truncated to {1, 2, 3, 4}: samples are mostly ties."""
     return truncate_at(make_falpha(0.5, 1.0), 4.0, grid=[1.0, 2.0, 3.0, 4.0])
+
+
+def random_tabular(rng, max_atoms, scale=1.0):
+    """2 to max_atoms atoms on a 0.01 grid in (0, 10), times scale; Dirichlet pmf."""
+    k = int(rng.integers(2, max_atoms + 1))
+    support = np.sort(rng.choice(np.arange(1, 1000), size=k, replace=False)) / 100 * scale
+    return DiscreteTabular(support, rng.dirichlet(np.ones(k)))
+
+
+def full_point_hull(em):
+    """The model with its envelope taken over every revenue point."""
+    return dataclasses.replace(em, envelope=concave_envelope(em.revenue_points))
 
 
 def leftmost_quantile_reference(em, u):
@@ -272,6 +287,50 @@ class TestEnvelope:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             concave_envelope([(0, 0, 1), (1, 2, 3)])
+
+    @pytest.mark.parametrize("prior", ["criterion", "tabular", "falpha"])
+    def test_run_end_hull_equals_full_point_hull(self, prior):
+        # the build hulls only the ends of tie runs; at unit scale that is
+        # the full-point hull byte for byte
+        rng = np.random.Generator(np.random.Philox(key=[19, 0]))
+        if prior == "criterion":
+            p = SampleParams(0.2, 0.1, 0.1, m=9888)
+            builds = [
+                quiet_build(d.sample(rng, p.m), p)
+                for _ in range(4)
+                for _i, _j, d in criterion_instance().pairs()
+            ]
+        elif prior == "tabular":
+            builds = [
+                quiet_build(
+                    random_tabular(rng, 200).sample(rng, int(rng.integers(50, 4000))),
+                    SampleParams(0.2, float(rng.choice([0.01, 0.05, 0.1])), 0.1),
+                )
+                for _ in range(60)
+            ]
+        else:
+            d = make_falpha(0.5, 1.0)
+            builds = [quiet_build(d.sample(rng, 20000), SampleParams(0.2, 0.01, 0.1)) for _ in range(4)]
+        for em in builds:
+            full = full_point_hull(em)
+            assert em.envelope.tobytes() == full.envelope.tobytes()
+            assert em.empirical_reserve() == full.empirical_reserve()
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_no_hull_vertex_inside_a_tie_run(self, scale):
+        # rounding in t * v lifts interior points of a tie run off the ray
+        # R = v * q by more than the scan's absolute slack at these scales
+        rng = np.random.Generator(np.random.Philox(key=[20, 0]))
+        for _ in range(100):
+            d = random_tabular(rng, 20, scale)
+            em = quiet_build(d.sample(rng, 2000), SampleParams(0.2, 0.05, 0.1))
+            t, kept = em.retained_quantiles(), em.retained_values()
+            inside = np.zeros(len(kept), dtype=bool)
+            inside[1:-1] = (kept[1:-1] == kept[:-2]) & (kept[1:-1] == kept[2:])
+            rows = np.searchsorted(t, em.envelope[1:-1, 0])
+            assert np.array_equal(t[rows], em.envelope[1:-1, 0])
+            assert not inside[rows].any()
+            assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
 
     @given(
         st.lists(
