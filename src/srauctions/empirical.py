@@ -123,28 +123,63 @@ def validate_params(p: SampleParams) -> ValidityReport:
     return ValidityReport(lemma, theorem, required_m, tuple(messages))
 
 
-def _hull_prefilter(pts: np.ndarray) -> np.ndarray:
-    """Drop points that sit strictly below the chord of their neighbors.
+#: Block length of the hull prune.  Each block of x-sorted points lends the
+#: prune one point, so a million-point input gives a small hull of about
+#: a thousand vertices.
+_PRUNE_BLOCK = 1024
 
-    Such a point lies strictly below the upper concave hull (the chord of any
-    two points under a concave curve stays under it), so it can never be a
-    hull vertex and simultaneous deletion passes are lossless.  The guard is
-    relative so near-collinear points survive for the exact scan to settle.
-    Keeps million-point builds out of the Python scan loop.
+
+def _upper_chain(pts: np.ndarray) -> np.ndarray:
+    """Andrew's monotone-chain scan (1979) for the upper hull of x-sorted points."""
+    hull_x: list[float] = []
+    hull_y: list[float] = []
+    for x, y in pts.tolist():
+        while len(hull_x) >= 2:
+            x1, y1 = hull_x[-2], hull_y[-2]
+            x2, y2 = hull_x[-1], hull_y[-1]
+            # pop the middle point unless it turns strictly downward (concave)
+            if (y2 - y1) * (x - x2) > (y - y2) * (x2 - x1) + 1e-15:
+                break
+            hull_x.pop()
+            hull_y.pop()
+        if hull_x and x == hull_x[-1]:
+            # duplicate abscissa: keep only the higher point
+            if y > hull_y[-1]:
+                hull_y[-1] = y
+            continue
+        hull_x.append(float(x))
+        hull_y.append(float(y))
+    return np.column_stack((hull_x, hull_y))
+
+
+def _hull_prune(pts: np.ndarray) -> np.ndarray:
+    """Drop the x-sorted points that lie strictly below the upper hull of a
+    few of them: the throw-away step of Akl & Toussaint (1978).
+
+    Each block of `_PRUNE_BLOCK` points lends the point farthest above the
+    chord from the block's first point to its last; with the two end points
+    these are scanned into a small hull.  Its vertices are input points, so
+    it lies under the true hull, and a point strictly below it can never be
+    a vertex.  "Strictly" is guarded relative to the terms `np.interp`
+    combines: each small-hull vertex is lowered by 1e-12 times the largest
+    |y| among it and its two neighbours, which bounds the rounding of the
+    interpolation on both adjacent segments, so points within rounding of
+    the small hull stay for the scan.
     """
-    for _ in range(64):
-        if len(pts) <= 4096:
-            break
-        x, y = pts[:, 0], pts[:, 1]
-        left = (y[1:-1] - y[:-2]) * (x[2:] - x[1:-1])
-        right = (y[2:] - y[1:-1]) * (x[1:-1] - x[:-2])
-        guard = 1e-12 * (np.abs(left) + np.abs(right))
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:-1] = left - right >= -guard
-        if keep.all():
-            break
-        pts = pts[keep]
-    return pts
+    n = len(pts)
+    nb = n // _PRUNE_BLOCK
+    x, y = pts[:, 0], pts[:, 1]
+    bx = x[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK)
+    by = y[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK)
+    # height above the chord, times the chord's x extent (no division)
+    score = by * (bx[:, -1:] - bx[:, :1])
+    score -= bx * (by[:, -1:] - by[:, :1])
+    far = score.argmax(axis=1) + np.arange(0, nb * _PRUNE_BLOCK, _PRUNE_BLOCK)
+    del score
+    small = _upper_chain(pts[np.concatenate(([0], far, [n - 1]))])
+    mag = np.pad(np.abs(small[:, 1]), 1)
+    lowered = small[:, 1] - 1e-12 * np.maximum(np.maximum(mag[:-2], mag[1:-1]), mag[2:])
+    return pts[y >= np.interp(x, small[:, 0], lowered)]
 
 
 def _run_ends(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +208,17 @@ def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
 
     Points are sorted by x (stably) only when the x column is not already
     nondecreasing, so a caller that holds them in x order, as
-    `build_empirical` does, pays one O(n) check instead of a sort.
-    Returns the hull vertices as an (k, 2) array; every vertex is one of the
-    inputs.  Collinear interior points are absorbed.
+    `build_empirical` does, pays one O(n) check instead of a sort.  Inputs
+    of more than four `_PRUNE_BLOCK` blocks first lose, in one vectorized
+    pass (`_hull_prune`), every point strictly below the hull of a thousandth
+    of them, so a million-point build sends a few thousand points to the
+    Python scan.  Returns the hull vertices as an (k, 2) array; every vertex
+    is one of the inputs.  Collinear interior points are absorbed.
+
+    The scan pops with an absolute 1e-15 slack.  Where value-scaled cross
+    products come near it (values below about 1e-2 on a million-point
+    curve), its output depends on which points under the hull it meets, so
+    there the pruned and unpruned scans can differ.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -183,26 +226,9 @@ def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
     x = pts[:, 0]
     if not np.all(x[1:] >= x[:-1]):
         pts = pts[np.argsort(x, kind="stable")]
-    pts = _hull_prefilter(pts)
-    hull_x: list[float] = []
-    hull_y: list[float] = []
-    for x, y in pts:
-        while len(hull_x) >= 2:
-            x1, y1 = hull_x[-2], hull_y[-2]
-            x2, y2 = hull_x[-1], hull_y[-1]
-            # pop the middle point unless it turns strictly downward (concave)
-            if (y2 - y1) * (x - x2) > (y - y2) * (x2 - x1) + 1e-15:
-                break
-            hull_x.pop()
-            hull_y.pop()
-        if hull_x and x == hull_x[-1]:
-            # duplicate abscissa: keep only the higher point
-            if y > hull_y[-1]:
-                hull_y[-1] = y
-            continue
-        hull_x.append(float(x))
-        hull_y.append(float(y))
-    return np.column_stack((hull_x, hull_y))
+    if len(pts) > 4 * _PRUNE_BLOCK:
+        pts = _hull_prune(pts)
+    return _upper_chain(pts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,11 +326,15 @@ class EmpiricalModel:
 
         A value's leftmost quantile is the grid point t_j of its first
         occurrence, clipped below at xi_bar: what `quantile_of_value`
-        returns for it, read off the build's own sort without a search.
+        returns for it, read off the build's own sort without a search.  A
+        build without ties returns its values as a view of
+        ``quantile_points``, with no gather.
         """
         t, kept = self.quantile_points[:, 0], self.quantile_points[:, 1]
         first, _ = _run_ends(kept)
-        return kept[first], np.maximum(t[first], self.xi_bar)
+        if not first.all():
+            t, kept = t[first], kept[first]
+        return kept, np.maximum(t, self.xi_bar)
 
     def coverage_event_holds(self, d: ValuationDistribution, gamma: float | None = None) -> bool:
         """True iff, for every retained sample value, the true quantile meets
@@ -348,6 +378,12 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     build without ties passes ``revenue_points`` whole, uncopied.  The
     model keeps every revenue point either way.
 
+    Assembly writes each array once, in place: the grid t_j = (2j - 1)/(2m)
+    is a float range of odd numbers (exact) divided by 2m, written straight
+    into ``quantile_points``, and ``revenue_points`` is filled column by
+    column between its anchors.  The point mass value interpolates the raw
+    curve on the one pair of revenue points that brackets xi_bar.
+
     A sub-lemma-grade sample count is allowed (with a warning); only an
     empty retained set is an error.
     """
@@ -369,20 +405,23 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
         raise InsufficientSamplesError(
             f"discard rule drops all samples (floor(xi*m)={math.floor(p.xi * m)}, m={m})"
         )
-    j = np.arange(kept_from, m + 1)
-    t = (2 * j - 1) / (2 * m)
     kept_vals = desc[kept_from - 1 :]
-    quantile_points = np.column_stack((t, kept_vals))
-    revenue_points = np.vstack(
-        (
-            [0.0, 0.0],
-            np.column_stack((t, t * kept_vals)),
-            [1.0, 0.0],
-        )
-    )
+    n = len(kept_vals)
+    revenue_points = np.empty((n + 2, 2))
+    revenue_points[0] = 0.0
+    revenue_points[-1] = (1.0, 0.0)
+    quantile_points = np.empty((n, 2))
+    t = quantile_points[:, 0]
+    # t_j = (2j - 1) / (2m): the odd numbers are exact in float64
+    np.divide(np.arange(2 * kept_from - 1, 2 * m, 2, dtype=float), 2 * m, out=t)
+    quantile_points[:, 1] = kept_vals
+    revenue_points[1:-1, 0] = t
+    np.multiply(t, kept_vals, out=revenue_points[1:-1, 1])
     envelope = concave_envelope(_run_end_points(revenue_points, kept_vals))
     xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(t[0]))
-    raw_at_xi_bar = float(np.interp(xi_bar, revenue_points[:, 0], revenue_points[:, 1]))
+    # xi_bar is t[0], or floor(xi*m)/m short of t[1]: rows 1 and 2 of the
+    # revenue curve bracket it
+    raw_at_xi_bar = float(np.interp(xi_bar, revenue_points[1:3, 0], revenue_points[1:3, 1]))
     point_mass_value = raw_at_xi_bar / xi_bar if xi_bar > 0 else float(kept_vals[0])
     return EmpiricalModel(
         sorted_samples=desc,

@@ -241,14 +241,14 @@ def lottery_k_uniform(
     with np.errstate(divide="ignore", invalid="ignore"):
         # menu cells have r > 3p >= 0; posted cells discard these values
         a_min = 2.0 * p / r
-        unaffordable = finite & (b < a_min * r / 2.0 - 1e-15)
+        unaffordable = finite & (b < p)  # the cheapest ticket costs p
         a_cap = np.where(finite, np.minimum(2.0 / 3.0, 2.0 * b / r), 2.0 / 3.0)
         a = np.minimum(np.maximum(v / r - 1.0 / 6.0, a_min), a_cap)
         price = a * r / 2.0
         utility = (1.0 / 3.0 + a) * (v - price)
     menu_buy = ~unaffordable & (utility >= 0.0) & (uniforms < 1.0 / 3.0 + a)
     bought = member & np.where(posted, (v >= p) & (b >= p), menu_buy)
-    revenue = np.where(bought, np.where(posted, p, price), 0.0).sum(axis=1)
+    revenue = np.where(bought, np.where(posted, p, np.minimum(price, b)), 0.0).sum(axis=1)
     welfare = np.where(bought, v, 0.0).sum(axis=1)
     return revenue, welfare
 

@@ -480,7 +480,8 @@ def lottery_bidder_choice(
         return LotteryChoice(bought=False, price=0.0, win_prob=0.0)
     a_cap = offer.a_max
     if math.isfinite(budget):
-        if budget < offer.a_min * offer.pprime / 2.0 - 1e-15:
+        # the cheapest ticket, a_min * pprime / 2, costs p
+        if budget < offer.p:
             return LotteryChoice(bought=False, price=0.0, win_prob=0.0)
         if offer.pprime > 0:
             a_cap = min(a_cap, 2.0 * budget / offer.pprime)
@@ -493,7 +494,8 @@ def lottery_bidder_choice(
     bought = bool(rng.random() < win_prob)
     return LotteryChoice(
         bought=bought,
-        price=a * offer.pprime / 2.0 if bought else 0.0,
+        # a <= 2 * budget / pprime, so only rounding can lift the price above it
+        price=min(a * offer.pprime / 2.0, budget) if bought else 0.0,
         a=a,
         win_prob=win_prob,
     )

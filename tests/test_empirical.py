@@ -11,6 +11,7 @@ alpha-power family as ground truth.
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from srauctions import make_falpha, truncate_at
 from srauctions.dists import DiscreteTabular
 from srauctions.empirical import (
+    _PRUNE_BLOCK,
+    _hull_prune,
     EmpiricalModel,
     InsufficientSamplesError,
     SampleCountWarning,
@@ -197,6 +200,44 @@ class TestBuild:
         assert a.empirical_reserve() == b.empirical_reserve()
 
 
+def assembly_reference(samples, p):
+    """The build's fields from the plain formulas: an integer grid j, t_j =
+    (2j - 1) / (2m), stacked columns, and np.interp over the whole curve."""
+    m = len(samples)
+    desc = np.sort(np.asarray(samples, dtype=float))[::-1]
+    kept_from = max(math.floor(p.xi * m), 1)
+    j = np.arange(kept_from, m + 1)
+    t = (2 * j - 1) / (2 * m)
+    kept = desc[kept_from - 1 :]
+    quantile_points = np.column_stack((t, kept))
+    revenue_points = np.vstack(([0.0, 0.0], np.column_stack((t, t * kept)), [1.0, 0.0]))
+    xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(t[0]))
+    raw = float(np.interp(xi_bar, revenue_points[:, 0], revenue_points[:, 1]))
+    return kept_from, quantile_points, revenue_points, xi_bar, raw / xi_bar
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("prior", ["falpha", "tabular"])
+    def test_fields_equal_the_plain_formulas(self, prior):
+        rng = np.random.Generator(np.random.Philox(key=[21, 0]))
+        seen = set()
+        for m in (1, 2, 3, 7, 30, 101, 9888, 200_000):
+            for xi in (0.01, 0.05, 0.1, 0.2, 0.225, 0.4):
+                d = make_falpha(0.5, 1.0) if prior == "falpha" else random_tabular(rng, 30)
+                samples = d.sample(rng, m)
+                p = SampleParams(0.2, xi, 0.1)
+                em = quiet_build(samples, p)
+                kept_from, qp, rp, xi_bar, pmv = assembly_reference(samples, p)
+                assert em.kept_from == kept_from
+                assert em.quantile_points.shape == qp.shape and em.quantile_points.tobytes() == qp.tobytes()
+                assert em.revenue_points.shape == rp.shape and em.revenue_points.tobytes() == rp.tobytes()
+                assert em.xi_bar == xi_bar and em.point_mass_value == pmv
+                seen.add(("kept_from=1", kept_from == 1))
+                seen.add(("on grid", xi_bar in qp[:, 0]))
+        # both sides of each boundary case were built
+        assert len(seen) == 4
+
+
 class TestXiBar:
     def test_equals_first_retained_quantile_on_even_fraction(self):
         # m=30, xi=0.2: floor(2*xi*m)=12 -> (12-1)/60 = t_6
@@ -346,6 +387,112 @@ class TestEnvelope:
         assert np.all(em.envelope_at(grid) >= em.revenue_at(grid) - 1e-9)
         slopes = np.diff(em.envelope[:, 1]) / np.diff(em.envelope[:, 0])
         assert np.all(np.diff(slopes) <= 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the hull prune
+# ---------------------------------------------------------------------------
+
+
+def reference_hull(points, slack=1e-15):
+    """Monotone-chain scan over every point, with `concave_envelope`'s pop
+    test; ``slack=0`` gives the scan without its absolute slack."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    hx, hy = [], []
+    for x, y in pts.tolist():
+        while len(hx) >= 2 and not (
+            (hy[-1] - hy[-2]) * (x - hx[-1]) > (y - hy[-1]) * (hx[-1] - hx[-2]) + slack
+        ):
+            hx.pop()
+            hy.pop()
+        if hx and x == hx[-1]:
+            hy[-1] = max(hy[-1], y)
+            continue
+        hx.append(x)
+        hy.append(y)
+    return np.column_stack((hx, hy))
+
+
+HULL_FAMILIES = ("noisy", "on_curve", "near_collinear", "duplicate_x")
+
+
+def hull_family(kind, seed):
+    """4-12 prune blocks of x-sorted points on x in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4 * _PRUNE_BLOCK + 1, 12 * _PRUNE_BLOCK))
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    if kind == "duplicate_x":
+        x = np.round(x, 3)
+    a = rng.uniform(0.2, 0.9)
+    y = x**a * (1.0 - x)
+    if kind in ("noisy", "duplicate_x"):
+        y -= rng.exponential(rng.choice([1e-6, 1e-3, 1e-1]), n)
+    elif kind == "near_collinear":
+        # a concave polyline of five straight runs, each point moved by up
+        # to three ulps
+        knots = np.sort(rng.uniform(0.0, 1.0, 4))
+        slopes = np.sort(rng.uniform(-3.0, 3.0, 5))[::-1]
+        y = 1.0 + slopes[0] * x
+        for k, bend in zip(knots, np.diff(slopes)):
+            y += bend * np.maximum(x - k, 0.0)
+        y += rng.integers(-3, 4, n) * np.spacing(y)
+    return np.column_stack((x, y))
+
+
+class TestHullPrune:
+    """`concave_envelope` prunes inputs of more than four blocks before its
+    scan.  The scan's absolute 1e-15 slack (left for ROADMAP item 4) decides
+    pops once value-scaled cross products come near it; the scan's output
+    then depends on which points under the hull it meets, so byte identity
+    with the unpruned scan is asserted from scale 1e-4 up, and the prune's
+    own guarantee, that it drops no vertex, at every scale."""
+
+    @pytest.mark.parametrize("kind", HULL_FAMILIES)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-4, 9),
+        shuffle=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_equals_unpruned_scan(self, kind, seed, exponent, shuffle):
+        pts = hull_family(kind, seed) * [1.0, 10.0**exponent]
+        if shuffle:
+            pts = np.random.default_rng(seed).permutation(pts)
+        assert concave_envelope(pts).tobytes() == reference_hull(pts).tobytes()
+
+    @pytest.mark.parametrize("kind", HULL_FAMILIES)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-9, 9))
+    @settings(max_examples=25, deadline=None)
+    def test_keeps_every_vertex_at_every_scale(self, kind, seed, exponent):
+        pts = hull_family(kind, seed) * [1.0, 10.0**exponent]
+        kept = _hull_prune(pts)
+        if kind == "on_curve":
+            assert len(kept) == len(pts)
+        rows = {tuple(r) for r in kept.tolist()}
+        assert all(tuple(v) in rows for v in reference_hull(pts, slack=0.0).tolist())
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_vertex_ulps_above_a_small_hull_chord_survives(self, scale):
+        # the middle point of each block sits on the line y = c - x and every
+        # other point 1e-3 below it, so the small hull runs along the line.
+        # Point i lies three ulps above the exact chord of two block middles,
+        # near where the line crosses zero: np.interp's rounding there scales
+        # with the chord's ends, not with the point.
+        n = 8 * _PRUNE_BLOCK
+        x = np.arange(n) / n
+        middles = np.arange(_PRUNE_BLOCK // 2, n, _PRUNE_BLOCK)
+        i = middles[6] + 300
+        c = x[i] + 1e-7
+        y = (c - x - np.where(np.isin(np.arange(n), middles), 0.0, 1e-3)) * scale
+        (xl, yl), (xr, yr) = [(Fraction(x[k]), Fraction(y[k])) for k in middles[6:8]]
+        chord = yl + (yr - yl) * (Fraction(x[i]) - xl) / (xr - xl)
+        y[i] = float(chord)
+        for _ in range(3 if Fraction(y[i]) > chord else 4):
+            y[i] = np.nextafter(y[i], np.inf)
+        pts = np.column_stack((x, y))
+        assert tuple(pts[i]) in {tuple(r) for r in _hull_prune(pts).tolist()}
+        assert concave_envelope(pts).tobytes() == reference_hull(pts).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,9 @@ from srauctions.lp import PricingPlan
 from srauctions.mechanisms import (
     ExplicitFeasibleSets,
     KUniformMatroid,
+    lottery_bidder_choice,
     lottery_mechanism,
+    lottery_offer,
     myerson_single_item,
     posted_price_mechanism,
     two_mech_budget,
@@ -408,8 +410,8 @@ class TestVectorizedRunners:
         # leave menus unaffordable, and shared budgets tie capped weights.
         # The last three rows put a value on its posted price, a uniform on
         # its win probability (a = 0 when everyone is a member), and, in the
-        # last case, the cheapest ticket of the tie winner 3.6e-15 above
-        # its budget.
+        # last case, the tie winner's budget on its threshold, where
+        # a_min * pprime / 2 rounds 3.6e-15 above it.
         tight = 21.429957571017287
         edge_values = [(2.0, 2.0, 0.1), (0.1, 0.1, 0.1), (30.0, 30.0, 0.1)]
         edge_budgets = [(3.0, 3.0, 3.0), (math.inf,) * 3, (tight,) * 3]
@@ -442,6 +444,29 @@ class TestVectorizedRunners:
                     )
                     assert revenue[t] == pytest.approx(out.revenue, abs=1e-12)
                     assert welfare[t] == pytest.approx(out.welfare, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e3, 1e9])
+    def test_budget_on_threshold_buys_cheapest_ticket(self, scale):
+        # two bidders capped at one shared budget tie; bidder 0 wins the tie,
+        # so its threshold is its own budget.  The budget is the first one
+        # near 21.43 (times scale) whose cheapest ticket, a_min * pprime / 2,
+        # rounds above it, as 21.429957571017287 does at unit scale.
+        reserve = 81.00969298941001 * scale
+        candidates = (21.43 * scale * (1.0 + i * 1e-13) for i in range(1000))
+        budget = next(b for b in candidates if 2.0 * b / reserve * reserve / 2.0 > b)
+        values = np.array([[30.0, 30.0]]) * scale
+        budgets = np.array([[budget, budget]])
+        env = KUniformMatroid(1, 2)
+        offer = lottery_offer(env.inclusion_threshold(np.minimum(values[0], budget), 0), reserve)
+        assert offer.mode == "menu" and offer.p == budget
+        choice = lottery_bidder_choice(offer, values[0, 0], budget, FixedUniform(0.0))
+        assert choice.bought and choice.a == offer.a_min
+        assert choice.price <= budget
+        assert choice.price == pytest.approx(budget, rel=1e-15)
+        out = lottery_mechanism(env, [None] * 2, values[0], budgets[0], FixedUniform(0.0), reserves=[reserve] * 2)
+        assert out.winners == (0,) and out.payments[0] == choice.price
+        revenue, welfare = lottery_k_uniform(values, budgets, np.zeros((1, 2)), [reserve] * 2, 1)
+        assert revenue[0] == out.revenue and welfare[0] == out.welfare
 
     def test_posted_price_single_row_reproduces_scalar(self):
         inst = criterion_instance()
