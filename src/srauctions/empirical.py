@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +69,10 @@ class SampleParams:
                 raise ValueError(f"{name} must lie in (0,1), got {val!r}")
         if self.m is not None and self.m < 1:
             raise ValueError("m must be a positive integer")
+
+    def with_required_m(self) -> "SampleParams":
+        """These parameters, with an omitted m set to the required count."""
+        return self if self.m is not None else replace(self, m=validate_params(self).required_m)
 
 
 @dataclass(frozen=True)
@@ -129,8 +133,18 @@ def validate_params(p: SampleParams) -> ValidityReport:
 _PRUNE_BLOCK = 1024
 
 
-def _upper_chain(pts: np.ndarray) -> np.ndarray:
-    """Andrew's monotone-chain scan (1979) for the upper hull of x-sorted points."""
+def _pop_slack(pts: np.ndarray) -> float:
+    """1e-15 times 2**(ex + ey), where ex and ey are the binary exponents of
+    max|x| and max|y| of nonempty x-sorted points (0 for an all-zero column)."""
+    ex = math.frexp(max(abs(pts[0, 0]), abs(pts[-1, 0])))[1]
+    ey = math.frexp(float(np.abs(pts[:, 1]).max()))[1]
+    return math.ldexp(1e-15, ex + ey)
+
+
+def _upper_chain(pts: np.ndarray, slack: float) -> np.ndarray:
+    """Andrew's monotone-chain scan (1979) for the upper hull of x-sorted
+    points; a middle point stays only if it turns down by more than
+    ``slack``."""
     hull_x: list[float] = []
     hull_y: list[float] = []
     for x, y in pts.tolist():
@@ -138,7 +152,7 @@ def _upper_chain(pts: np.ndarray) -> np.ndarray:
             x1, y1 = hull_x[-2], hull_y[-2]
             x2, y2 = hull_x[-1], hull_y[-1]
             # pop the middle point unless it turns strictly downward (concave)
-            if (y2 - y1) * (x - x2) > (y - y2) * (x2 - x1) + 1e-15:
+            if (y2 - y1) * (x - x2) > (y - y2) * (x2 - x1) + slack:
                 break
             hull_x.pop()
             hull_y.pop()
@@ -152,19 +166,20 @@ def _upper_chain(pts: np.ndarray) -> np.ndarray:
     return np.column_stack((hull_x, hull_y))
 
 
-def _hull_prune(pts: np.ndarray) -> np.ndarray:
+def _hull_prune(pts: np.ndarray, slack: float) -> np.ndarray:
     """Drop the x-sorted points that lie strictly below the upper hull of a
     few of them: the throw-away step of Akl & Toussaint (1978).
 
     Each block of `_PRUNE_BLOCK` points lends the point farthest above the
     chord from the block's first point to its last; with the two end points
-    these are scanned into a small hull.  Its vertices are input points, so
-    it lies under the true hull, and a point strictly below it can never be
-    a vertex.  "Strictly" is guarded relative to the terms `np.interp`
-    combines: each small-hull vertex is lowered by 1e-12 times the largest
-    |y| among it and its two neighbours, which bounds the rounding of the
-    interpolation on both adjacent segments, so points within rounding of
-    the small hull stay for the scan.
+    these are scanned, with the pop slack ``slack``, into a small hull.  Its
+    vertices are input points, so it lies under the true hull, and a point
+    strictly below it can never be a vertex.  "Strictly" is guarded
+    relative to the terms `np.interp` combines: each small-hull vertex is
+    lowered by 1e-12 times the largest |y| among it and its two neighbours,
+    which bounds the rounding of the interpolation on both adjacent
+    segments, so points within rounding of the small hull stay for the
+    scan.
     """
     n = len(pts)
     nb = n // _PRUNE_BLOCK
@@ -176,7 +191,7 @@ def _hull_prune(pts: np.ndarray) -> np.ndarray:
     score -= bx * (by[:, -1:] - by[:, :1])
     far = score.argmax(axis=1) + np.arange(0, nb * _PRUNE_BLOCK, _PRUNE_BLOCK)
     del score
-    small = _upper_chain(pts[np.concatenate(([0], far, [n - 1]))])
+    small = _upper_chain(pts[np.concatenate(([0], far, [n - 1]))], slack)
     mag = np.pad(np.abs(small[:, 1]), 1)
     lowered = small[:, 1] - 1e-12 * np.maximum(np.maximum(mag[:-2], mag[1:-1]), mag[2:])
     return pts[y >= np.interp(x, small[:, 0], lowered)]
@@ -215,20 +230,22 @@ def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
     Python scan.  Returns the hull vertices as an (k, 2) array; every vertex
     is one of the inputs.  Collinear interior points are absorbed.
 
-    The scan pops with an absolute 1e-15 slack.  Where value-scaled cross
-    products come near it (values below about 1e-2 on a million-point
-    curve), its output depends on which points under the hull it meets, so
-    there the pruned and unpruned scans can differ.
+    The scan pops a middle point unless it turns down by more than 1e-15 at
+    the input's binary scale (`_pop_slack`), which pops exactly what a
+    slack of 1e-15 pops on the points normalized by powers of two.  So no
+    unit of value is too small or too large for the slack, and scaling an
+    axis by a power of two scales the hull by the same factor exactly.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("expected an iterable of (x, y) pairs")
+    if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+        raise ValueError("expected a nonempty iterable of (x, y) pairs")
     x = pts[:, 0]
     if not np.all(x[1:] >= x[:-1]):
         pts = pts[np.argsort(x, kind="stable")]
+    slack = _pop_slack(pts)
     if len(pts) > 4 * _PRUNE_BLOCK:
-        pts = _hull_prune(pts)
-    return _upper_chain(pts)
+        pts = _hull_prune(pts, slack)
+    return _upper_chain(pts, slack)
 
 
 @dataclass(frozen=True, eq=False)

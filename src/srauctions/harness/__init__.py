@@ -19,8 +19,8 @@ from .montecarlo import (
     MetricSummary,
     Report,
     Z95,
-    monte_carlo,
     render_csv,
+    run_batched,
     wilson_interval,
 )
 from .oracles import (

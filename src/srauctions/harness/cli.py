@@ -19,33 +19,38 @@ import csv
 import dataclasses
 import json
 import sys
+import time
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..dists import dist_from_spec, revenue_curve_hull
+from ..dists import DiscreteTabular, dist_from_spec, revenue_curve_hull
 from ..empirical import SampleParams, build_empirical, validate_params
 from ..lp import MultiItemInstance, make_pricing_plan, aggregate, build_lp3, solve
 from ..mechanisms import (
     Environment,
     ExplicitFeasibleSets,
     KUniformMatroid,
-    empirical_vcg_lazy,
     lottery_mechanism,
     myerson_single_item,
     posted_price_mechanism,
     two_mech_budget,
-    vcg,
     vcg_lazy,
     vcg_with_duplicates,
 )
 from .experiments import (
     ExperimentConfig,
     UnknownExperimentError,
+    _sample_value_grid,
     exact_pricing_plan,
+    lazy_vcg_k_uniform,
+    lottery_k_uniform,
+    posted_price_runs,
     run_experiment,
+    two_mech_k_uniform,
 )
-from .montecarlo import monte_carlo, render_csv
+from .montecarlo import MetricSummary, Report, render_csv, run_batched
 from .rng import meta_stream, stream
 
 MECH_CHOICES = (
@@ -200,137 +205,166 @@ def env_from_spec(spec: dict) -> Environment:
     if kind == "k-uniform":
         return KUniformMatroid(int(spec["k"]), int(spec["n"]))
     if kind == "explicit":
-        return ExplicitFeasibleSets(
-            int(spec["n"]), [set(map(int, s)) for s in spec["sets"]]
-        )
+        return ExplicitFeasibleSets(int(spec["n"]), spec["sets"])
     raise ValueError(f"unknown environment kind: {kind!r}")
 
 
-def _draw_values(dists, rng) -> np.ndarray:
-    return np.array([float(d.sample(rng, 1)[0]) for d in dists])
-
-
-def _draw_budgets(config: dict, n: int, rng) -> np.ndarray:
+def _budget_draw(config: dict, n: int) -> Callable:
+    """Row budgets: two-point draws under ``budget_dist``, else the fixed
+    ``budgets`` on every row."""
     if "budget_dist" in config:
         b = config["budget_dist"]
-        coins = rng.random(n) < float(b["p_hi"])
-        return np.where(coins, float(b["hi"]), float(b["lo"]))
-    return np.asarray(config["budgets"], dtype=float)
+        p_hi, hi, lo = float(b["p_hi"]), float(b["hi"]), float(b["lo"])
+        return lambda rng, rows: np.where(rng.random((rows, n)) < p_hi, hi, lo)
+    fixed = np.asarray(config["budgets"], dtype=float)
+    return lambda rng, rows: np.broadcast_to(fixed, (rows, n))
 
 
-def _outcome_metrics(out) -> dict:
-    return {"revenue": out.revenue, "welfare": out.welfare}
+class MechRows(NamedTuple):
+    """How ``mech run`` draws and prices a block of rows.
+
+    ``draw(rng, rows)`` returns the block's row arrays.  ``scalar(rng,
+    *row)`` prices one row with the per-auction mechanism; ``vector(rng,
+    *arrays)``, set where a vectorized runner applies, prices the whole
+    block and returns (revenue, welfare).  Either consumes ``rng`` after
+    ``draw`` has.  Welfare is that of the winners (``MechanismOutcome``'s).
+    """
+
+    draw: Callable
+    scalar: Callable
+    vector: Callable | None = None
+
+    def batch(self, rng, rows: int) -> dict:
+        arrays = self.draw(rng, rows)
+        if self.vector is not None:
+            revenue, welfare = self.vector(rng, *arrays)
+        else:
+            outs = [self.scalar(rng, *row) for row in zip(*arrays)]
+            revenue = np.array([out.revenue for out in outs])
+            welfare = np.array([out.welfare for out in outs])
+        return {"revenue": revenue, "welfare": welfare}
 
 
-def _make_mech_trial(mech: str, config: dict, seed: int):
-    """Build the per-trial closure for ``mech run``.
+def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
+    """Parse a ``mech run`` config into the mechanism's rows.
 
-    One-off setup draws (model training samples) come from meta streams so
-    the per-trial streams stay untouched.
+    On k-uniform environments the VCG family, ``lottery``, and ``two-mech``
+    over discrete priors get the experiments' vectorized runners, and the
+    posted-price mechanisms always do.  Everything else (``explicit``
+    environments, ``myerson``, ``vcg-dup``) runs row by row.  Model training
+    samples come from meta stream 0, apart from the block streams.
     """
     if mech in ("posted", "posted-emp"):
         inst = MultiItemInstance.from_spec(config["instance"])
         if mech == "posted":
             plan, _ = exact_pricing_plan(inst)
         else:
-            sp = SampleParams(**config["sample_params"])
-            if sp.m is None:
-                sp = dataclasses.replace(sp, m=validate_params(sp).required_m)
+            sp = SampleParams(**config["sample_params"]).with_required_m()
             build_rng = meta_stream(seed, 0)
-            models = {
-                (i, j): build_empirical(d.sample(build_rng, sp.m), sp)
-                for i, j, d in inst.pairs()
-            }
+            models = {(i, j): build_empirical(d.sample(build_rng, sp.m), sp) for i, j, d in inst.pairs()}
             lp3 = build_lp3(inst, models, sp)
             plan = make_pricing_plan(aggregate(solve(lp3), lp3, inst), inst, models, sp)
-
-        def posted_trial(rng):
-            values = np.empty((inst.n_bidders, inst.n_items))
-            for i, j, d in inst.pairs():
-                values[i, j] = d.sample(rng, 1)[0]
-            return _outcome_metrics(posted_price_mechanism(inst, plan, values, rng))
-
-        return posted_trial
+        return MechRows(
+            lambda rng, rows: (_sample_value_grid(inst, rng, rows),),
+            lambda rng, v: posted_price_mechanism(inst, plan, v, rng),
+            lambda rng, values: posted_price_runs(inst, plan, values, rng)[:2],
+        )
 
     dists = [dist_from_spec(s) for s in config["dists"]]
     n = len(dists)
     env = env_from_spec(config.get("env", {"kind": "k-uniform", "k": 1, "n": n}))
     if env.n_bidders != n:
         raise ValueError("environment size does not match the number of dists")
+    k = env.k if isinstance(env, KUniformMatroid) else None
 
-    if mech == "vcg":
-        return lambda rng: _outcome_metrics(vcg(env, _draw_values(dists, rng)))
+    def values(rng, rows):
+        return np.column_stack([d.sample(rng, rows) for d in dists])
+
     if mech == "vcg-dup":
-
-        def dup_trial(rng):
-            values = _draw_values(dists, rng)
-            duplicates = _draw_values(dists, rng)
-            return _outcome_metrics(vcg_with_duplicates(env, values, duplicates))
-
-        return dup_trial
-    if mech == "vcgl":
-        reserves = config.get("reserves") or [d.reserve_price for d in dists]
-        return lambda rng: _outcome_metrics(
-            vcg_lazy(env, _draw_values(dists, rng), reserves)
-        )
-    if mech == "vcgl-emp":
-        sp = SampleParams(**config["sample_params"])
-        if sp.m is None:
-            sp = dataclasses.replace(sp, m=validate_params(sp).required_m)
-        build_rng = meta_stream(seed, 0)
-        models = [build_empirical(d.sample(build_rng, sp.m), sp) for d in dists]
-        return lambda rng: _outcome_metrics(
-            empirical_vcg_lazy(env, _draw_values(dists, rng), models)
+        return MechRows(
+            lambda rng, rows: (values(rng, rows), values(rng, rows)),
+            lambda rng, v, dup: vcg_with_duplicates(env, v, dup),
         )
     if mech == "myerson":
-        return lambda rng: _outcome_metrics(
-            myerson_single_item(dists, _draw_values(dists, rng))
+        return MechRows(
+            lambda rng, rows: (values(rng, rows),),
+            lambda rng, v: myerson_single_item(dists, v),
         )
+    if mech == "vcg":  # VCG is the lazy auction at zero reserves
+        reserves = np.zeros(n)
+    elif mech == "vcgl-emp":
+        sp = SampleParams(**config["sample_params"]).with_required_m()
+        build_rng = meta_stream(seed, 0)
+        reserves = [build_empirical(d.sample(build_rng, sp.m), sp).empirical_reserve() for d in dists]
+    else:
+        reserves = config.get("reserves") or [d.reserve_price for d in dists]
+    if mech in ("vcg", "vcgl", "vcgl-emp"):
+        return MechRows(
+            lambda rng, rows: (values(rng, rows),),
+            lambda rng, v: vcg_lazy(env, v, reserves),
+            # revenue and realized welfare
+            (lambda rng, v: lazy_vcg_k_uniform(v, k, reserves)[::2]) if k is not None else None,
+        )
+
+    budgets = _budget_draw(config, n)
     if mech == "two-mech":
-
-        def two_mech_trial(rng):
-            values = _draw_values(dists, rng)
-            budgets = _draw_budgets(config, n, rng)
-            coin = 1 if rng.random() < 0.5 else 2
-            return _outcome_metrics(
-                two_mech_budget(env, dists, values, budgets, coin=coin)
-            )
-
-        return two_mech_trial
+        discrete = all(isinstance(d, DiscreteTabular) for d in dists)
+        return MechRows(
+            lambda rng, rows: (
+                values(rng, rows), budgets(rng, rows), np.where(rng.random(rows) < 0.5, 1, 2)
+            ),
+            lambda rng, v, b, coin: two_mech_budget(env, dists, v, b, int(coin)),
+            (lambda rng, v, b, coins: two_mech_k_uniform(v, b, coins, dists, k))
+            if k is not None and discrete else None,
+        )
     if mech == "lottery":
-        reserves = config.get("reserves")
-
-        def lottery_trial(rng):
-            values = _draw_values(dists, rng)
-            budgets = _draw_budgets(config, n, rng)
-            return _outcome_metrics(
-                lottery_mechanism(env, dists, values, budgets, rng, reserves=reserves)
-            )
-
-        return lottery_trial
+        return MechRows(
+            lambda rng, rows: (values(rng, rows), budgets(rng, rows)),
+            lambda rng, v, b: lottery_mechanism(env, dists, v, b, rng, reserves=reserves),
+            (lambda rng, v, b: lottery_k_uniform(v, b, rng.random(v.shape), reserves, k))
+            if k is not None else None,
+        )
     raise ValueError(f"unknown mechanism: {mech!r}")
 
 
+def _bad_input(command: str, exc: Exception) -> int:
+    """Report a config error on one line of stderr; exit code 2."""
+    msg = f"missing config key {exc}" if isinstance(exc, KeyError) else str(exc)
+    print(f"srauctions {command}: {msg}", file=sys.stderr)
+    return 2
+
+
+_CONFIG_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+
 def _cmd_mech_run(args) -> int:
-    with open(args.config) as fh:
-        config = json.load(fh)
-    trial = _make_mech_trial(args.mech, config, args.seed)
+    try:
+        if args.trials < 1:
+            raise ValueError("--trials must be positive")
+        with open(args.config) as fh:
+            config = json.load(fh)
+        rows = mech_rows(args.mech, config, args.seed)
+    except _CONFIG_ERRORS as exc:
+        return _bad_input("mech run", exc)
+    started = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = monte_carlo(
-            trial, args.trials, args.seed, experiment_id=f"mech:{args.mech}"
-        )
+        accs = run_batched(rows.batch, args.trials, args.seed)
+    metrics = tuple(MetricSummary.from_accumulator(k, acc) for k, acc in accs.items())
+    report = Report(f"mech:{args.mech}", metrics, args.seed, args.trials, time.perf_counter() - started)
     render_csv(report, args.out)
     return 0 if report.verdict else 1
 
 
 def _cmd_experiment(args) -> int:
-    if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
-        cfg = ExperimentConfig.from_json_dict(args.id, data)
-    else:
-        cfg = ExperimentConfig(experiment_id=args.id)
+    try:
+        if args.config:
+            with open(args.config) as fh:
+                cfg = ExperimentConfig.from_json_dict(args.id, json.load(fh))
+        else:
+            cfg = ExperimentConfig(experiment_id=args.id)
+    except _CONFIG_ERRORS as exc:
+        return _bad_input("experiment", exc)
     try:
         report = run_experiment(args.id, cfg)
     except UnknownExperimentError as exc:

@@ -20,7 +20,6 @@ Benchmarks:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 import warnings
@@ -41,7 +40,6 @@ from ..empirical import (
     SampleCountWarning,
     SampleParams,
     build_empirical,
-    validate_params,
 )
 from ..lp import (
     MultiItemInstance,
@@ -61,13 +59,11 @@ from ..mechanisms import (  # noqa: F401
     lottery_mechanism,
     two_mech_budget,
 )
-from .montecarlo import Accumulator, MetricSummary, Report
+from .montecarlo import Accumulator, MetricSummary, Report, _chunks, run_batched
 from .oracles import myerson_optimal_revenue_iid, oracle_exact_expectation
 from .rng import meta_stream, stream
 
 DEFAULT_SEED = 20260819
-
-_CHUNK = 250_000
 
 
 class UnknownExperimentError(ValueError):
@@ -114,16 +110,17 @@ def second_price_of_pooled(values: np.ndarray) -> np.ndarray:
 
 def lazy_vcg_k_uniform(
     values: np.ndarray, k: int, reserves: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reserve-gated efficient auction on a k-winner cap, vectorized.
 
-    Returns (revenue, efficient welfare) per row of ``values`` (T, n).
-    Ties rank toward the smaller bidder index, matching the per-auction
-    implementation.
+    Returns (revenue, efficient welfare, realized welfare) per row of
+    ``values`` (T, n); the realized welfare counts only the winners that
+    clear their reserves, as ``vcg_lazy``'s outcome does.  Ties rank toward
+    the smaller bidder index, matching the per-auction implementation.
     """
     n = values.shape[1]
-    if not 1 <= k < n + 1:
-        raise ValueError("k out of range")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     order = np.argsort(-values, axis=1, kind="stable")
     top = order[:, :k]
     top_vals = np.take_along_axis(values, top, axis=1)
@@ -136,7 +133,7 @@ def lazy_vcg_k_uniform(
     keep = top_vals >= res
     pay = np.maximum(res, base)
     revenue = (keep * pay).sum(axis=1)
-    return revenue, welfare
+    return revenue, welfare, (keep * top_vals).sum(axis=1)
 
 
 def _first_loser(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +159,7 @@ def _beats(weight, index, bar: np.ndarray, rival: np.ndarray) -> np.ndarray:
 def _step_virtual_values(prior: DiscreteTabular, x: np.ndarray) -> np.ndarray:
     """Virtual value of the largest atom at or below each x; -inf below the
     least atom (the step extension of ``mechanisms._virtual_step``)."""
-    idx = np.searchsorted(prior.support, x + 1e-12) - 1
+    idx = np.searchsorted(prior.support, x, side="right") - 1
     return np.where(idx >= 0, prior.virtual_values()[np.maximum(idx, 0)], -np.inf)
 
 
@@ -299,14 +296,6 @@ def posted_price_runs(
     return revenue, welfare, alloc
 
 
-def _chunks(total: int, chunk: int = _CHUNK):
-    done = 0
-    while done < total:
-        step = min(chunk, total - done)
-        yield done, step
-        done += step
-
-
 # ---------------------------------------------------------------------------
 # experiment bodies
 # ---------------------------------------------------------------------------
@@ -363,7 +352,7 @@ def run_vcg_duplicates(cfg: ExperimentConfig) -> Report:
         opt = myerson_optimal_revenue_iid(d, n)
         rng = meta_stream(cfg.master_seed, slot)
         acc = Accumulator()
-        for _, step in _chunks(trials):
+        for step in _chunks(trials):
             draws = d.sample(rng, step * 2 * n).reshape(step, 2 * n)
             acc.add_batch(factor * second_price_of_pooled(draws))
         metrics.append(MetricSummary.exact(f"opt[n={n}]", opt))
@@ -397,9 +386,9 @@ def run_vcgl(cfg: ExperimentConfig) -> Report:
         gap = Accumulator()
         rev = Accumulator()
         welf = Accumulator()
-        for _, step in _chunks(trials):
+        for step in _chunks(trials):
             draws = d.sample(rng, step * n).reshape(step, n)
-            revenue, welfare = lazy_vcg_k_uniform(draws, k, reserves)
+            revenue, welfare, _ = lazy_vcg_k_uniform(draws, k, reserves)
             gap.add_batch(revenue - ratio * welfare)
             rev.add_batch(revenue)
             welf.add_batch(welfare)
@@ -432,9 +421,7 @@ def run_vcgl_samp(cfg: ExperimentConfig) -> Report:
     started = time.perf_counter()
     block = cfg.trials or 100_000
     resamples = 100
-    p = cfg.sample_params or SampleParams(gamma=0.1, xi=0.01, delta=0.01)
-    if p.m is None:
-        p = dataclasses.replace(p, m=validate_params(p).required_m)
+    p = (cfg.sample_params or SampleParams(gamma=0.1, xi=0.01, delta=0.01)).with_required_m()
     alpha = 0.5
     n = k = 2
     d = make_falpha(alpha, 1.0)
@@ -458,7 +445,7 @@ def run_vcgl_samp(cfg: ExperimentConfig) -> Report:
         )
         mc_rng = stream(cfg.master_seed, t)
         draws = d.sample(mc_rng, block * n).reshape(block, n)
-        revenue, welfare = lazy_vcg_k_uniform(draws, 1, reserves)
+        revenue, welfare, _ = lazy_vcg_k_uniform(draws, 1, reserves)
         per_resample.add(float(revenue.mean() - threshold * welfare.mean()))
         rev_all.add_batch(revenue)
         welf_all.add_batch(welfare)
@@ -495,20 +482,19 @@ def run_two_mech(cfg: ExperimentConfig) -> Report:
         (2.0 - alpha) / (1.0 - alpha)
     )
     upper = oracle_exact_expectation(dists, lambda values: max(values))
-    welf = Accumulator()
-    rev = Accumulator()
-    for chunk, (_, step) in enumerate(_chunks(trials)):
-        rng = stream(cfg.master_seed, chunk)
-        values = np.column_stack([d.sample(rng, step) for d in dists])
-        coins = np.where(rng.random(step) < 0.5, 1, 2)
+
+    def batch(rng, rows):
+        values = np.column_stack([d.sample(rng, rows) for d in dists])
+        coins = np.where(rng.random(rows) < 0.5, 1, 2)
         revenue, welfare = two_mech_k_uniform(values, budgets, coins, dists, env.k)
-        welf.add_batch(welfare)
-        rev.add_batch(revenue)
+        return {"welfare": welfare, "revenue": revenue}
+
+    accs = run_batched(batch, trials, cfg.master_seed)
     metrics = [
         MetricSummary.exact("welfare_upper_bound", upper),
-        MetricSummary.from_accumulator("welfare", welf),
-        MetricSummary.from_accumulator("revenue", rev),
-        _bound_metric("factor_margin", welf, upper / factor, factor),
+        MetricSummary.from_accumulator("welfare", accs["welfare"]),
+        MetricSummary.from_accumulator("revenue", accs["revenue"]),
+        _bound_metric("factor_margin", accs["welfare"], upper / factor, factor),
     ]
     notes = ("benchmark=unconstrained efficient welfare (conservative)",)
     return _finish("two-mech", metrics, cfg, trials, started, notes)
@@ -525,26 +511,23 @@ def _lottery_metrics(
     Each row draws two bidders' values from ``d`` and private budgets; its
     benchmark is max(0, max_i capped virtual value).
     """
-    rev = Accumulator()
-    upper = Accumulator()
-    gap = Accumulator()
-    for chunk, (_, step) in enumerate(_chunks(trials)):
-        rng = stream(seed, chunk)
-        values = d.sample(rng, 2 * step).reshape(step, 2)
-        budgets = np.where(rng.random((step, 2)) < 0.5, _BUDGET_HI, _BUDGET_LO)
-        uniforms = rng.random((step, 2))
+
+    def batch(rng, rows):
+        values = d.sample(rng, 2 * rows).reshape(rows, 2)
+        budgets = np.where(rng.random((rows, 2)) < 0.5, _BUDGET_HI, _BUDGET_LO)
+        uniforms = rng.random((rows, 2))
         capped_virtual = np.where(
             values < budgets, d.virtual_valuation(values), budgets
         )
         ub = np.maximum(capped_virtual.max(axis=1), 0.0)
         revenue, _ = lottery_k_uniform(values, budgets, uniforms, reserves, 1)
-        rev.add_batch(revenue)
-        upper.add_batch(ub)
-        gap.add_batch(revenue - ub / factor)
+        return {"revenue": revenue, "upper": ub, "gap": revenue - ub / factor}
+
+    accs = run_batched(batch, trials, seed)
     return (
-        MetricSummary.from_accumulator("revenue", rev),
-        MetricSummary.from_accumulator("opt_upper_bound", upper),
-        _bound_metric("factor_margin", gap, 0.0, factor),
+        MetricSummary.from_accumulator("revenue", accs["revenue"]),
+        MetricSummary.from_accumulator("opt_upper_bound", accs["upper"]),
+        _bound_metric("factor_margin", accs["gap"], 0.0, factor),
     )
 
 
@@ -574,9 +557,7 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
     started = time.perf_counter()
     trials = cfg.trials or 100_000
     alpha = 0.5
-    p = cfg.sample_params or SampleParams(gamma=0.05, xi=0.05, delta=0.05)
-    if p.m is None:
-        p = dataclasses.replace(p, m=validate_params(p).required_m)
+    p = (cfg.sample_params or SampleParams(gamma=0.05, xi=0.05, delta=0.05)).with_required_m()
     erosion = max(math.sqrt(8.0 * p.gamma / alpha), 4.0 * p.gamma + p.xi * p.gamma)
     if erosion >= 1.0:
         raise ValueError("gamma too large: reserve-accuracy erosion reaches 1")
@@ -666,7 +647,7 @@ def run_posted_lp(cfg: ExperimentConfig) -> Report:
     alloc_accs = [[Accumulator() for _ in range(n_j)] for _ in range(n_i)]
     values_rng = meta_stream(cfg.master_seed, 0)
     mech_rng = meta_stream(cfg.master_seed, 1)
-    for _, step in _chunks(trials):
+    for step in _chunks(trials):
         values = _sample_value_grid(inst, values_rng, step)
         revenue, welfare, alloc = posted_price_runs(inst, plan, values, mech_rng)
         rev.add_batch(revenue)
@@ -701,9 +682,7 @@ def run_posted_lp_samp(cfg: ExperimentConfig) -> Report:
     started = time.perf_counter()
     block = cfg.trials or 200_000
     inst = cfg.instance or criterion_instance()
-    p = cfg.sample_params or SampleParams(gamma=0.2, xi=0.1, delta=0.1, m=9888)
-    if p.m is None:
-        p = dataclasses.replace(p, m=validate_params(p).required_m)
+    p = (cfg.sample_params or SampleParams(gamma=0.2, xi=0.1, delta=0.1, m=9888)).with_required_m()
     _, v2 = exact_pricing_plan(inst)
     n_i, n_j = inst.n_bidders, inst.n_items
     wanted, attempts_cap = 3, 25
@@ -745,7 +724,7 @@ def run_posted_lp_samp(cfg: ExperimentConfig) -> Report:
         alloc_accs = [[Accumulator() for _ in range(n_j)] for _ in range(n_i)]
         values_rng = meta_stream(cfg.master_seed, mech_slot + 2 * b)
         mech_rng = meta_stream(cfg.master_seed, mech_slot + 2 * b + 1)
-        for _, step in _chunks(block):
+        for step in _chunks(block):
             values = _sample_value_grid(inst, values_rng, step)
             revenue, _welfare, alloc = posted_price_runs(inst, plan, values, mech_rng)
             rev.add_batch(revenue)

@@ -1,10 +1,12 @@
 """Monte Carlo engine and report types.
 
-Trials are pure functions of their RNG stream, aggregation is the
-commutative monoid (count, sum, sum-of-squares), and reports carry a 95%
-normal confidence interval per metric.  Experiments attach a target and a
-verdict to the metrics that encode a theorem bound; purely informational
-metrics leave both blank.
+``run_batched`` is the one engine: it hands a batch function blocks of at
+most ``_CHUNK`` rows, block ``c`` drawing from the Philox stream
+``(master_seed, c)``, so a run is a pure function of its seed and its trial
+count.  Aggregation is the commutative monoid (count, sum, sum-of-squares),
+and reports carry a 95% normal confidence interval per metric.  Experiments
+attach a target and a verdict to the metrics that encode a theorem bound;
+purely informational metrics leave both blank.
 """
 
 from __future__ import annotations
@@ -12,16 +14,18 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .rng import stream
+from . import rng
 
 #: two-sided 95% normal quantile
 Z95 = 1.959963984540054
+
+#: Most rows one block of a batched run holds.
+_CHUNK = 250_000
 
 
 class Accumulator:
@@ -78,9 +82,6 @@ class MetricSummary:
     def from_accumulator(cls, name: str, acc: Accumulator) -> "MetricSummary":
         half = Z95 * acc.stderr
         return cls(name, acc.mean, acc.stderr, acc.mean - half, acc.mean + half)
-
-    def with_bound(self, target: float, passed: bool) -> "MetricSummary":
-        return replace(self, target=target, passed=passed)
 
     @classmethod
     def exact(cls, name: str, value: float) -> "MetricSummary":
@@ -165,39 +166,35 @@ def render_csv(reports, out_path: str | None = None) -> str:
     return text
 
 
-def monte_carlo(
-    trial_fn: Callable[..., Mapping[str, float] | float],
+def _chunks(total: int, chunk: int = _CHUNK):
+    """Sizes of the consecutive blocks, of at most ``chunk`` rows each, that
+    make up ``total`` rows."""
+    for done in range(0, total, chunk):
+        yield min(chunk, total - done)
+
+
+def run_batched(
+    batch_fn: Callable[[np.random.Generator, int], Mapping[str, np.ndarray]],
     trials: int,
     master_seed: int,
-    experiment_id: str = "monte-carlo",
-) -> Report:
-    """Average ``trial_fn`` over independent seeded trials.
+) -> dict[str, Accumulator]:
+    """Accumulate ``batch_fn`` over ``trials`` rows, block by block.
 
-    ``trial_fn(rng)`` returns either a float (recorded under metric "value")
-    or a mapping of metric name to float.  Trial ``t`` receives the RNG for
-    stream ``t`` under ``master_seed``, so runs are reproducible and the
-    aggregation order never depends on scheduling.
+    ``batch_fn(rng, rows)`` returns a mapping from metric name to a
+    ``(rows,)`` array.  Block ``c`` of the ``_chunks`` blocks gets the
+    generator of stream ``c`` under ``master_seed``, so runs are
+    reproducible and never depend on scheduling.  Returns one accumulator
+    per metric, in the order the first block named them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    started = time.perf_counter()
     accs: dict[str, Accumulator] = {}
-    for t in range(trials):
-        result = trial_fn(stream(master_seed, t))
-        if not isinstance(result, Mapping):
-            result = {"value": float(result)}
-        for name, x in result.items():
-            accs.setdefault(name, Accumulator()).add(float(x))
-    metrics = tuple(
-        MetricSummary.from_accumulator(name, acc) for name, acc in accs.items()
-    )
-    return Report(
-        experiment_id=experiment_id,
-        metrics=metrics,
-        seed=master_seed,
-        trials=trials,
-        runtime_seconds=time.perf_counter() - started,
-    )
+    for c, rows in enumerate(_chunks(trials)):
+        # looked up on the module at call time, so a wrapper installed
+        # there sees every block stream
+        for name, xs in batch_fn(rng.stream(master_seed, c), rows).items():
+            accs.setdefault(name, Accumulator()).add_batch(xs)
+    return accs
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:

@@ -8,14 +8,14 @@ byte-for-byte reproducible.
 
 Stream index conventions used by the experiments:
 
-* index ``c`` -- block ``c`` of the trials of ``two-mech``, ``lottery`` and
-  ``lottery-samp``, which run in blocks of at most 250,000 rows
-  (``experiments._chunks``); resample ``c`` of ``vcgl-samp``; trial ``c`` of
-  ``monte_carlo``;
+* index ``c`` -- block ``c`` of every run of ``montecarlo.run_batched``,
+  which hands out blocks of at most 250,000 rows (``montecarlo._chunks``):
+  the trials of ``two-mech``, ``lottery`` and ``lottery-samp``, and the
+  rows of ``srauctions mech run``; resample ``c`` of ``vcgl-samp``;
 * indices at or above ``META_STREAM_BASE`` -- one-off draws such as sampling
-  the training data for an empirical model, so they can never collide with a
-  trial stream, and the experiments that draw all their trials in sequence
-  from one generator per case.
+  the training data for an empirical model (``mech run`` uses slot 0), so
+  they can never collide with a trial stream, and the experiments that draw
+  all their trials in sequence from one generator per case.
 """
 
 from __future__ import annotations

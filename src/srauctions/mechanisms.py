@@ -316,7 +316,7 @@ def _min_winning_report(wins, v_won: float, dist: ValuationDistribution) -> floa
     """
     if isinstance(dist, DiscreteTabular):
         for u in dist.support:
-            if u <= v_won + 1e-12 and wins(float(u)):
+            if u <= v_won and wins(float(u)):
                 return float(u)
         return v_won
     lo, hi = 0.0, v_won
@@ -340,7 +340,7 @@ def _virtual_step(dist: ValuationDistribution, u: float) -> float:
     quantile to speak of and the report can never be served.
     """
     if isinstance(dist, DiscreteTabular):
-        idx = int(np.searchsorted(dist.support, u + 1e-12)) - 1
+        idx = int(np.searchsorted(dist.support, u, side="right")) - 1
         if idx < 0:
             return -np.inf
         return float(dist.virtual_valuation(float(dist.support[idx])))

@@ -23,6 +23,7 @@ from srauctions.dists import DiscreteTabular
 from srauctions.empirical import (
     _PRUNE_BLOCK,
     _hull_prune,
+    _pop_slack,
     EmpiricalModel,
     InsufficientSamplesError,
     SampleCountWarning,
@@ -328,6 +329,8 @@ class TestEnvelope:
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             concave_envelope([(0, 0, 1), (1, 2, 3)])
+        with pytest.raises(ValueError):
+            concave_envelope(np.empty((0, 2)))
 
     @pytest.mark.parametrize("prior", ["criterion", "tabular", "falpha"])
     def test_run_end_hull_equals_full_point_hull(self, prior):
@@ -359,8 +362,8 @@ class TestEnvelope:
 
     @pytest.mark.parametrize("scale", [1e3, 1e6])
     def test_no_hull_vertex_inside_a_tie_run(self, scale):
-        # rounding in t * v lifts interior points of a tie run off the ray
-        # R = v * q by more than the scan's absolute slack at these scales
+        # rounding in t * v can lift interior points of a tie run off the
+        # ray R = v * q; the build hulls only the ends of each run
         rng = np.random.Generator(np.random.Philox(key=[20, 0]))
         for _ in range(100):
             d = random_tabular(rng, 20, scale)
@@ -394,11 +397,16 @@ class TestEnvelope:
 # ---------------------------------------------------------------------------
 
 
-def reference_hull(points, slack=1e-15):
+def reference_hull(points, slack=None):
     """Monotone-chain scan over every point, with `concave_envelope`'s pop
-    test; ``slack=0`` gives the scan without its absolute slack."""
+    test.  The default slack is 1e-15 times 2**(ex + ey), with ex and ey the
+    binary exponents of max|x| and max|y| (0 for an all-zero column);
+    ``slack=0`` gives the scan without slack."""
     pts = np.asarray(points, dtype=float)
     pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    if slack is None:
+        ex, ey = (math.frexp(float(np.abs(col).max()))[1] for col in pts.T)
+        slack = math.ldexp(1e-15, ex + ey)
     hx, hy = [], []
     for x, y in pts.tolist():
         while len(hx) >= 2 and not (
@@ -442,16 +450,16 @@ def hull_family(kind, seed):
 
 class TestHullPrune:
     """`concave_envelope` prunes inputs of more than four blocks before its
-    scan.  The scan's absolute 1e-15 slack (left for ROADMAP item 4) decides
-    pops once value-scaled cross products come near it; the scan's output
-    then depends on which points under the hull it meets, so byte identity
-    with the unpruned scan is asserted from scale 1e-4 up, and the prune's
-    own guarantee, that it drops no vertex, at every scale."""
+    scan.  The scan's pop slack is relative to the input's binary scale, so
+    the result is the same at every value scale: byte identity with the
+    unpruned scan and the prune's own guarantee, that it drops no vertex of
+    the slack-free scan, are asserted at scales 1e-9 to 1e9, and scaling an
+    axis by a power of two scales the hull exactly."""
 
     @pytest.mark.parametrize("kind", HULL_FAMILIES)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        exponent=st.integers(-4, 9),
+        exponent=st.integers(-9, 9),
         shuffle=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
@@ -466,7 +474,7 @@ class TestHullPrune:
     @settings(max_examples=25, deadline=None)
     def test_keeps_every_vertex_at_every_scale(self, kind, seed, exponent):
         pts = hull_family(kind, seed) * [1.0, 10.0**exponent]
-        kept = _hull_prune(pts)
+        kept = _hull_prune(pts, _pop_slack(pts))
         if kind == "on_curve":
             assert len(kept) == len(pts)
         rows = {tuple(r) for r in kept.tolist()}
@@ -491,8 +499,33 @@ class TestHullPrune:
         for _ in range(3 if Fraction(y[i]) > chord else 4):
             y[i] = np.nextafter(y[i], np.inf)
         pts = np.column_stack((x, y))
-        assert tuple(pts[i]) in {tuple(r) for r in _hull_prune(pts).tolist()}
+        assert tuple(pts[i]) in {tuple(r) for r in _hull_prune(pts, _pop_slack(pts)).tolist()}
         assert concave_envelope(pts).tobytes() == reference_hull(pts).tobytes()
+
+    @pytest.mark.parametrize("kind", HULL_FAMILIES)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-9, 9),
+        jx=st.integers(-30, 30),
+        ky=st.integers(-60, 60),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, kind, seed, exponent, jx, ky):
+        pts = hull_family(kind, seed) * [1.0, 10.0**exponent]
+        scale = np.array([2.0**jx, 2.0**ky])
+        assert (
+            concave_envelope(pts * scale).tobytes()
+            == (concave_envelope(pts) * scale).tobytes()
+        )
+
+    def test_all_zero_y(self):
+        # max|y| = 0 has binary exponent 0: the slack stays finite and the
+        # flat line keeps only its two ends
+        x = np.arange(5 * _PRUNE_BLOCK) / (5 * _PRUNE_BLOCK)
+        pts = np.column_stack((x, np.zeros_like(x)))
+        hull = concave_envelope(pts)
+        assert hull.tolist() == [[0.0, 0.0], [x[-1], 0.0]]
+        assert hull.tobytes() == reference_hull(pts).tobytes()
 
 
 # ---------------------------------------------------------------------------

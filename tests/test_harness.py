@@ -2,8 +2,9 @@
 
 The oracles here are the independent side of every simulation claim, so
 their own tests pin them to hand-derived constants before anything else is
-allowed to trust them.  The vectorized experiment runners are checked for
-exact agreement with the per-auction mechanism functions on shared draws.
+allowed to trust them.  The vectorized experiment runners, and ``mech
+run``'s use of them, are checked for exact agreement with the per-auction
+mechanism functions on shared draws.
 """
 
 import json
@@ -34,21 +35,24 @@ from srauctions.harness import (
     lazy_vcg_k_uniform,
     lottery_k_uniform,
     meta_stream,
-    monte_carlo,
     myerson_optimal_revenue_iid,
     oracle_exact_expectation,
     oracle_feasible_argmax,
     oracle_optimal_revenue_single_item,
     posted_price_runs,
     render_csv,
+    run_batched,
     run_experiment,
     second_price_of_pooled,
     stream,
     two_mech_k_uniform,
     wilson_interval,
 )
+from srauctions.harness import rng as rng_module
+from srauctions.harness.cli import MECH_CHOICES, mech_rows
 from srauctions.harness.cli import main as cli_main
 from srauctions.harness.experiments import DEFAULT_SEED, _two_mech_setup
+from srauctions.harness.montecarlo import _CHUNK
 from srauctions.lp import PricingPlan
 from srauctions.mechanisms import (
     ExplicitFeasibleSets,
@@ -142,25 +146,33 @@ class TestAccumulator:
         assert acc.stderr == 0.0
 
 
+def batched_report(batch_fn, trials, master_seed):
+    accs = run_batched(batch_fn, trials, master_seed)
+    metrics = tuple(MetricSummary.from_accumulator(k, acc) for k, acc in accs.items())
+    return Report("monte-carlo", metrics, master_seed, trials, 0.0)
+
+
 class TestMonteCarlo:
     def test_deterministic_trial_has_zero_stderr(self):
-        rep = monte_carlo(lambda rng: 7.0, trials=25, master_seed=1)
+        rep = batched_report(lambda rng, rows: {"value": np.full(rows, 7.0)}, 25, 1)
         m = rep.metric("value")
         assert m.value == 7.0
         assert m.stderr == 0.0
         assert (m.ci_lo, m.ci_hi) == (7.0, 7.0)
 
     def test_coin_revenue_near_one(self):
-        rep = monte_carlo(
-            lambda rng: 2.0 * (rng.random() < 0.5), trials=4000, master_seed=2
+        rep = batched_report(
+            lambda rng, rows: {"value": 2.0 * (rng.random(rows) < 0.5)}, 4000, 2
         )
         m = rep.metric("value")
         assert abs(m.value - 1.0) <= 4 * m.stderr
         assert m.ci_lo < 1.0 < m.ci_hi
 
     def test_mapping_trials_split_into_metrics(self):
-        rep = monte_carlo(
-            lambda rng: {"revenue": 1.0, "welfare": 2.0}, trials=10, master_seed=3
+        rep = batched_report(
+            lambda rng, rows: {"revenue": np.ones(rows), "welfare": np.full(rows, 2.0)},
+            10,
+            3,
         )
         assert rep.metric("revenue").value == 1.0
         assert rep.metric("welfare").value == 2.0
@@ -168,18 +180,40 @@ class TestMonteCarlo:
             rep.metric("nope")
 
     def test_same_seed_is_bit_identical(self):
-        def trial(rng):
-            return {"x": rng.random(), "y": rng.normal()}
+        def batch(rng, rows):
+            return {"x": rng.random(rows), "y": rng.normal(size=rows)}
 
-        a = monte_carlo(trial, trials=50, master_seed=11)
-        b = monte_carlo(trial, trials=50, master_seed=11)
+        a = batched_report(batch, 50, 11)
+        b = batched_report(batch, 50, 11)
         assert render_csv(a) == render_csv(b)
-        c = monte_carlo(trial, trials=50, master_seed=12)
+        c = batched_report(batch, 50, 12)
         assert render_csv(a) != render_csv(c)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
-            monte_carlo(lambda rng: 0.0, trials=0, master_seed=1)
+            run_batched(lambda rng, rows: {"value": np.zeros(rows)}, 0, 1)
+
+    def test_block_c_draws_from_stream_c(self, monkeypatch):
+        # the engine looks stream up on the rng module at call time, so a
+        # wrapper installed there sees every block
+        calls = []
+
+        def counted(seed, index):
+            calls.append((seed, index))
+            return stream(seed, index)
+
+        monkeypatch.setattr(rng_module, "stream", counted)
+        seen = []
+
+        def batch(rng, rows):
+            seen.append((rows, rng.random()))
+            return {"value": np.zeros(rows)}
+
+        accs = run_batched(batch, 2 * _CHUNK + 3, 9)
+        assert accs["value"].count == 2 * _CHUNK + 3
+        assert calls == [(9, 0), (9, 1), (9, 2)]
+        expected_rows = (_CHUNK, _CHUNK, 3)
+        assert seen == [(r, stream(9, c).random()) for c, r in enumerate(expected_rows)]
 
 
 class TestConfidenceIntervals:
@@ -189,10 +223,10 @@ class TestConfidenceIntervals:
         # is deterministic, and anything below 88 would flag a broken CI.
         covered = 0
         for i in range(100):
-            rep = monte_carlo(
-                lambda rng: float(rng.random() < 0.3),
-                trials=400,
-                master_seed=1000 + i,
+            rep = batched_report(
+                lambda rng, rows: {"value": (rng.random(rows) < 0.3).astype(float)},
+                400,
+                1000 + i,
             )
             m = rep.metric("value")
             covered += m.ci_lo <= 0.3 <= m.ci_hi
@@ -281,14 +315,13 @@ class TestOracleAgreement:
     """Monte Carlo means must land on the enumeration oracles."""
 
     def _mc_vs_oracle(self, dists, statistic, trials=4000, seed=21):
-        def trial(rng):
-            values = tuple(float(d.sample(rng, 1)[0]) for d in dists)
-            return statistic(values)
+        def batch(rng, rows):
+            values = np.column_stack([d.sample(rng, rows) for d in dists])
+            return {"value": np.array([statistic(tuple(v)) for v in values.tolist()])}
 
-        rep = monte_carlo(trial, trials=trials, master_seed=seed)
-        m = rep.metric("value")
+        acc = run_batched(batch, trials, seed)["value"]
         exact = oracle_exact_expectation(dists, statistic)
-        assert abs(m.value - exact) <= 4 * m.stderr + 1e-9
+        assert abs(acc.mean - exact) <= 4 * acc.stderr + 1e-9
 
     def test_vcg_revenue_two_coins(self):
         env = single_item(2)
@@ -357,19 +390,34 @@ class TestVectorizedRunners:
         # exact ties must break toward the smaller index on both routes
         values[0] = [2.0, 2.0, 2.0, 0.5]
         values[1] = [1.0, 1.0, 1.0, 1.0]
-        revenue, welfare = lazy_vcg_k_uniform(values, k, reserves)
+        revenue, welfare, realized = lazy_vcg_k_uniform(values, k, reserves)
         env = KUniformMatroid(k, n)
         top_k = np.sort(values, axis=1)[:, -k:].sum(axis=1)
         assert np.allclose(welfare, top_k, atol=1e-12)
+        assert (realized < welfare).any()  # some winner misses its reserve
         for t in range(300):
             out = vcg_lazy(env, values[t], reserves)
             assert revenue[t] == pytest.approx(out.revenue, abs=1e-12)
+            assert realized[t] == pytest.approx(out.welfare, abs=1e-12)
 
     def test_lazy_vcg_single_bidder(self):
         values = np.array([[2.0], [0.5]])
-        revenue, welfare = lazy_vcg_k_uniform(values, 1, np.array([1.0]))
+        revenue, welfare, realized = lazy_vcg_k_uniform(values, 1, np.array([1.0]))
         assert revenue.tolist() == [1.0, 0.0]
         assert welfare.tolist() == [2.0, 0.5]
+        assert realized.tolist() == [2.0, 0.0]
+
+    def test_lazy_vcg_k_outside_one_to_n(self):
+        # k = 0 sells nothing; k > n sells to every bidder at its reserve
+        values = np.array([[2.0, 0.5], [3.0, 1.5]])
+        reserves = np.array([1.0, 1.0])
+        assert [a.tolist() for a in lazy_vcg_k_uniform(values, 0, reserves)] == [[0.0, 0.0]] * 3
+        for k in (2, 5):
+            env = KUniformMatroid(k, 2)
+            revenue, _, realized = lazy_vcg_k_uniform(values, k, reserves)
+            for t in range(2):
+                out = vcg_lazy(env, values[t], reserves)
+                assert (revenue[t], realized[t]) == (out.revenue, out.welfare)
 
     def test_two_mech_matches_mechanism(self):
         rng = stream(37, 0)
@@ -392,6 +440,22 @@ class TestVectorizedRunners:
                     out = two_mech_budget(env, priors, values[t], budgets, int(coins[t]))
                     assert revenue[t] == pytest.approx(out.revenue, abs=1e-12)
                     assert welfare[t] == pytest.approx(out.welfare, abs=1e-12)
+
+    def test_two_mech_steps_to_exact_atoms(self):
+        # atoms 1e-13 apart: phi = v - (1 - F) / f is negative on the two
+        # lower atoms and 3e-13 on the top one.  A value capped on an atom
+        # takes that atom's virtual value, and a winner pays the top atom.
+        prior = DiscreteTabular((1e-13, 2e-13, 3e-13), (1 / 3, 1 / 3, 1 / 3))
+        values = np.array([[3e-13], [3e-13], [2e-13]])
+        budgets = np.array([[1e-13], [3e-13], [math.inf]])
+        expected = [0.0, 3e-13, 0.0]
+        revenue, welfare = two_mech_k_uniform(values, budgets, np.full(3, 2), [prior], 1)
+        assert revenue.tolist() == expected
+        assert welfare.tolist() == expected
+        env = KUniformMatroid(1, 1)
+        for t in range(3):
+            out = two_mech_budget(env, [prior], values[t], budgets[t], 2)
+            assert (out.revenue, out.welfare) == (expected[t], expected[t])
 
     def test_two_mech_rejects_bad_input(self):
         values = np.ones((2, 2))
@@ -602,6 +666,45 @@ class TestReportCsv:
 
 FALPHA_SPEC = '{"kind": "falpha", "alpha": 0.5, "scale": 1.0}'
 
+PRIOR_124 = {"kind": "discrete", "support": [1, 2, 4], "pmf": [0.5, 0.3, 0.2]}
+PRIOR_13 = {"kind": "discrete", "support": [1, 3], "pmf": [0.6, 0.4]}
+PRIOR_1234 = {"kind": "discrete", "support": [1, 2, 3, 4], "pmf": [0.4, 0.3, 0.2, 0.1]}
+
+#: one config that every ``--mech`` choice can read: three discrete bidders
+#: under a two-winner cap (``instance`` for the posted-price mechanisms).
+#: The reserves drop some efficient winners, so ``vcgl``'s realized welfare
+#: differs from the efficient welfare.
+MECH_CONFIG = {
+    "env": {"kind": "k-uniform", "k": 2, "n": 3},
+    "dists": [PRIOR_124, PRIOR_124, PRIOR_13],
+    "reserves": [2.5, 1.5, 2.0],
+    "budget_dist": {"p_hi": 0.5, "hi": 3.0, "lo": 1.5},
+    "sample_params": {"gamma": 0.2, "xi": 0.1, "delta": 0.1, "m": 9888},
+    "instance": {
+        "budgets": [4.0, 4.0],
+        "item_limits": [2, 2],
+        "dists": [[PRIOR_1234, PRIOR_1234], [PRIOR_1234, PRIOR_1234]],
+    },
+}
+
+#: single item over three bidders, listed set by set
+EXPLICIT_ENV = {"kind": "explicit", "n": 3, "sets": [[0], [1], [2]]}
+
+#: the mechanisms that ``mech run`` prices with a vectorized runner on
+#: ``MECH_CONFIG``
+RUNNER_MECHS = ("vcg", "vcgl", "vcgl-emp", "two-mech", "lottery", "posted", "posted-emp")
+
+
+class BlockUniforms:
+    """Stands in for a Generator whose ``random((rows, n))`` repeats row t's
+    uniform ``u[t]`` across the row."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.repeat(self.u[:, None], size[1], axis=1)
+
 
 class TestCli:
     def test_dist_eval_frozen_values(self, capsys):
@@ -699,6 +802,97 @@ class TestCli:
         mean, stderr = by_metric["revenue"]
         # E[min of two fair {1,2} coins] = 1.25
         assert abs(mean - 1.25) <= 4 * stderr
+
+    def _mech_run(self, tmp_path, mech, config, seed, trials=300):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / f"{mech}-{seed}.csv"
+        rc = cli_main(
+            ["mech", "run", "--mech", mech, "--config", str(cfg_path),
+             "--trials", str(trials), "--seed", str(seed), "--out", str(out_path)]
+        )
+        return rc, out_path.read_text()
+
+    @pytest.mark.parametrize(
+        "mech, env",
+        [(mech, "k-uniform") for mech in MECH_CHOICES]
+        + [(mech, "explicit") for mech in ("vcg", "vcgl", "two-mech", "lottery")],
+    )
+    def test_mech_run_is_seeded(self, tmp_path, mech, env):
+        config = dict(MECH_CONFIG)
+        if env == "explicit":
+            config["env"] = EXPLICIT_ENV
+        rc, first = self._mech_run(tmp_path, mech, config, seed=5)
+        assert rc == 0
+        assert first.startswith(",".join(CSV_COLUMNS))
+        assert f"mech:{mech},welfare," in first
+        assert self._mech_run(tmp_path, mech, config, seed=5) == (0, first)
+        assert self._mech_run(tmp_path, mech, config, seed=6)[1] != first
+
+    @pytest.mark.parametrize("mech", RUNNER_MECHS)
+    def test_mech_runner_matches_row_adapter(self, mech):
+        rows = mech_rows(mech, MECH_CONFIG, seed=5)
+        assert rows.vector is not None
+        n_rows = 400
+        arrays = rows.draw(stream(40, 0), n_rows)
+        if mech == "lottery":
+            # one uniform per row, as test_lottery_matches_mechanism feeds it
+            u = stream(41, 0).random(n_rows)
+            revenue, welfare = rows.vector(BlockUniforms(u), *arrays)
+            outs = [
+                rows.scalar(FixedUniform(u[t]), *(a[t] for a in arrays))
+                for t in range(n_rows)
+            ]
+        elif mech.startswith("posted"):
+            # the runner reproduces the per-auction sale draw for draw on
+            # one row at a time
+            pairs = [
+                rows.vector(stream(41, t), *(a[t : t + 1] for a in arrays))
+                for t in range(n_rows)
+            ]
+            revenue = np.concatenate([r for r, _ in pairs])
+            welfare = np.concatenate([w for _, w in pairs])
+            outs = [
+                rows.scalar(stream(41, t), *(a[t] for a in arrays)) for t in range(n_rows)
+            ]
+        else:
+            revenue, welfare = rows.vector(None, *arrays)
+            outs = [rows.scalar(None, *(a[t] for a in arrays)) for t in range(n_rows)]
+        np.testing.assert_allclose(revenue, [o.revenue for o in outs], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(welfare, [o.welfare for o in outs], rtol=0, atol=1e-12)
+        assert np.ptp(revenue) > 0.0 and np.ptp(welfare) > 0.0
+        if mech == "vcgl":
+            # realized welfare: the winners below their reserve count for nothing
+            efficient = np.sort(arrays[0], axis=1)[:, -2:].sum(axis=1)
+            assert (welfare < efficient).any()
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("mech", MECH_CONFIG, "--trials must be positive"),
+            ("mech", dict(MECH_CONFIG, dists=[PRIOR_124] * 2), "environment size"),
+            ("mech", dict(MECH_CONFIG, env={"kind": "graphic", "n": 3}), "unknown environment kind"),
+            ("mech", dict(MECH_CONFIG, dists=[{"kind": "cauchy"}] * 3), "unknown distribution kind"),
+            ("mech", {"env": MECH_CONFIG["env"]}, "missing config key 'dists'"),
+            ("experiment", {"trials": 0}, "trials must be >= 1"),
+        ],
+        ids=["trials-0", "env-size", "env-kind", "dist-kind", "missing-key", "experiment-trials-0"],
+    )
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, command, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        if command == "mech":
+            trials = "0" if message.startswith("--trials") else "10"
+            argv = ["mech", "run", "--mech", "vcg", "--config", str(cfg_path),
+                    "--trials", trials, "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        else:
+            argv = ["experiment", "vcgl", "--config", str(cfg_path)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_experiment_to_file(self, tmp_path):
         out_path = tmp_path / "lemma.csv"
