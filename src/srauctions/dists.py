@@ -95,6 +95,17 @@ def _scalarize(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _check_unbounded_quantiles(q: np.ndarray) -> None:
+    if np.any(q <= 0.0) or np.any(q > 1.0):
+        raise ValueError("quantile must lie in (0, 1] for an unbounded support")
+
+
+def _uniform_on_half_open(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``1 - rng.random(n)``, uniform on (0, 1], computed in place."""
+    q = rng.random(int(n))
+    return np.subtract(1.0, q, out=q)
+
+
 class ValuationDistribution(ABC):
     """Common interface of all valuation distributions.
 
@@ -126,6 +137,24 @@ class ValuationDistribution(ABC):
 
         Off atoms both ends are ``quantile_of_value``, computed once; a
         distribution with atoms overrides this with its sale probability.
+
+        Contract: each end is nonincreasing in v up to an absolute 2**-50,
+        a few ulps of 1; that is, for v >= v' each end at v is at most the
+        same end at v' plus 2**-50.  `EmpiricalModel.coverage_event_holds`
+        certifies whole blocks of values from their ends on this contract.
+        The three distributions meet it as follows.
+
+        - FAlpha: the base 1 + b * max(v, 0) / scale is a chain of
+          correctly rounded monotone operations, so it is exactly
+          nondecreasing in v; its power, a value in (0, 1], is within a few
+          ulps of the exact, decreasing one.
+        - Exponential: the exponent -rate * max(v, 0) is exactly
+          nonincreasing; exp, a value in (0, 1], is within a few ulps of
+          the exact one, and the two subtractions from 1 in ``1 - cdf``
+          round monotonically and add at most an ulp of 1.
+        - DiscreteTabular: both ends are lookups, at a searchsorted index
+          nondecreasing in v, into tables that are exactly nonincreasing,
+          since the cumulative mass is a nondecreasing sum clipped at 1.
         """
         q = self.quantile_of_value(v)
         return q, q
@@ -234,10 +263,16 @@ class FAlpha(ValuationDistribution):
 
     def value_of_quantile(self, q):
         arr, scalar = _as_array(q)
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
-            raise ValueError("quantile must lie in (0, 1] for an unbounded support")
-        out = self.scale * (arr ** (-(1.0 - self.alpha)) - 1.0) / self._b
-        return _scalarize(out, scalar)
+        return _scalarize(self._values_in_place(np.array(arr)), scalar)
+
+    def _values_in_place(self, q: np.ndarray) -> np.ndarray:
+        """scale * (q**-(1-alpha) - 1) / b, written over ``q``."""
+        _check_unbounded_quantiles(q)
+        q **= -(1.0 - self.alpha)
+        q -= 1.0
+        q *= self.scale
+        q /= self._b
+        return q
 
     def virtual_valuation(self, v):
         arr, scalar = _as_array(v)
@@ -274,8 +309,7 @@ class FAlpha(ValuationDistribution):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n == 0:
             return np.empty(0)
-        q = 1.0 - rng.random(int(n))  # uniform on (0, 1]
-        return self.value_of_quantile(q)
+        return self._values_in_place(_uniform_on_half_open(rng, n))
 
     def to_spec(self) -> dict:
         return {"kind": "falpha", "alpha": self.alpha, "scale": self.scale}
@@ -310,9 +344,15 @@ class Exponential(ValuationDistribution):
 
     def value_of_quantile(self, q):
         arr, scalar = _as_array(q)
-        if np.any(arr <= 0.0) or np.any(arr > 1.0):
-            raise ValueError("quantile must lie in (0, 1] for an unbounded support")
-        return _scalarize(-np.log(arr) / self.rate, scalar)
+        return _scalarize(self._values_in_place(np.array(arr)), scalar)
+
+    def _values_in_place(self, q: np.ndarray) -> np.ndarray:
+        """-log(q) / rate, written over ``q``."""
+        _check_unbounded_quantiles(q)
+        np.log(q, out=q)
+        np.negative(q, out=q)
+        q /= self.rate
+        return q
 
     def virtual_valuation(self, v):
         arr, scalar = _as_array(v)
@@ -344,8 +384,7 @@ class Exponential(ValuationDistribution):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n == 0:
             return np.empty(0)
-        q = 1.0 - rng.random(int(n))
-        return -np.log(q) / self.rate
+        return self._values_in_place(_uniform_on_half_open(rng, n))
 
     def to_spec(self) -> dict:
         return {"kind": "exponential", "rate": self.rate}
@@ -384,7 +423,7 @@ class DiscreteTabular(ValuationDistribution):
             raise ValueError("pmf has no positive mass")
         self.support = support_arr
         self.pmf = pmf_arr / total
-        self._cdf = np.cumsum(self.pmf)
+        self._cdf = np.minimum(np.cumsum(self.pmf), 1.0)
         self._cdf[-1] = 1.0
         # sale probability Pr[value >= support[k]]
         self._sale = np.concatenate(([1.0], 1.0 - self._cdf[:-1]))

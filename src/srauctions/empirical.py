@@ -180,6 +180,15 @@ def _hull_prune(pts: np.ndarray, slack: float) -> np.ndarray:
     which bounds the rounding of the interpolation on both adjacent
     segments, so points within rounding of the small hull stay for the
     scan.
+
+    A point stays if ``y >= np.interp(x, ...)`` against the lowered small
+    hull.  Most blocks are settled whole from their two ends instead
+    (`_blocks_below`): every point of a block lies on or below the line
+    through its far point parallel to its chord, so where the lowered hull
+    is one segment over the block and that line passes below it at both of
+    the block's ends, no point of the block can pass the test, and the
+    block is dropped without interpolating it.  The points kept are
+    exactly those the per-point test keeps.
     """
     n = len(pts)
     nb = n // _PRUNE_BLOCK
@@ -189,12 +198,55 @@ def _hull_prune(pts: np.ndarray, slack: float) -> np.ndarray:
     # height above the chord, times the chord's x extent (no division)
     score = by * (bx[:, -1:] - bx[:, :1])
     score -= bx * (by[:, -1:] - by[:, :1])
-    far = score.argmax(axis=1) + np.arange(0, nb * _PRUNE_BLOCK, _PRUNE_BLOCK)
+    best = score.argmax(axis=1)
+    s_far = score[np.arange(nb), best]
     del score
+    far = best + np.arange(0, nb * _PRUNE_BLOCK, _PRUNE_BLOCK)
     small = _upper_chain(pts[np.concatenate(([0], far, [n - 1]))], slack)
     mag = np.pad(np.abs(small[:, 1]), 1)
     lowered = small[:, 1] - 1e-12 * np.maximum(np.maximum(mag[:-2], mag[1:-1]), mag[2:])
-    return pts[y >= np.interp(x, small[:, 0], lowered)]
+    drop = _blocks_below(bx[:, 0], bx[:, -1], by[:, -1] - by[:, 0], s_far, small[:, 0], lowered)
+    blocks = pts[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK, 2)[~drop].reshape(-1, 2)
+    return np.concatenate(
+        [p[p[:, 1] >= np.interp(p[:, 0], small[:, 0], lowered)] for p in (blocks, pts[nb * _PRUNE_BLOCK :])]
+    )
+
+
+def _blocks_below(x0, x1, dy, s_far, hx, hy) -> np.ndarray:
+    """Which prune blocks lie wholly strictly below the piecewise-linear
+    curve through (hx, hy), as `np.interp` evaluates it.
+
+    A block runs from x0 to x1 > x0 and rises dy along its chord; s_far is
+    the largest ``y*dx - x*dy`` over its points, so every point lies on or
+    below the line L(x) = s_far/dx + x*dy/dx.  A block is certified when no
+    vertex of the curve lies strictly inside (x0, x1), so the curve is one
+    segment there, and L plus a guard lies below the curve at both x0 and
+    x1; L and the segment are linear, so L then lies below the curve over
+    the whole block.  The guard is 1e-12 times the sum of the magnitudes of
+    the terms combined: s_far/dx, the larger of |x0*dy/dx| and
+    |x1*dy/dx|, and the larger |hy| of the segment's two vertices.  It
+    bounds the rounding of the block's scores, of L at its ends and of the
+    interpolation, so it holds where L or the segment crosses zero.
+    Blocks with dx = 0 and any non-finite term never certify.
+    """
+    dx = x1 - x0
+    k = np.searchsorted(hx, x0, side="right") - 1
+    one_segment = (np.searchsorted(hx, x1, side="left") == k + 1) & (dx > 0)
+    k = np.minimum(k, len(hx) - 2)
+    with np.errstate(all="ignore"):
+        slope = dy / dx
+        offset = s_far / dx
+        at0, at1 = x0 * slope, x1 * slope
+        guard = 1e-12 * (
+            np.abs(offset)
+            + np.maximum(np.abs(at0), np.abs(at1))
+            + np.maximum(np.abs(hy[k]), np.abs(hy[k + 1]))
+        )
+        return (
+            one_segment
+            & (offset + at0 + guard < np.interp(x0, hx, hy))
+            & (offset + at1 + guard < np.interp(x1, hx, hy))
+        )
 
 
 def _run_ends(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,13 +261,32 @@ def _run_ends(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def _run_end_points(revenue_points: np.ndarray, kept_vals: np.ndarray) -> np.ndarray:
+def _run_end_points(
+    revenue_points: np.ndarray, kept_vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The anchored revenue points minus the interior of each run of equal
-    retained values; ``revenue_points`` itself when there are no ties."""
+    retained values, and the first-of-run mask; ``revenue_points`` itself
+    and None when there are no ties."""
     first, last = _run_ends(kept_vals)
     if first.all():
-        return revenue_points
-    return revenue_points[np.concatenate(([True], first | last, [True]))]
+        return revenue_points, None
+    return revenue_points[np.concatenate(([True], first | last, [True]))], first
+
+
+#: Margin by which a block's ends must clear the coverage bracket for
+#: `EmpiricalModel.coverage_event_holds` to certify the block: the 2**-50
+#: of `ValuationDistribution.quantile_interval`'s monotonicity contract,
+#: plus the rounding of adding the margin to a quantile in [0, 1].
+_QUANTILE_MARGIN = 2.0**-48
+
+
+def _bracketed(d: ValuationDistribution, values, t, xi_bar: float, factor: float) -> bool:
+    """The coverage check, value by value: the true quantile interval of
+    each value meets the bracket [qbar / factor, qbar * factor] around its
+    leftmost quantile qbar = max(t, xi_bar), with 1e-15 slack."""
+    qbar = np.maximum(t, xi_bar)
+    q_lo, q_hi = d.quantile_interval(values)
+    return bool(np.all(q_lo <= qbar * factor + 1e-15) and np.all(q_hi >= qbar / factor - 1e-15))
 
 
 def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
@@ -227,8 +298,10 @@ def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
     of more than four `_PRUNE_BLOCK` blocks first lose, in one vectorized
     pass (`_hull_prune`), every point strictly below the hull of a thousandth
     of them, so a million-point build sends a few thousand points to the
-    Python scan.  Returns the hull vertices as an (k, 2) array; every vertex
-    is one of the inputs.  Collinear interior points are absorbed.
+    Python scan.  The prune drops most blocks whole, from a test at their
+    two ends, and compares only the rest point by point.  Returns the hull
+    vertices as an (k, 2) array; every vertex is one of the inputs.
+    Collinear interior points are absorbed.
 
     The scan pops a middle point unless it turns down by more than 1e-15 at
     the input's binary scale (`_pop_slack`), which pops exactly what a
@@ -260,6 +333,8 @@ class EmpiricalModel:
     envelope: np.ndarray = field(repr=False)  # hull vertices (q, CR)
     xi_bar: float
     point_mass_value: float
+    # first-of-run mask over the retained values; None when they have no ties
+    _first_of_run: np.ndarray | None = field(default=None, repr=False)
 
     # -- curves -------------------------------------------------------------
 
@@ -339,19 +414,19 @@ class EmpiricalModel:
         return self.quantile_points[:, 0]
 
     def _distinct_retained(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct retained values (descending) and their leftmost quantiles.
+        """Distinct retained values (descending) and the grid point t_j of
+        each one's first occurrence.
 
-        A value's leftmost quantile is the grid point t_j of its first
-        occurrence, clipped below at xi_bar: what `quantile_of_value`
-        returns for it, read off the build's own sort without a search.  A
-        build without ties returns its values as a view of
-        ``quantile_points``, with no gather.
+        Clipped below at xi_bar, that grid point is the value's leftmost
+        quantile, what `quantile_of_value` returns for it, read off the
+        build's own sort without a search.  The first-of-run mask comes from
+        the build, so no pass over the values is repeated here, and a build
+        without ties returns views of ``quantile_points``, with no gather.
         """
         t, kept = self.quantile_points[:, 0], self.quantile_points[:, 1]
-        first, _ = _run_ends(kept)
-        if not first.all():
-            t, kept = t[first], kept[first]
-        return kept, np.maximum(t, self.xi_bar)
+        if self._first_of_run is None:
+            return kept, t
+        return kept[self._first_of_run], t[self._first_of_run]
 
     def coverage_event_holds(self, d: ValuationDistribution, gamma: float | None = None) -> bool:
         """True iff, for every retained sample value, the true quantile meets
@@ -360,13 +435,42 @@ class EmpiricalModel:
         At an atom of ``d`` the true quantile is the whole jump interval
         ``[Pr[v > u], Pr[v >= u]]``; the event asks that this interval
         intersect the bracket.  Off atoms the interval collapses to
-        ``1 - F(u)`` and the check is the usual two-sided one.
+        ``1 - F(u)`` and the check is the usual two-sided one.  Both sides
+        carry an absolute slack of 1e-15, which is sound because quantiles
+        lie in [0, 1].
+
+        More than four `_PRUNE_BLOCK` blocks of distinct values are checked
+        block by block from the blocks' ends.  Along the descending values
+        both ends of ``d.quantile_interval`` increase, by its contract up to
+        2**-50, and so do the leftmost quantiles qbar and both bracket
+        bounds.  So in a block [a, b], ``q_lo(v_b)`` bounds q_lo from above
+        and ``q_hi(v_a)`` bounds q_hi from below, and a block whose ends
+        clear the bounds at the opposite end by the margin
+        `_QUANTILE_MARGIN` = 2**-48 (the contract's 2**-50 plus the margin's
+        own rounding) holds at every value.  ``d`` is evaluated on the block
+        ends and on blocks that do not certify; the first of those that
+        fails the per-value check decides.  The verdict is the per-value
+        check's.
         """
         g = self.params.gamma if gamma is None else float(gamma)
         factor = (1.0 + g) ** 2
-        values, qbar = self._distinct_retained()
-        q_lo, q_hi = d.quantile_interval(values)
-        return bool(np.all(q_lo <= qbar * factor + 1e-15) and np.all(q_hi >= qbar / factor - 1e-15))
+        values, t = self._distinct_retained()
+        n = len(values)
+        if n <= 4 * _PRUNE_BLOCK:
+            return _bracketed(d, values, t, self.xi_bar, factor)
+        first = np.arange(0, n, _PRUNE_BLOCK)
+        last = np.append(first[1:] - 1, n - 1)
+        ends = np.concatenate((first, last))
+        q_lo, q_hi = d.quantile_interval(values[ends])
+        qbar = np.maximum(t[ends], self.xi_bar)
+        nb = len(first)
+        certified = (q_lo[nb:] + _QUANTILE_MARGIN <= qbar[:nb] * factor + 1e-15) & (
+            q_hi[:nb] - _QUANTILE_MARGIN >= qbar[nb:] / factor - 1e-15
+        )
+        return all(
+            _bracketed(d, values[a:b], t[a:b], self.xi_bar, factor)
+            for a, b in zip(first[~certified].tolist(), (last[~certified] + 1).tolist())
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -393,7 +497,9 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     the ray R = v * q, so its interior points cannot be hull vertices; left
     in, rounding can make them spurious ones at large value scales.  A
     build without ties passes ``revenue_points`` whole, uncopied.  The
-    model keeps every revenue point either way.
+    model keeps every revenue point either way, and a build with ties also
+    keeps the first-of-run mask of the same pass, for
+    `EmpiricalModel._distinct_retained`.
 
     Assembly writes each array once, in place: the grid t_j = (2j - 1)/(2m)
     is a float range of odd numbers (exact) divided by 2m, written straight
@@ -434,7 +540,8 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     quantile_points[:, 1] = kept_vals
     revenue_points[1:-1, 0] = t
     np.multiply(t, kept_vals, out=revenue_points[1:-1, 1])
-    envelope = concave_envelope(_run_end_points(revenue_points, kept_vals))
+    hull_points, first_of_run = _run_end_points(revenue_points, kept_vals)
+    envelope = concave_envelope(hull_points)
     xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(t[0]))
     # xi_bar is t[0], or floor(xi*m)/m short of t[1]: rows 1 and 2 of the
     # revenue curve bracket it
@@ -449,4 +556,5 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
         envelope=envelope,
         xi_bar=float(xi_bar),
         point_mass_value=float(point_mass_value),
+        _first_of_run=first_of_run,
     )

@@ -47,6 +47,7 @@ from .experiments import (
     lazy_vcg_k_uniform,
     lottery_k_uniform,
     posted_price_runs,
+    reject_unknown_keys,
     run_experiment,
     two_mech_k_uniform,
 )
@@ -245,6 +246,12 @@ class MechRows(NamedTuple):
         return {"revenue": revenue, "welfare": welfare}
 
 
+#: the top-level keys of a ``mech run`` config; each mechanism reads a subset
+MECH_CONFIG_KEYS = frozenset(
+    {"dists", "env", "reserves", "budgets", "budget_dist", "sample_params", "instance"}
+)
+
+
 def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
     """Parse a ``mech run`` config into the mechanism's rows.
 
@@ -252,8 +259,10 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
     over discrete priors get the experiments' vectorized runners, and the
     posted-price mechanisms always do.  Everything else (``explicit``
     environments, ``myerson``, ``vcg-dup``) runs row by row.  Model training
-    samples come from meta stream 0, apart from the block streams.
+    samples come from meta stream 0, apart from the block streams.  A key
+    outside ``MECH_CONFIG_KEYS`` is a ValueError that names it.
     """
+    reject_unknown_keys(config, MECH_CONFIG_KEYS)
     if mech in ("posted", "posted-emp"):
         inst = MultiItemInstance.from_spec(config["instance"])
         if mech == "posted":

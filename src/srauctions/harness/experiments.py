@@ -70,6 +70,17 @@ class UnknownExperimentError(ValueError):
     pass
 
 
+def reject_unknown_keys(data: Mapping, known: frozenset) -> None:
+    """Raise a ValueError naming the first key of ``data`` (in sorted
+    order) that is not in ``known``; a TypeError if ``data`` is not a
+    JSON object."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"config must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - known, key=str)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; expected one of {sorted(known)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str
@@ -79,12 +90,18 @@ class ExperimentConfig:
     instance: MultiItemInstance | None = None
     out: str | None = None
 
+    #: the top-level keys of a JSON experiment config
+    CONFIG_KEYS = frozenset({"trials", "seed", "sample_params", "instance", "out"})
+
     def __post_init__(self):
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
 
     @classmethod
     def from_json_dict(cls, experiment_id: str, data: Mapping) -> "ExperimentConfig":
+        """Parse an experiment config; a key outside ``CONFIG_KEYS`` is a
+        ValueError that names it, so a misspelt key cannot run the default."""
+        reject_unknown_keys(data, cls.CONFIG_KEYS)
         sp = data.get("sample_params")
         inst = data.get("instance")
         return cls(

@@ -162,7 +162,8 @@ class EmpiricalAtoms:
 
 
 def discretize_model(em: EmpiricalModel) -> EmpiricalAtoms:
-    distinct, leftmost = em._distinct_retained()  # descending values
+    distinct, first_t = em._distinct_retained()  # descending values
+    leftmost = np.maximum(first_t, em.xi_bar)
     pmv = em.point_mass_value
     below = distinct < pmv - 1e-12
     atom_values = np.concatenate(([pmv], distinct[below]))

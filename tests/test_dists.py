@@ -6,6 +6,7 @@ on the raw cdf formulas) before the implementation existed; they are frozen
 here and must not be regenerated from package code.
 """
 
+import itertools
 import json
 import math
 
@@ -436,6 +437,57 @@ def test_sampling_corner_cases():
     rng = np.random.Generator(np.random.Philox(key=[2, 0]))
     assert make_falpha(0.5).sample(rng, 0).size == 0
     assert make_discrete([5.0], [1.0]).sample(rng, 3).tolist() == [5.0, 5.0, 5.0]
+
+
+@pytest.mark.parametrize("d", [make_falpha(0.5), make_falpha(0.3, 7.0), make_exponential(2.0)], ids=repr)
+def test_in_place_sampling_is_byte_equal_to_the_formula(d):
+    # sample() computes in place, in the same operation order as the plain
+    # formula, so its draws are byte-equal on the same stream
+    for n in (1, 7, 100_003):
+        draws = d.sample(np.random.Generator(np.random.Philox(key=[5, n])), n)
+        q = 1.0 - np.random.Generator(np.random.Philox(key=[5, n])).random(n)
+        if isinstance(d, FAlpha):
+            plain = d.scale * (q ** (-(1.0 - d.alpha)) - 1.0) / ((1.0 - d.alpha) / d.alpha)
+        else:
+            plain = -np.log(q) / d.rate
+        assert draws.tobytes() == plain.tobytes()
+        assert draws.tobytes() == np.asarray(d.value_of_quantile(q)).tobytes()
+    with pytest.raises(ValueError):
+        d.value_of_quantile(np.array([0.5, 0.0]))
+    q = np.array([0.25, 0.5])
+    d.value_of_quantile(q)
+    assert q.tolist() == [0.25, 0.5]  # the caller's array is not overwritten
+
+
+@pytest.mark.parametrize(
+    "d",
+    [make_falpha(0.5), make_falpha(0.1, 1e-6), make_falpha(0.9, 1e6), make_exponential(3.0)],
+    ids=repr,
+)
+def test_quantile_interval_is_monotone_within_its_contract(d):
+    # the contract the coverage check's block certificates rest on: each end
+    # is nonincreasing in v up to 2**-50
+    scale = getattr(d, "scale", 1.0)
+    v = np.sort(np.random.default_rng(8).exponential(3.0 * scale, 200_000))
+    v = np.concatenate((v, np.nextafter(v, np.inf), [-1.0, 0.0]))
+    v.sort()
+    for end in d.quantile_interval(v):
+        assert np.all(np.diff(end) <= 2.0**-50)
+
+
+def test_discrete_tables_are_exactly_monotone():
+    # a cumulative mass that rounds above 1 before its last atom is clipped,
+    # so both ends of quantile_interval are exactly nonincreasing.  A last
+    # atom of negligible mass lets the running sum reach 1 + ulps before it
+    # in several of these pmfs.
+    for k, seed in itertools.product((2, 50, 500), range(10)):
+        pmf = np.random.default_rng(seed).dirichlet(np.full(k, 0.05))
+        pmf[-1] = 1e-300
+        d = DiscreteTabular(np.arange(1, k + 1), pmf / pmf.sum())
+        assert np.all(np.diff(d._cdf) >= 0.0) and d._cdf[-1] == 1.0
+        v = np.linspace(0.0, k + 1.0, 4 * k + 7)
+        for end in d.quantile_interval(v):
+            assert np.all(np.diff(end) <= 0.0)
 
 
 def test_json_spec_round_trip():

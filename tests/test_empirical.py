@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srauctions import make_falpha, truncate_at
-from srauctions.dists import DiscreteTabular
+from srauctions import empirical, make_falpha, truncate_at
+from srauctions.dists import DiscreteTabular, Exponential, FAlpha
 from srauctions.empirical import (
     _PRUNE_BLOCK,
     _hull_prune,
     _pop_slack,
+    _run_ends,
     EmpiricalModel,
     InsufficientSamplesError,
     SampleCountWarning,
@@ -238,6 +239,22 @@ class TestAssembly:
         # both sides of each boundary case were built
         assert len(seen) == 4
 
+    @pytest.mark.parametrize("prior", ["falpha", "tabular"])
+    def test_distinct_retained_reads_the_builds_run_mask(self, prior):
+        # the first-of-run mask comes from the build's own pass; a tie-free
+        # build keeps none and returns views of quantile_points
+        rng = np.random.Generator(np.random.Philox(key=[22, 0]))
+        d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
+        em = quiet_build(d.sample(rng, 9888), SampleParams(0.2, 0.1, 0.1))
+        first, _ = _run_ends(em.retained_values())
+        values, t = em._distinct_retained()
+        assert values.tolist() == em.retained_values()[first].tolist()
+        assert t.tolist() == em.retained_quantiles()[first].tolist()
+        if prior == "falpha":
+            assert em._first_of_run is None and np.shares_memory(values, em.quantile_points)
+        else:
+            assert em._first_of_run.tolist() == first.tolist() and len(values) < 5
+
 
 class TestXiBar:
     def test_equals_first_retained_quantile_on_even_fraction(self):
@@ -448,6 +465,25 @@ def hull_family(kind, seed):
     return np.column_stack((x, y))
 
 
+def per_point_prune(pts, slack):
+    """`_hull_prune` with the per-point test on every point: each block's
+    point farthest above its chord and the two end points are scanned into a
+    small hull, whose vertices are lowered by 1e-12 times the largest |y|
+    among each and its neighbours, and a point stays if it is at or above
+    the lowered hull as `np.interp` evaluates it."""
+    n = len(pts)
+    nb = n // _PRUNE_BLOCK
+    x, y = pts[:, 0], pts[:, 1]
+    bx = x[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK)
+    by = y[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK)
+    score = by * (bx[:, -1:] - bx[:, :1]) - bx * (by[:, -1:] - by[:, :1])
+    far = score.argmax(axis=1) + np.arange(0, nb * _PRUNE_BLOCK, _PRUNE_BLOCK)
+    small = reference_hull(pts[np.concatenate(([0], far, [n - 1]))], slack)
+    mag = np.pad(np.abs(small[:, 1]), 1)
+    lowered = small[:, 1] - 1e-12 * np.maximum(np.maximum(mag[:-2], mag[1:-1]), mag[2:])
+    return pts[y >= np.interp(x, small[:, 0], lowered)], small[:, 0], lowered
+
+
 class TestHullPrune:
     """`concave_envelope` prunes inputs of more than four blocks before its
     scan.  The scan's pop slack is relative to the input's binary scale, so
@@ -517,6 +553,67 @@ class TestHullPrune:
             concave_envelope(pts * scale).tobytes()
             == (concave_envelope(pts) * scale).tobytes()
         )
+
+    @pytest.mark.parametrize("kind", HULL_FAMILIES)
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-9, 9))
+    @settings(max_examples=25, deadline=None)
+    def test_block_drop_equals_per_point_prune(self, kind, seed, exponent):
+        pts = hull_family(kind, seed) * [1.0, 10.0**exponent]
+        slack = _pop_slack(pts)
+        assert _hull_prune(pts, slack).tobytes() == per_point_prune(pts, slack)[0].tobytes()
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_block_at_a_zero_crossing_keeps_a_point_on_the_hull(self, seed):
+        # every block's middle point sits on a line through zero and the
+        # rest 1e-3 below it.  Block 5 is squeezed into a window 1e-9 wide
+        # where the line crosses zero, and its middle point p is then put on
+        # the lowered small hull as np.interp evaluates it, up to three ulps
+        # above.  The line through p parallel to the block's chord then
+        # meets the hull within rounding at the block's ends, where both are
+        # near zero while the terms that make them (s_far/dx, x*dy/dx and the
+        # hull's vertices) are not: a guard relative to the values rather
+        # than to those terms lets rounding drop the block, p with it, on
+        # about one seed in six.
+        rng = np.random.default_rng(seed)
+        n = 8 * _PRUNE_BLOCK
+        x = np.sort(rng.uniform(0.0, 1.0, n))
+        i = 5 * _PRUNE_BLOCK + _PRUNE_BLOCK // 2
+        x[5 * _PRUNE_BLOCK : 6 * _PRUNE_BLOCK] = x[i] + np.sort(rng.uniform(-5e-10, 5e-10, _PRUNE_BLOCK))
+        middles = np.arange(_PRUNE_BLOCK // 2, n, _PRUNE_BLOCK)
+        below = np.where(np.isin(np.arange(n), middles), 0.0, 1e-3)
+        zero = x[i] + rng.uniform(-3e-10, 3e-10)
+        y = rng.uniform(0.3, 3.0) * (zero - x - below) * 10.0 ** rng.integers(-9, 10)
+        pts = np.column_stack((x, y))
+        slack = _pop_slack(pts)
+        _, hx, hy = per_point_prune(pts, slack)
+        pts[i, 1] = np.interp(x[i], hx, hy)
+        for _ in range(rng.integers(0, 4)):
+            pts[i, 1] = np.nextafter(pts[i, 1], np.inf)
+        kept, hx_after, _ = per_point_prune(pts, slack)
+        assert hx_after.tobytes() == hx.tobytes()  # p is not a small-hull vertex
+        assert tuple(pts[i]) in {tuple(r) for r in kept.tolist()}
+        assert _hull_prune(pts, slack).tobytes() == kept.tobytes()
+
+    def test_prune_certifies_most_blocks_of_a_theorem_grade_build(self, monkeypatch):
+        # a silent fallback to the per-point test would keep the output and
+        # lose the speed: at least half the blocks of an FAlpha build at
+        # m = 1,107,402 must be dropped whole
+        p = SampleParams(0.05, 0.05, 0.05).with_required_m()
+        assert p.m == 1_107_402 and validate_params(p).theorem_grade
+        d = make_falpha(0.5, 1.0)
+        em = build_empirical(d.sample(np.random.Generator(np.random.Philox(key=[3, 0])), p.m), p)
+        dropped = []
+        blocks_below = empirical._blocks_below
+
+        def spy(*args):
+            out = blocks_below(*args)
+            dropped.append(out.mean())
+            return out
+
+        monkeypatch.setattr(empirical, "_blocks_below", spy)
+        hull = concave_envelope(em.revenue_points)
+        assert hull.tobytes() == em.envelope.tobytes()
+        assert len(dropped) == 1 and dropped[0] >= 0.5
 
     def test_all_zero_y(self):
         # max|y| = 0 has binary exponent 0: the slack stays finite and the
@@ -634,6 +731,65 @@ def grid_samples(d, m):
     return d.value_of_quantile(t)
 
 
+def brute_force_coverage(em, d, gamma=None):
+    """The coverage event over np.unique's distinct retained values, with
+    each value's leftmost quantile taken from its first occurrence."""
+    factor = (1 + (em.params.gamma if gamma is None else gamma)) ** 2
+    values, first = np.unique(em.retained_values(), return_index=True)
+    qbar = np.maximum(em.retained_quantiles()[first], em.xi_bar)
+    lo, hi = d.quantile_interval(values)
+    return bool(np.all(lo <= qbar * factor + 1e-15) and np.all(hi >= qbar / factor - 1e-15))
+
+
+class WobblingFAlpha(FAlpha):
+    """FAlpha(1/2) whose two quantile ends each move by -2 to +2 ulps, as
+    chosen by the bits of v."""
+
+    def __init__(self):
+        super().__init__(0.5, 1.0)
+
+    def quantile_interval(self, v):
+        v = np.asarray(v, dtype=float)
+        q = self.quantile_of_value(v)
+        bits = v.view(np.int64)
+        return wobble(q, bits % 5 - 2), wobble(q, (bits // 5) % 5 - 2)
+
+
+class LookupPrior:
+    """A prior known only at the given descending values: the true quantile
+    of ``values[k]`` is ``quantiles[k]``."""
+
+    def __init__(self, values, quantiles):
+        self.values, self.quantiles = values, quantiles
+
+    def quantile_interval(self, v):
+        q = self.quantiles[np.searchsorted(-self.values, -np.asarray(v))]
+        return q, q
+
+
+def count_evaluations(d):
+    """From now on, record in the returned list how many values each call
+    of ``d.quantile_interval`` evaluates."""
+    evaluated = []
+    interval = d.quantile_interval
+
+    def counted(v):
+        evaluated.append(len(v))
+        return interval(v)
+
+    d.quantile_interval = counted
+    return evaluated
+
+
+def wobble(q, ulps):
+    """q moved by ``ulps`` (-2 to 2) ulps, element by element."""
+    q = q.copy()
+    for step in (1, 2):
+        q = np.where(ulps >= step, np.nextafter(q, np.inf), q)
+        q = np.where(ulps <= -step, np.nextafter(q, -np.inf), q)
+    return q
+
+
 class TestCoverage:
     def test_exact_grid_is_covered(self):
         d = make_falpha(0.5, 1.0)
@@ -686,6 +842,133 @@ class TestCoverage:
             outcomes.append(expected)
         if gamma == 0.05:
             assert 0 < sum(outcomes) < len(outcomes)
+
+    @pytest.mark.parametrize(
+        "prior, gamma, xi, m",
+        [
+            ("falpha", 0.01, 0.05, 60_000),  # some builds fail coverage here
+            ("falpha", 0.02, 0.02, 60_000),  # and here
+            ("falpha", 0.2, 0.1, 50_000),
+            ("exponential", 0.01, 0.05, 60_000),
+            ("exponential", 0.02, 0.02, 60_000),
+            ("exponential", 0.2, 0.1, 50_000),
+        ],
+    )
+    def test_block_certificates_match_brute_force(self, prior, gamma, xi, m):
+        # about m distinct values, so the check runs on block certificates
+        d = make_falpha(0.5, 1.0) if prior == "falpha" else Exponential(3.0)
+        p = SampleParams(gamma, xi, 0.1)
+        outcomes = []
+        for seed in range(12):
+            rng = np.random.Generator(np.random.Philox(key=[seed, 19]))
+            em = quiet_build(d.sample(rng, m), p)
+            assert len(np.unique(em.retained_values())) > 4 * _PRUNE_BLOCK
+            for g in (gamma, 2 * gamma):
+                expected = brute_force_coverage(em, d, g)
+                assert em.coverage_event_holds(d, gamma=g) == expected, (seed, g)
+                outcomes.append(expected)
+        if gamma < 0.2:
+            assert 0 < sum(outcomes) < len(outcomes)
+
+    @pytest.mark.parametrize("where", ["mid-block", "block-end", "block-start", "none"])
+    def test_displaced_atom_is_found_inside_a_block(self, where):
+        # one sample at each of 16 blocks' worth of atoms, each sample at
+        # the middle of its atom's quantile interval, except that the atom
+        # above the displaced one takes mass from below it: the displaced
+        # atom's interval starts past (1+gamma)^2 times its empirical
+        # quantile, while its neighbours' intervals still meet their
+        # brackets.  Only the per-value check of an uncertified block finds it.
+        m = 16 * _PRUNE_BLOCK
+        f = 1.2**2
+        t = (2 * np.arange(1, m + 1) - 1) / (2 * m)
+        above = np.arange(m + 1) / m  # Pr[value > k-th largest atom], k = 0..m
+        j = {"mid-block": 8 * _PRUNE_BLOCK + 511, "block-end": 9 * _PRUNE_BLOCK - 1,
+             "block-start": 8 * _PRUNE_BLOCK, "none": None}[where]
+        if j is not None:
+            above[j] = f * t[j] + 1e-9
+            above[j + 1] = above[j] + 0.1 / m
+            above[j + 2 :] = np.linspace(above[j + 1], 1.0, m - j)[1:]
+        masses = np.diff(above)  # largest atom first
+        d = DiscreteTabular(np.arange(1.0, m + 1), masses[::-1] / masses.sum())
+        em = quiet_build(np.arange(1.0, m + 1), SampleParams(0.2, 1e-5, 0.1))
+        expected = brute_force_coverage(em, d)
+        evaluated = count_evaluations(d)
+        assert em.coverage_event_holds(d) == expected == (j is None)
+        # the first four blocks and the displaced atom's block are checked
+        # per value, every other block from its ends
+        assert 2 * 16 < sum(evaluated) < 6 * _PRUNE_BLOCK + 2 * 16 + 1
+
+    @pytest.mark.parametrize("where", ["mid-block", "block-end", "block-start"])
+    def test_value_below_its_bracket_is_found_inside_a_block(self, where):
+        # a lookup prior with each value's quantile at its empirical one,
+        # except that one value's quantile drops just below (1+gamma)^-2
+        # times its empirical one, and the values above it that would then
+        # exceed it share it; only the dropped value leaves its bracket
+        m = 16 * _PRUNE_BLOCK
+        factor = (1 + 0.2) ** 2
+        t = (2 * np.arange(1, m + 1) - 1) / (2 * m)
+        j = {"mid-block": 8 * _PRUNE_BLOCK + 511, "block-end": 9 * _PRUNE_BLOCK - 1,
+             "block-start": 8 * _PRUNE_BLOCK}[where]
+        q = t.copy()
+        q[j] = (t[j] - 0.3 / m) / factor
+        q[:j] = np.minimum(q[:j], q[j])
+        values = np.arange(m, 0, -1, dtype=float)
+        em = quiet_build(values, SampleParams(0.2, 1e-5, 0.1))
+        prior = LookupPrior(values, q)
+        outside = (q > t * factor + 1e-15) | (q < t / factor - 1e-15)
+        assert np.flatnonzero(outside).tolist() == [j]
+        assert not brute_force_coverage(em, prior)
+        assert not em.coverage_event_holds(prior)
+
+    def test_wobbling_quantile_matches_brute_force(self):
+        # a prior whose quantile_interval ends are each moved by -2 to +2
+        # ulps, by the bits of v: monotone only up to a few ulps.  Samples
+        # placed where their true quantile is exactly the upper bracket
+        # bound put the verdict in the ulps; random builds mix outcomes.
+        d = WobblingFAlpha()
+        m = 12 * _PRUNE_BLOCK
+        t = (2 * np.arange(1, m + 1) - 1) / (2 * m)
+        outcomes = []
+        for gamma in (0.01, 0.1, 0.2):
+            f = (1 + gamma) ** 2
+            on_edge = d.value_of_quantile(np.minimum(t * f + 1e-15, 1.0))
+            em = quiet_build(on_edge, SampleParams(gamma, 1e-5, 0.1))
+            assert em.coverage_event_holds(d) == brute_force_coverage(em, d)
+        for seed in range(12):
+            rng = np.random.Generator(np.random.Philox(key=[seed, 20]))
+            em = quiet_build(d.sample(rng, 60_000), SampleParams(0.01, 0.05, 0.1))
+            expected = brute_force_coverage(em, d)
+            assert em.coverage_event_holds(d) == expected, seed
+            outcomes.append(expected)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_theorem_grade_build_reads_only_block_ends(self):
+        p = SampleParams(0.05, 0.05, 0.05).with_required_m()
+        d = make_falpha(0.5, 1.0)
+        em = build_empirical(d.sample(np.random.Generator(np.random.Philox(key=[4, 0])), p.m), p)
+        evaluated = count_evaluations(d)
+        verdict = em.coverage_event_holds(d)
+        nb = -(-(p.m - em.kept_from + 1) // _PRUNE_BLOCK)
+        assert evaluated[0] == 2 * nb and sum(evaluated) < p.m // 10
+        assert verdict == brute_force_coverage(em, d)
+
+    def test_margin_covers_a_block_end_reversed_by_two_ulps(self):
+        # a lookup prior, monotone up to two ulps.  The last block holds two
+        # values; the smaller one's quantile sits an ulp below its lower
+        # bracket bound, so coverage fails, and the larger one's an ulp
+        # above that bound.  Read without the margin, the larger value's
+        # quantile would certify the block.
+        m = 5 * _PRUNE_BLOCK + 2
+        factor = (1 + 0.2) ** 2
+        t = (2 * np.arange(1, m + 1) - 1) / (2 * m)
+        values = np.arange(m, 0, -1, dtype=float)
+        q = t / factor * (1 + 1e-8)
+        bound = t[-1] / factor - 1e-15
+        q[-2], q[-1] = np.nextafter(bound, np.inf), np.nextafter(bound, -np.inf)
+        prior = LookupPrior(values, q)
+        em = quiet_build(values, SampleParams(0.2, 1e-5, 0.1))
+        assert not brute_force_coverage(em, prior)
+        assert not em.coverage_event_holds(prior)
 
     def test_coverage_rate_at_theorem_grade(self):
         # 200 independent builds at m=9888; the guarantee is >= 1-delta

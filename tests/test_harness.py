@@ -875,8 +875,14 @@ class TestCli:
             ("mech", dict(MECH_CONFIG, dists=[{"kind": "cauchy"}] * 3), "unknown distribution kind"),
             ("mech", {"env": MECH_CONFIG["env"]}, "missing config key 'dists'"),
             ("experiment", {"trials": 0}, "trials must be >= 1"),
+            ("experiment", {"trails": 3}, "unknown config key 'trails'"),
+            ("mech", dict(MECH_CONFIG, reserve=[1.0] * 3), "unknown config key 'reserve'"),
+            ("experiment", [{"trials": 3}], "config must be a JSON object"),
         ],
-        ids=["trials-0", "env-size", "env-kind", "dist-kind", "missing-key", "experiment-trials-0"],
+        ids=[
+            "trials-0", "env-size", "env-kind", "dist-kind", "missing-key", "experiment-trials-0",
+            "experiment-misspelt-key", "mech-misspelt-key", "experiment-not-an-object",
+        ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
