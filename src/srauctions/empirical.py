@@ -261,16 +261,13 @@ def _run_ends(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def _run_end_points(
-    revenue_points: np.ndarray, kept_vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _run_end_points(revenue_points: np.ndarray, kept_vals: np.ndarray) -> np.ndarray:
     """The anchored revenue points minus the interior of each run of equal
-    retained values, and the first-of-run mask; ``revenue_points`` itself
-    and None when there are no ties."""
+    retained values; ``revenue_points`` itself when there are no ties."""
     first, last = _run_ends(kept_vals)
     if first.all():
-        return revenue_points, None
-    return revenue_points[np.concatenate(([True], first | last, [True]))], first
+        return revenue_points
+    return revenue_points[np.concatenate(([True], first | last, [True]))]
 
 
 #: Margin by which a block's ends must clear the coverage bracket for
@@ -333,8 +330,6 @@ class EmpiricalModel:
     envelope: np.ndarray = field(repr=False)  # hull vertices (q, CR)
     xi_bar: float
     point_mass_value: float
-    # first-of-run mask over the retained values; None when they have no ties
-    _first_of_run: np.ndarray | None = field(default=None, repr=False)
 
     # -- curves -------------------------------------------------------------
 
@@ -419,14 +414,14 @@ class EmpiricalModel:
 
         Clipped below at xi_bar, that grid point is the value's leftmost
         quantile, what `quantile_of_value` returns for it, read off the
-        build's own sort without a search.  The first-of-run mask comes from
-        the build, so no pass over the values is repeated here, and a build
-        without ties returns views of ``quantile_points``, with no gather.
+        build's own sort without a search.  A build without ties returns
+        views of ``quantile_points``, with no gather.
         """
         t, kept = self.quantile_points[:, 0], self.quantile_points[:, 1]
-        if self._first_of_run is None:
+        first, _ = _run_ends(kept)
+        if first.all():
             return kept, t
-        return kept[self._first_of_run], t[self._first_of_run]
+        return kept[first], t[first]
 
     def coverage_event_holds(self, d: ValuationDistribution, gamma: float | None = None) -> bool:
         """True iff, for every retained sample value, the true quantile meets
@@ -439,11 +434,10 @@ class EmpiricalModel:
         carry an absolute slack of 1e-15, which is sound because quantiles
         lie in [0, 1].
 
-        More than four `_PRUNE_BLOCK` blocks of distinct values are checked
-        block by block from the blocks' ends.  Along the descending values
-        both ends of ``d.quantile_interval`` increase, by its contract up to
-        2**-50, and so do the leftmost quantiles qbar and both bracket
-        bounds.  So in a block [a, b], ``q_lo(v_b)`` bounds q_lo from above
+        The distinct values are checked block by block, `_PRUNE_BLOCK` at a
+        time, from the blocks' ends.  Along the descending values both ends
+        of ``d.quantile_interval`` increase, by its contract up to 2**-50,
+        and so do the leftmost quantiles qbar and both bracket bounds.  So in a block [a, b], ``q_lo(v_b)`` bounds q_lo from above
         and ``q_hi(v_a)`` bounds q_hi from below, and a block whose ends
         clear the bounds at the opposite end by the margin
         `_QUANTILE_MARGIN` = 2**-48 (the contract's 2**-50 plus the margin's
@@ -456,8 +450,6 @@ class EmpiricalModel:
         factor = (1.0 + g) ** 2
         values, t = self._distinct_retained()
         n = len(values)
-        if n <= 4 * _PRUNE_BLOCK:
-            return _bracketed(d, values, t, self.xi_bar, factor)
         first = np.arange(0, n, _PRUNE_BLOCK)
         last = np.append(first[1:] - 1, n - 1)
         ends = np.concatenate((first, last))
@@ -497,9 +489,7 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     the ray R = v * q, so its interior points cannot be hull vertices; left
     in, rounding can make them spurious ones at large value scales.  A
     build without ties passes ``revenue_points`` whole, uncopied.  The
-    model keeps every revenue point either way, and a build with ties also
-    keeps the first-of-run mask of the same pass, for
-    `EmpiricalModel._distinct_retained`.
+    model keeps every revenue point either way.
 
     Assembly writes each array once, in place: the grid t_j = (2j - 1)/(2m)
     is a float range of odd numbers (exact) divided by 2m, written straight
@@ -540,8 +530,7 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     quantile_points[:, 1] = kept_vals
     revenue_points[1:-1, 0] = t
     np.multiply(t, kept_vals, out=revenue_points[1:-1, 1])
-    hull_points, first_of_run = _run_end_points(revenue_points, kept_vals)
-    envelope = concave_envelope(hull_points)
+    envelope = concave_envelope(_run_end_points(revenue_points, kept_vals))
     xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(t[0]))
     # xi_bar is t[0], or floor(xi*m)/m short of t[1]: rows 1 and 2 of the
     # revenue curve bracket it
@@ -556,5 +545,4 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
         envelope=envelope,
         xi_bar=float(xi_bar),
         point_mass_value=float(point_mass_value),
-        _first_of_run=first_of_run,
     )

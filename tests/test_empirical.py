@@ -240,9 +240,8 @@ class TestAssembly:
         assert len(seen) == 4
 
     @pytest.mark.parametrize("prior", ["falpha", "tabular"])
-    def test_distinct_retained_reads_the_builds_run_mask(self, prior):
-        # the first-of-run mask comes from the build's own pass; a tie-free
-        # build keeps none and returns views of quantile_points
+    def test_distinct_retained_are_first_occurrences(self, prior):
+        # a tie-free build returns views of quantile_points
         rng = np.random.Generator(np.random.Philox(key=[22, 0]))
         d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
         em = quiet_build(d.sample(rng, 9888), SampleParams(0.2, 0.1, 0.1))
@@ -251,9 +250,9 @@ class TestAssembly:
         assert values.tolist() == em.retained_values()[first].tolist()
         assert t.tolist() == em.retained_quantiles()[first].tolist()
         if prior == "falpha":
-            assert em._first_of_run is None and np.shares_memory(values, em.quantile_points)
+            assert first.all() and np.shares_memory(values, em.quantile_points)
         else:
-            assert em._first_of_run.tolist() == first.tolist() and len(values) < 5
+            assert len(values) < 5
 
 
 class TestXiBar:
@@ -842,6 +841,21 @@ class TestCoverage:
             outcomes.append(expected)
         if gamma == 0.05:
             assert 0 < sum(outcomes) < len(outcomes)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 30, _PRUNE_BLOCK, _PRUNE_BLOCK + 1])
+    def test_one_block_or_less_matches_brute_force(self, m):
+        # a build of at most two blocks: one or two certificates, or the
+        # per-value check of the whole block
+        d = make_falpha(0.5, 1.0)
+        outcomes = set()
+        for seed in range(20):
+            rng = np.random.Generator(np.random.Philox(key=[seed, 23]))
+            em = quiet_build(d.sample(rng, m), SampleParams(0.05, 1e-5, 0.1))
+            for g in (0.05, 0.5, 5.0):
+                expected = brute_force_coverage(em, d, g)
+                assert em.coverage_event_holds(d, gamma=g) == expected, (seed, g)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize(
         "prior, gamma, xi, m",
