@@ -25,7 +25,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -586,18 +586,40 @@ def make_discrete(support: Sequence[float], pmf: Sequence[float]) -> DiscreteTab
     return DiscreteTabular(support, pmf)
 
 
+def reject_unknown_keys(data: Mapping, known: frozenset, what: str = "config") -> None:
+    """Raise a ValueError naming the first key of ``data`` (in sorted
+    order) that is not in ``known``; a TypeError if ``data`` is not a
+    JSON object.  ``what`` names the object in the message."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - known, key=str)
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}; expected one of {sorted(known)}")
+
+
+#: the keys of each distribution kind's spec
+SPEC_KEYS = {
+    "falpha": frozenset({"kind", "alpha", "scale"}),
+    "exponential": frozenset({"kind", "rate"}),
+    "discrete": frozenset({"kind", "support", "pmf"}),
+}
+
+
 def dist_from_spec(spec: dict | str) -> ValuationDistribution:
-    """Deserialize a distribution from its JSON object (or JSON text)."""
+    """Deserialize a distribution from its JSON object (or JSON text).  A
+    key that the spec's kind does not read (`SPEC_KEYS`) is a ValueError
+    that names it."""
     if isinstance(spec, str):
         spec = json.loads(spec)
     kind = spec.get("kind")
+    if kind not in SPEC_KEYS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    reject_unknown_keys(spec, SPEC_KEYS[kind], f"{kind} distribution")
     if kind == "falpha":
         return FAlpha(float(spec["alpha"]), float(spec.get("scale", 1.0)))
     if kind == "exponential":
         return Exponential(float(spec.get("rate", 1.0)))
-    if kind == "discrete":
-        return DiscreteTabular(spec["support"], spec["pmf"])
-    raise ValueError(f"unknown distribution kind {kind!r}")
+    return DiscreteTabular(spec["support"], spec["pmf"])
 
 
 def dist_to_spec(d: ValuationDistribution) -> dict:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,7 +172,8 @@ def _hull_prune(pts: np.ndarray, slack: float) -> np.ndarray:
     few of them: the throw-away step of Akl & Toussaint (1978).
 
     Each block of `_PRUNE_BLOCK` points lends the point farthest above the
-    chord from the block's first point to its last; with the two end points
+    chord from the block's first point to its last (`_far_points`, which
+    scores a few blocks at a time); with the two end points
     these are scanned, with the pop slack ``slack``, into a small hull.  Its
     vertices are input points, so it lies under the true hull, and a point
     strictly below it can never be a vertex.  "Strictly" is guarded
@@ -195,12 +197,7 @@ def _hull_prune(pts: np.ndarray, slack: float) -> np.ndarray:
     x, y = pts[:, 0], pts[:, 1]
     bx = x[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK)
     by = y[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK)
-    # height above the chord, times the chord's x extent (no division)
-    score = by * (bx[:, -1:] - bx[:, :1])
-    score -= bx * (by[:, -1:] - by[:, :1])
-    best = score.argmax(axis=1)
-    s_far = score[np.arange(nb), best]
-    del score
+    best, s_far = _far_points(bx, by)
     far = best + np.arange(0, nb * _PRUNE_BLOCK, _PRUNE_BLOCK)
     small = _upper_chain(pts[np.concatenate(([0], far, [n - 1]))], slack)
     mag = np.pad(np.abs(small[:, 1]), 1)
@@ -210,6 +207,35 @@ def _hull_prune(pts: np.ndarray, slack: float) -> np.ndarray:
     return np.concatenate(
         [p[p[:, 1] >= np.interp(p[:, 0], small[:, 0], lowered)] for p in (blocks, pts[nb * _PRUNE_BLOCK :])]
     )
+
+
+#: Blocks `_far_points` scores at a time: 64 rows of 1,024 scores are
+#: 512 KiB, so the pass keeps no temporary the size of its input.
+_SCORE_CHUNK = 64
+
+
+def _far_points(bx: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row (block) of the (nb, B) coordinates: the column of the
+    point farthest above the chord from the row's first point to its last,
+    and its score ``y*dx - x*dy``, the height above the chord times the
+    chord's x extent (no division).
+
+    Rows are scored `_SCORE_CHUNK` at a time with the element-wise
+    operations of a one-shot pass over all of them, so ``best`` and
+    ``s_far`` are bit-identical to that pass's.
+    """
+    nb = len(bx)
+    dx = bx[:, -1:] - bx[:, :1]
+    dy = by[:, -1:] - by[:, :1]
+    best = np.empty(nb, dtype=np.intp)
+    s_far = np.empty(nb)
+    for start in range(0, nb, _SCORE_CHUNK):
+        rows = slice(start, start + _SCORE_CHUNK)
+        score = by[rows] * dx[rows]
+        score -= bx[rows] * dy[rows]
+        best[rows] = score.argmax(axis=1)
+        s_far[rows] = score[np.arange(len(score)), best[rows]]
+    return best, s_far
 
 
 def _blocks_below(x0, x1, dy, s_far, hx, hy) -> np.ndarray:
@@ -318,18 +344,64 @@ def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
     return _upper_chain(pts, slack)
 
 
+def _revenue_points(kept_vals: np.ndarray, kept_from: int, m: int) -> np.ndarray:
+    """The anchored revenue points (0, 0), (t_j, t_j * v_j), (1, 0) of the
+    retained values, t ascending.
+
+    Written in place: the grid t_j = (2j - 1)/(2m), j = kept_from..m, is a
+    float range of odd numbers (exact) divided by 2m, straight into the
+    first column, and R = t * v goes into the second.
+    """
+    rp = np.empty((len(kept_vals) + 2, 2))
+    rp[0] = 0.0
+    rp[-1] = (1.0, 0.0)
+    t = rp[1:-1, 0]
+    np.divide(np.arange(2 * kept_from - 1, 2 * m, 2, dtype=float), 2 * m, out=t)
+    np.multiply(t, kept_vals, out=rp[1:-1, 1])
+    return rp
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalModel:
-    """Immutable result of one empirical build; see the module docstring."""
+    """Immutable result of one empirical build; see the module docstring.
+
+    Stored: the build's one sort ``sorted_samples`` (descending),
+    ``kept_from``, ``params``, the hull ``envelope``, ``xi_bar`` and
+    ``point_mass_value``.  Everything else is a closed form of the sort: the
+    retained value at 0-based position j is ``sorted_samples[kept_from - 1
+    + j]``, at grid point ``(2(kept_from + j) - 1) / (2m)`` (`_grid_at`).
+
+    Derived, read-only and cached on first access: ``revenue_points``, the
+    anchored (q, R) rows, and ``quantile_points``, the (t_j, v_j) rows.  A
+    build and the coverage check never materialize them, so a model keeps
+    about 8*m bytes; the curve lookups (`revenue_at`, `value_at_quantile`,
+    `quantile_of_value`) compute them once.
+    """
 
     sorted_samples: np.ndarray  # descending
     kept_from: int  # 1-based index of the first retained sample
     params: SampleParams
-    quantile_points: np.ndarray = field(repr=False)  # (t_j, v_j) rows, t ascending
-    revenue_points: np.ndarray = field(repr=False)  # anchored (q, R) rows
     envelope: np.ndarray = field(repr=False)  # hull vertices (q, CR)
     xi_bar: float
     point_mass_value: float
+
+    # -- derived arrays -------------------------------------------------------
+
+    @cached_property
+    def revenue_points(self) -> np.ndarray:
+        """Anchored (q, R) rows: (0, 0), (t_j, t_j * v_j), (1, 0)."""
+        return _revenue_points(self.retained_values(), self.kept_from, self.m)
+
+    @cached_property
+    def quantile_points(self) -> np.ndarray:
+        """(t_j, v_j) rows, t ascending."""
+        return np.column_stack((self.retained_quantiles(), self.retained_values()))
+
+    def _grid_at(self, j) -> np.ndarray:
+        """Grid points of the retained values at 0-based positions ``j``:
+        the exact odd number 2(kept_from + j) - 1 divided by 2m, the same
+        float as the build's grid."""
+        return (2 * (self.kept_from + np.asarray(j)) - 1) / (2 * self.m)
 
     # -- curves -------------------------------------------------------------
 
@@ -380,8 +452,7 @@ class EmpiricalModel:
         # breakpoint values: +inf at the anchor (0, 0), the retained samples,
         # 0 at (1, 0).  They are taken from the sort, which is exactly
         # nonincreasing; R/q ratios are not, as rounding wobbles inside ties.
-        kept = self.quantile_points[:, 1]
-        vals = np.concatenate(([np.inf], kept, [0.0]))
+        vals = np.concatenate(([np.inf], self.retained_values(), [0.0]))
         # find the first breakpoint with vals <= v
         idx = np.searchsorted(-vals, -v_arr, side="left")
         idx = np.clip(idx, 1, len(qs) - 1)
@@ -403,25 +474,28 @@ class EmpiricalModel:
     # -- diagnostics ----------------------------------------------------------
 
     def retained_values(self) -> np.ndarray:
-        return self.quantile_points[:, 1]
+        """The retained samples, descending: a view of the sort."""
+        return self.sorted_samples[self.kept_from - 1 :]
 
     def retained_quantiles(self) -> np.ndarray:
-        return self.quantile_points[:, 0]
+        return self.revenue_points[1:-1, 0]
 
-    def _distinct_retained(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct retained values (descending) and the grid point t_j of
-        each one's first occurrence.
+    def _distinct_retained(self) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """Distinct retained values (descending), and a map from positions
+        among them to the grid point t_j of each one's first occurrence.
 
         Clipped below at xi_bar, that grid point is the value's leftmost
         quantile, what `quantile_of_value` returns for it, read off the
-        build's own sort without a search.  A build without ties returns
-        views of ``quantile_points``, with no gather.
+        build's own sort without a search and computed only where asked
+        (`_grid_at`).  A build without ties returns a view of the sort and
+        `_grid_at` itself, with no gather and no array of positions.
         """
-        t, kept = self.quantile_points[:, 0], self.quantile_points[:, 1]
+        kept = self.retained_values()
         first, _ = _run_ends(kept)
         if first.all():
-            return kept, t
-        return kept[first], t[first]
+            return kept, self._grid_at
+        pos = np.flatnonzero(first)
+        return kept[pos], lambda k: self._grid_at(pos[k])
 
     def coverage_event_holds(self, d: ValuationDistribution, gamma: float | None = None) -> bool:
         """True iff, for every retained sample value, the true quantile meets
@@ -437,30 +511,31 @@ class EmpiricalModel:
         The distinct values are checked block by block, `_PRUNE_BLOCK` at a
         time, from the blocks' ends.  Along the descending values both ends
         of ``d.quantile_interval`` increase, by its contract up to 2**-50,
-        and so do the leftmost quantiles qbar and both bracket bounds.  So in a block [a, b], ``q_lo(v_b)`` bounds q_lo from above
-        and ``q_hi(v_a)`` bounds q_hi from below, and a block whose ends
-        clear the bounds at the opposite end by the margin
-        `_QUANTILE_MARGIN` = 2**-48 (the contract's 2**-50 plus the margin's
-        own rounding) holds at every value.  ``d`` is evaluated on the block
-        ends and on blocks that do not certify; the first of those that
-        fails the per-value check decides.  The verdict is the per-value
-        check's.
+        and so do the leftmost quantiles qbar and both bracket bounds.  So
+        in a block [a, b], ``q_lo(v_b)`` bounds q_lo from above and
+        ``q_hi(v_a)`` bounds q_hi from below, and a block whose ends clear
+        the bounds at the opposite end by the margin `_QUANTILE_MARGIN` =
+        2**-48 (the contract's 2**-50 plus the margin's own rounding) holds
+        at every value.  ``d`` is evaluated, and the grid points read by
+        index, on the block ends and on blocks that do not certify; the
+        first of those that fails the per-value check decides.  The verdict
+        is the per-value check's.
         """
         g = self.params.gamma if gamma is None else float(gamma)
         factor = (1.0 + g) ** 2
-        values, t = self._distinct_retained()
+        values, grid = self._distinct_retained()
         n = len(values)
         first = np.arange(0, n, _PRUNE_BLOCK)
         last = np.append(first[1:] - 1, n - 1)
         ends = np.concatenate((first, last))
         q_lo, q_hi = d.quantile_interval(values[ends])
-        qbar = np.maximum(t[ends], self.xi_bar)
+        qbar = np.maximum(grid(ends), self.xi_bar)
         nb = len(first)
         certified = (q_lo[nb:] + _QUANTILE_MARGIN <= qbar[:nb] * factor + 1e-15) & (
             q_hi[:nb] - _QUANTILE_MARGIN >= qbar[nb:] / factor - 1e-15
         )
         return all(
-            _bracketed(d, values[a:b], t[a:b], self.xi_bar, factor)
+            _bracketed(d, values[a:b], grid(np.arange(a, b)), self.xi_bar, factor)
             for a, b in zip(first[~certified].tolist(), (last[~certified] + 1).tolist())
         )
 
@@ -488,14 +563,13 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     each run of equal retained values.  A run's points (t_j, t_j * v) lie on
     the ray R = v * q, so its interior points cannot be hull vertices; left
     in, rounding can make them spurious ones at large value scales.  A
-    build without ties passes ``revenue_points`` whole, uncopied.  The
-    model keeps every revenue point either way.
+    build without ties passes the revenue points whole, uncopied.
 
-    Assembly writes each array once, in place: the grid t_j = (2j - 1)/(2m)
-    is a float range of odd numbers (exact) divided by 2m, written straight
-    into ``quantile_points``, and ``revenue_points`` is filled column by
-    column between its anchors.  The point mass value interpolates the raw
-    curve on the one pair of revenue points that brackets xi_bar.
+    The model keeps the sort and the hull, not the revenue points: they
+    are a temporary of the build, written once and in place
+    (`_revenue_points`), and the model derives the same bytes again only
+    if a curve lookup asks for them.  The point mass value interpolates the
+    raw curve on the one pair of revenue points that brackets xi_bar.
 
     A sub-lemma-grade sample count is allowed (with a warning); only an
     empty retained set is an error.
@@ -519,19 +593,9 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
             f"discard rule drops all samples (floor(xi*m)={math.floor(p.xi * m)}, m={m})"
         )
     kept_vals = desc[kept_from - 1 :]
-    n = len(kept_vals)
-    revenue_points = np.empty((n + 2, 2))
-    revenue_points[0] = 0.0
-    revenue_points[-1] = (1.0, 0.0)
-    quantile_points = np.empty((n, 2))
-    t = quantile_points[:, 0]
-    # t_j = (2j - 1) / (2m): the odd numbers are exact in float64
-    np.divide(np.arange(2 * kept_from - 1, 2 * m, 2, dtype=float), 2 * m, out=t)
-    quantile_points[:, 1] = kept_vals
-    revenue_points[1:-1, 0] = t
-    np.multiply(t, kept_vals, out=revenue_points[1:-1, 1])
+    revenue_points = _revenue_points(kept_vals, kept_from, m)
     envelope = concave_envelope(_run_end_points(revenue_points, kept_vals))
-    xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(t[0]))
+    xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(revenue_points[1, 0]))
     # xi_bar is t[0], or floor(xi*m)/m short of t[1]: rows 1 and 2 of the
     # revenue curve bracket it
     raw_at_xi_bar = float(np.interp(xi_bar, revenue_points[1:3, 0], revenue_points[1:3, 1]))
@@ -540,8 +604,6 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
         sorted_samples=desc,
         kept_from=kept_from,
         params=p,
-        quantile_points=quantile_points,
-        revenue_points=revenue_points,
         envelope=envelope,
         xi_bar=float(xi_bar),
         point_mass_value=float(point_mass_value),

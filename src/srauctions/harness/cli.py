@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..dists import DiscreteTabular, dist_from_spec, revenue_curve_hull
+from ..dists import DiscreteTabular, dist_from_spec, reject_unknown_keys, revenue_curve_hull
 from ..empirical import SampleParams, build_empirical, validate_params
 from ..lp import MultiItemInstance, make_pricing_plan, aggregate, build_lp3, solve
 from ..mechanisms import (
@@ -47,7 +47,6 @@ from .experiments import (
     lazy_vcg_k_uniform,
     lottery_k_uniform,
     posted_price_runs,
-    reject_unknown_keys,
     run_experiment,
     two_mech_k_uniform,
 )
@@ -201,13 +200,26 @@ def _cmd_empirical_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: the keys of each environment kind's spec
+ENV_KEYS = {
+    "k-uniform": frozenset({"kind", "k", "n"}),
+    "explicit": frozenset({"kind", "n", "sets"}),
+}
+
+#: the keys of a ``budget_dist`` spec
+BUDGET_DIST_KEYS = frozenset({"p_hi", "hi", "lo"})
+
+
 def env_from_spec(spec: dict) -> Environment:
+    """The environment of an ``env`` spec; a key that its kind does not
+    read (`ENV_KEYS`) is a ValueError that names it."""
     kind = spec.get("kind", "k-uniform")
+    if kind not in ENV_KEYS:
+        raise ValueError(f"unknown environment kind: {kind!r}")
+    reject_unknown_keys(spec, ENV_KEYS[kind], f"{kind} environment")
     if kind == "k-uniform":
         return KUniformMatroid(int(spec["k"]), int(spec["n"]))
-    if kind == "explicit":
-        return ExplicitFeasibleSets(int(spec["n"]), spec["sets"])
-    raise ValueError(f"unknown environment kind: {kind!r}")
+    return ExplicitFeasibleSets(int(spec["n"]), spec["sets"])
 
 
 def _budget_draw(config: dict, n: int) -> Callable:
@@ -215,6 +227,7 @@ def _budget_draw(config: dict, n: int) -> Callable:
     ``budgets`` on every row."""
     if "budget_dist" in config:
         b = config["budget_dist"]
+        reject_unknown_keys(b, BUDGET_DIST_KEYS, "budget_dist")
         p_hi, hi, lo = float(b["p_hi"]), float(b["hi"]), float(b["lo"])
         return lambda rng, rows: np.where(rng.random((rows, n)) < p_hi, hi, lo)
     fixed = np.asarray(config["budgets"], dtype=float)

@@ -33,6 +33,7 @@ from ..dists import (
     ValuationDistribution,
     make_falpha,
     make_random_alpha_sr_discrete,
+    reject_unknown_keys,
     truncate_at,
 )
 from ..empirical import (
@@ -70,17 +71,6 @@ class UnknownExperimentError(ValueError):
     pass
 
 
-def reject_unknown_keys(data: Mapping, known: frozenset) -> None:
-    """Raise a ValueError naming the first key of ``data`` (in sorted
-    order) that is not in ``known``; a TypeError if ``data`` is not a
-    JSON object."""
-    if not isinstance(data, Mapping):
-        raise TypeError(f"config must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - known, key=str)
-    if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r}; expected one of {sorted(known)}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment_id: str
@@ -100,14 +90,19 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, experiment_id: str, data: Mapping) -> "ExperimentConfig":
         """Parse an experiment config; a key outside ``CONFIG_KEYS`` is a
-        ValueError that names it, so a misspelt key cannot run the default."""
+        ValueError that names it, so a misspelt key cannot run the default,
+        and so is a seed that is not a JSON integer (a float, a bool or a
+        string), which would otherwise be truncated or coerced."""
         reject_unknown_keys(data, cls.CONFIG_KEYS)
+        seed = data.get("seed", DEFAULT_SEED)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be a JSON integer, got {seed!r}")
         sp = data.get("sample_params")
         inst = data.get("instance")
         return cls(
             experiment_id=experiment_id,
             trials=data.get("trials"),
-            master_seed=int(data.get("seed", DEFAULT_SEED)),
+            master_seed=seed,
             sample_params=SampleParams(**sp) if sp else None,
             instance=MultiItemInstance.from_spec(inst) if inst else None,
             out=data.get("out"),

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dists import DiscreteTabular, check_alpha_sr, revenue_curve_hull
+from .dists import DiscreteTabular, check_alpha_sr, dist_from_spec, reject_unknown_keys, revenue_curve_hull
 from .empirical import EmpiricalModel, SampleParams
 
 __all__ = [
@@ -122,10 +122,14 @@ class MultiItemInstance:
             "dists": [[d.to_spec() for d in row] for row in self.dists],
         }
 
+    #: the keys of an instance spec
+    SPEC_KEYS = frozenset({"budgets", "item_limits", "dists"})
+
     @classmethod
     def from_spec(cls, spec: dict) -> "MultiItemInstance":
-        from .dists import dist_from_spec
-
+        """The instance of a spec (`to_spec`'s form); a key outside
+        ``SPEC_KEYS`` is a ValueError that names it."""
+        reject_unknown_keys(spec, cls.SPEC_KEYS, "instance")
         return cls(
             budgets=tuple(float(b) for b in spec["budgets"]),
             item_limits=tuple(int(n) for n in spec["item_limits"]),
@@ -162,8 +166,8 @@ class EmpiricalAtoms:
 
 
 def discretize_model(em: EmpiricalModel) -> EmpiricalAtoms:
-    distinct, first_t = em._distinct_retained()  # descending values
-    leftmost = np.maximum(first_t, em.xi_bar)
+    distinct, grid = em._distinct_retained()  # descending values
+    leftmost = np.maximum(grid(np.arange(len(distinct))), em.xi_bar)
     pmv = em.point_mass_value
     below = distinct < pmv - 1e-12
     atom_values = np.concatenate(([pmv], distinct[below]))

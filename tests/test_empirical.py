@@ -10,6 +10,7 @@ alpha-power family as ground truth.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -22,6 +23,9 @@ from srauctions import empirical, make_falpha, truncate_at
 from srauctions.dists import DiscreteTabular, Exponential, FAlpha
 from srauctions.empirical import (
     _PRUNE_BLOCK,
+    _SCORE_CHUNK,
+    _bracketed,
+    _far_points,
     _hull_prune,
     _pop_slack,
     _run_ends,
@@ -241,18 +245,98 @@ class TestAssembly:
 
     @pytest.mark.parametrize("prior", ["falpha", "tabular"])
     def test_distinct_retained_are_first_occurrences(self, prior):
-        # a tie-free build returns views of quantile_points
+        # a tie-free build returns a view of the sort; grid points are read
+        # by index, byte-equal to the derived quantile column
         rng = np.random.Generator(np.random.Philox(key=[22, 0]))
         d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
         em = quiet_build(d.sample(rng, 9888), SampleParams(0.2, 0.1, 0.1))
         first, _ = _run_ends(em.retained_values())
-        values, t = em._distinct_retained()
+        values, grid = em._distinct_retained()
+        t = grid(np.arange(len(values)))
+        assert "quantile_points" not in em.__dict__ and "revenue_points" not in em.__dict__
         assert values.tolist() == em.retained_values()[first].tolist()
-        assert t.tolist() == em.retained_quantiles()[first].tolist()
+        assert t.tobytes() == em.retained_quantiles()[first].tobytes()
         if prior == "falpha":
-            assert first.all() and np.shares_memory(values, em.quantile_points)
+            assert first.all() and np.shares_memory(values, em.sorted_samples)
         else:
             assert len(values) < 5
+
+
+def retained_count_m(n, xi):
+    """The least m whose build at xi retains exactly n samples."""
+    m = n
+    while m - max(math.floor(xi * m), 1) + 1 < n:
+        m += 1
+    assert m - max(math.floor(xi * m), 1) + 1 == n
+    return m
+
+
+class TestLeanModel:
+    """A model stores the sort and the hull; the quantile and revenue
+    columns are derived on first access, and neither the build, the
+    reserve nor the coverage check asks for them."""
+
+    @pytest.mark.parametrize("prior", ["falpha", "tabular"])
+    def test_build_reserve_and_coverage_leave_no_derived_arrays(self, prior):
+        d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
+        rng = np.random.Generator(np.random.Philox(key=[24, 0]))
+        em = quiet_build(d.sample(rng, 5 * _PRUNE_BLOCK), SampleParams(0.2, 0.05, 0.1))
+        derived = {"quantile_points", "revenue_points"}
+        em.empirical_reserve()
+        assert not derived & set(em.__dict__)
+        em.coverage_event_holds(d)
+        assert not derived & set(em.__dict__)
+        # first access computes and caches; the attributes stay read-only
+        rp = em.revenue_points
+        assert em.revenue_points is rp and em.quantile_points is em.quantile_points
+        assert em.value_at_quantile(0.5) == float(em.revenue_at(0.5)) / 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            em.revenue_points = rp
+
+    def test_model_keeps_one_copy_of_its_sample(self):
+        m = 2**18
+        d = make_falpha(0.5, 1.0)
+        samples = d.sample(np.random.Generator(np.random.Philox(key=[25, 0])), m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            em = quiet_build(samples, SampleParams(0.05, 0.05, 0.05))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert em.m == m and len(em.envelope) > 2
+        assert kept <= 8 * m + 64 * 1024, kept
+
+    @pytest.mark.parametrize("n_distinct", [_PRUNE_BLOCK - 1, _PRUNE_BLOCK, _PRUNE_BLOCK + 1, 4 * _PRUNE_BLOCK + 1])
+    def test_index_reads_match_the_per_value_check_on_full_arrays(self, n_distinct):
+        # FAlpha builds with and without discards, and tie-heavy builds of a
+        # DiscreteTabular whose every atom is drawn; each checked at gammas
+        # from failing to holding, against `_bracketed` over the distinct
+        # values and the materialized quantile column
+        rng = np.random.Generator(np.random.Philox(key=[26, n_distinct]))
+        falpha = make_falpha(0.5, 1.0)
+        builds = []
+        for xi in (1e-5, 0.05):
+            m = retained_count_m(n_distinct, xi)
+            builds += [(falpha, quiet_build(falpha.sample(rng, m), SampleParams(0.2, xi, 0.1))) for _ in range(3)]
+        for _ in range(3):
+            support = np.sort(rng.choice(np.arange(1, 100_000), size=n_distinct, replace=False)) / 100
+            tab = DiscreteTabular(support, rng.dirichlet(np.ones(n_distinct)))
+            samples = np.concatenate((support, tab.sample(rng, 4 * n_distinct)))
+            builds.append((tab, quiet_build(rng.permutation(samples), SampleParams(0.2, 1e-5, 0.1))))
+        outcomes = set()
+        for d, em in builds:
+            for g in (0.01, 0.05, 0.2, 1.0):
+                verdict = em.coverage_event_holds(d, gamma=g)
+                assert "quantile_points" not in em.__dict__
+                first, _ = _run_ends(em.retained_values())
+                assert first.sum() == n_distinct
+                values, t = em.retained_values()[first], em.quantile_points[first, 0]
+                assert verdict == _bracketed(d, values, t, em.xi_bar, (1 + g) ** 2), g
+                em.__dict__.pop("quantile_points")
+                em.__dict__.pop("revenue_points")
+                outcomes.add(verdict)
+        assert outcomes == {True, False}
 
 
 class TestXiBar:
@@ -613,6 +697,22 @@ class TestHullPrune:
         hull = concave_envelope(em.revenue_points)
         assert hull.tobytes() == em.envelope.tobytes()
         assert len(dropped) == 1 and dropped[0] >= 0.5
+
+    @pytest.mark.parametrize("nb", [1, _SCORE_CHUNK - 1, _SCORE_CHUNK, 2 * _SCORE_CHUNK + 5, 5 * _SCORE_CHUNK + 37])
+    def test_blocked_score_pass_equals_one_shot(self, nb):
+        # rows of points on concave curves at scales 1e-9 to 1e9, some with
+        # all-equal scores, scored a chunk at a time and in one pass
+        rng = np.random.default_rng(nb)
+        x = np.sort(rng.uniform(0.0, 1.0, (nb, _PRUNE_BLOCK)), axis=1)
+        y = x ** rng.uniform(0.2, 0.9, (nb, 1)) * (1.0 - x) - rng.exponential(1e-3, x.shape)
+        y *= 10.0 ** rng.integers(-9, 10, (nb, 1))
+        y[::7] = 0.0
+        score = y * (x[:, -1:] - x[:, :1]) - x * (y[:, -1:] - y[:, :1])
+        best = score.argmax(axis=1)
+        s_far = score[np.arange(nb), best]
+        got_best, got_s_far = _far_points(x, y)
+        assert got_best.tobytes() == best.astype(np.intp).tobytes()
+        assert got_s_far.tobytes() == s_far.tobytes()
 
     def test_all_zero_y(self):
         # max|y| = 0 has binary exponent 0: the slack stays finite and the

@@ -616,6 +616,13 @@ class TestExperimentRegistry:
         assert cfg.sample_params.m == 64
         assert cfg.out == "r.csv"
 
+    @pytest.mark.parametrize("seed", [1.9, 1.0, -0.5, True, False, "1", None, [1]])
+    def test_config_seed_must_be_a_json_integer(self, seed):
+        # a float seed used to be truncated by int(): {"seed": 1.9} ran seed 1
+        with pytest.raises(ValueError, match="seed must be a JSON integer"):
+            ExperimentConfig.from_json_dict("vcgl", {"seed": seed})
+        assert ExperimentConfig.from_json_dict("vcgl", {"seed": 2**70}).master_seed == 2**70
+
     def test_experiment_is_deterministic(self):
         a = run_experiment(
             "lemma-square", ExperimentConfig(experiment_id="lemma-square")
@@ -878,10 +885,22 @@ class TestCli:
             ("experiment", {"trails": 3}, "unknown config key 'trails'"),
             ("mech", dict(MECH_CONFIG, reserve=[1.0] * 3), "unknown config key 'reserve'"),
             ("experiment", [{"trials": 3}], "config must be a JSON object"),
+            ("experiment", {"seed": 1.9}, "seed must be a JSON integer, got 1.9"),
+            ("experiment", {"seed": 2.0}, "seed must be a JSON integer, got 2.0"),
+            ("experiment", {"seed": True}, "seed must be a JSON integer, got True"),
+            ("experiment", {"seed": "7"}, "seed must be a JSON integer, got '7'"),
+            ("mech", dict(MECH_CONFIG, env=dict(MECH_CONFIG["env"], kk=2)),
+             "unknown k-uniform environment key 'kk'"),
+            ("mech", dict(MECH_CONFIG, dists=[dict(PRIOR_124, scale=10)] * 3),
+             "unknown discrete distribution key 'scale'"),
+            ("experiment", {"instance": dict(MECH_CONFIG["instance"], limits=[1, 1])},
+             "unknown instance key 'limits'"),
         ],
         ids=[
             "trials-0", "env-size", "env-kind", "dist-kind", "missing-key", "experiment-trials-0",
             "experiment-misspelt-key", "mech-misspelt-key", "experiment-not-an-object",
+            "experiment-seed-float", "experiment-seed-integral-float", "experiment-seed-bool",
+            "experiment-seed-string", "env-misspelt-key", "dist-misspelt-key", "instance-misspelt-key",
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, command, config, message):
@@ -899,6 +918,25 @@ class TestCli:
         assert message in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "mech, config, message",
+        [
+            ("lottery", dict(MECH_CONFIG, budget_dist=dict(MECH_CONFIG["budget_dist"], p_high=0.5)),
+             "unknown budget_dist key 'p_high'"),
+            ("vcg", dict(MECH_CONFIG, env=dict(EXPLICIT_ENV, k=1)), "unknown explicit environment key 'k'"),
+            ("vcg", dict(MECH_CONFIG, dists=[{"kind": "exponential", "rate": 1.0, "alpha": 0.5}] * 3),
+             "unknown exponential distribution key 'alpha'"),
+            ("vcg", dict(MECH_CONFIG, dists=[{"kind": "falpha", "alpha": 0.5, "rate": 1.0}] * 3),
+             "unknown falpha distribution key 'rate'"),
+            ("posted", dict(MECH_CONFIG, instance=dict(MECH_CONFIG["instance"], budget=[4.0, 4.0])),
+             "unknown instance key 'budget'"),
+        ],
+        ids=["budget-dist", "explicit-env", "exponential", "falpha", "instance"],
+    )
+    def test_nested_spec_rejects_unknown_keys(self, mech, config, message):
+        with pytest.raises(ValueError, match=message):
+            mech_rows(mech, config, seed=1)
 
     def test_experiment_to_file(self, tmp_path):
         out_path = tmp_path / "lemma.csv"
