@@ -333,6 +333,9 @@ class TestLeanModel:
                 assert first.sum() == n_distinct
                 values, t = em.retained_values()[first], em.quantile_points[first, 0]
                 assert verdict == _bracketed(d, values, t, em.xi_bar, (1 + g) ** 2), g
+                read_values, grid = em._distinct_retained()
+                assert read_values.tobytes() == values.tobytes()
+                assert grid(np.arange(n_distinct)).tobytes() == t.tobytes()
                 em.__dict__.pop("quantile_points")
                 em.__dict__.pop("revenue_points")
                 outcomes.add(verdict)
