@@ -7,6 +7,7 @@ run``'s use of them, are checked for exact agreement with the per-auction
 mechanism functions on shared draws.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -639,6 +640,41 @@ class TestExperimentRegistry:
             ExperimentConfig(experiment_id="vcgl", trials=400, master_seed=seed),
         )
         assert render_csv(mk(1)) != render_csv(mk(2))
+
+
+#: sha256 of ``render_csv`` per registered experiment at the default seed
+#: and these trial counts, which span two ``_CHUNK`` blocks wherever the
+#: experiment is chunked.  vcgl-samp is left out: its 100 resamples of two
+#: theorem-grade builds take about a minute.
+REPORT_SHA256 = {
+    "vcg-duplicates": (300_000, "17229c12affc9c4666b36a6a8ec44c4b7bca43da55b0087e655e57d9e5cfb1e9"),
+    "vcgl": (300_000, "81e0a6fbd3840f72887843ace2e11817e5c4de6e48e37d2b65afab9108b9419d"),
+    "posted-lp": (300_000, "5dd8d6a858e8ff6ee8d941d4952588ac31199ac5c18b29e006f29fa427bf895f"),
+    "two-mech": (260_000, "72c4785435f0c3d2ddc68b2f79c323a822fe5ebb99b640c88d019128cdec9d8b"),
+    "lottery": (260_000, "4b17a93ffad25594db947634ce74b742f150162a7b7f75724963efad02c4bee5"),
+    "lottery-samp": (260_000, "bb4837b8f962f183e3c7955f3bf8dc8eacbab3525ac10090c24157d8a1881e9f"),
+    "posted-lp-samp": (260_000, "49d691c04b003e322fdb05aee3df1e10e89559f1c37565d5f0c271377e0c3aec"),
+    "lemma-square": (20, "42a4d711d04209805d4beb188f668c1ab6d8cc40d93159cb67c0c0e27a0d4756"),
+}
+
+
+class TestReportBytes:
+    """The report bytes of every experiment are pinned, so a rewrite of a
+    runner or of the engine must reproduce them exactly.  Values are
+    written to 12 significant digits, so a last-ulp difference in a
+    platform's float64 ``power`` or ``log`` rarely shows; a change in how
+    rows are ranked, summed or drawn does."""
+
+    def test_every_experiment_but_vcgl_samp_is_pinned(self):
+        assert set(REPORT_SHA256) == set(EXPERIMENTS) - {"vcgl-samp"}
+
+    @pytest.mark.parametrize("experiment_id", sorted(REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, experiment_id):
+        trials, digest = REPORT_SHA256[experiment_id]
+        cfg = ExperimentConfig(experiment_id=experiment_id, trials=trials)
+        report = run_experiment(experiment_id, cfg)
+        assert report.verdict
+        assert hashlib.sha256(render_csv(report).encode()).hexdigest() == digest
 
 
 class TestReportCsv:
