@@ -586,12 +586,19 @@ def make_discrete(support: Sequence[float], pmf: Sequence[float]) -> DiscreteTab
     return DiscreteTabular(support, pmf)
 
 
+def json_object(data, what: str = "config") -> Mapping:
+    """``data`` itself if it is a JSON object, else a ValueError that says
+    ``what`` had to be one."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def reject_unknown_keys(data: Mapping, known: frozenset, what: str = "config") -> None:
     """Raise a ValueError naming the first key of ``data`` (in sorted
-    order) that is not in ``known``; a TypeError if ``data`` is not a
-    JSON object.  ``what`` names the object in the message."""
-    if not isinstance(data, Mapping):
-        raise TypeError(f"{what} must be a JSON object, got {type(data).__name__}")
+    order) that is not in ``known``, or saying that ``data`` is not a JSON
+    object.  ``what`` names the object in the message."""
+    json_object(data, what)
     unknown = sorted(set(data) - known, key=str)
     if unknown:
         raise ValueError(f"unknown {what} key {unknown[0]!r}; expected one of {sorted(known)}")
@@ -607,11 +614,11 @@ SPEC_KEYS = {
 
 def dist_from_spec(spec: dict | str) -> ValuationDistribution:
     """Deserialize a distribution from its JSON object (or JSON text).  A
-    key that the spec's kind does not read (`SPEC_KEYS`) is a ValueError
-    that names it."""
+    spec that is not a JSON object, or a key that the spec's kind does not
+    read (`SPEC_KEYS`), is a ValueError that says so."""
     if isinstance(spec, str):
         spec = json.loads(spec)
-    kind = spec.get("kind")
+    kind = json_object(spec, "distribution spec").get("kind")
     if kind not in SPEC_KEYS:
         raise ValueError(f"unknown distribution kind {kind!r}")
     reject_unknown_keys(spec, SPEC_KEYS[kind], f"{kind} distribution")

@@ -25,7 +25,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..dists import DiscreteTabular, dist_from_spec, reject_unknown_keys, revenue_curve_hull
+from ..dists import (
+    DiscreteTabular,
+    dist_from_spec,
+    json_object,
+    reject_unknown_keys,
+    revenue_curve_hull,
+)
 from ..empirical import SampleParams, build_empirical, validate_params
 from ..lp import MultiItemInstance, make_pricing_plan, aggregate, build_lp3, solve
 from ..mechanisms import (
@@ -211,9 +217,10 @@ BUDGET_DIST_KEYS = frozenset({"p_hi", "hi", "lo"})
 
 
 def env_from_spec(spec: dict) -> Environment:
-    """The environment of an ``env`` spec; a key that its kind does not
-    read (`ENV_KEYS`) is a ValueError that names it."""
-    kind = spec.get("kind", "k-uniform")
+    """The environment of an ``env`` spec; a spec that is not a JSON
+    object, or a key that its kind does not read (`ENV_KEYS`), is a
+    ValueError that says so."""
+    kind = json_object(spec, "env").get("kind", "k-uniform")
     if kind not in ENV_KEYS:
         raise ValueError(f"unknown environment kind: {kind!r}")
     reject_unknown_keys(spec, ENV_KEYS[kind], f"{kind} environment")

@@ -91,22 +91,28 @@ class ExperimentConfig:
     def from_json_dict(cls, experiment_id: str, data: Mapping) -> "ExperimentConfig":
         """Parse an experiment config; a key outside ``CONFIG_KEYS`` is a
         ValueError that names it, so a misspelt key cannot run the default,
-        and so is a seed that is not a JSON integer (a float, a bool or a
-        string), which would otherwise be truncated or coerced."""
+        and so is a seed or a trial count that is not a JSON integer (a
+        float, a bool, a string or null), which would otherwise be
+        truncated, coerced or fail deep inside a run."""
         reject_unknown_keys(data, cls.CONFIG_KEYS)
-        seed = data.get("seed", DEFAULT_SEED)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed must be a JSON integer, got {seed!r}")
         sp = data.get("sample_params")
         inst = data.get("instance")
         return cls(
             experiment_id=experiment_id,
-            trials=data.get("trials"),
-            master_seed=seed,
+            trials=_json_integer(data, "trials") if "trials" in data else None,
+            master_seed=_json_integer(data, "seed", DEFAULT_SEED),
             sample_params=SampleParams(**sp) if sp else None,
             instance=MultiItemInstance.from_spec(inst) if inst else None,
             out=data.get("out"),
         )
+
+
+def _json_integer(data: Mapping, key: str, default: int | None = None) -> int:
+    """``data[key]`` (or ``default``), which must be a JSON integer."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +121,82 @@ class ExperimentConfig:
 
 
 def second_price_of_pooled(values: np.ndarray) -> np.ndarray:
-    """Revenue of efficient single-item sale over pooled bids, per row."""
-    part = np.partition(values, values.shape[1] - 2, axis=1)
-    return part[:, -2]
+    """Revenue of efficient single-item sale over pooled bids, per row: the
+    second largest of each row, kept as a running top two over the columns
+    (comparisons only, so it is exact)."""
+    first = np.maximum(values[:, 0], values[:, 1])
+    second = np.minimum(values[:, 0], values[:, 1])
+    for c in range(2, values.shape[1]):
+        x = values[:, c]
+        np.maximum(second, np.minimum(first, x), out=second)
+        np.maximum(first, x, out=first)
+    return second
+
+
+def _top_places(columns: np.ndarray, width: int) -> tuple[list, list]:
+    """The first ``width`` places of each row of ``columns`` (T, n), ranked
+    larger value first and ties to the smaller column index, as a stable
+    descending argsort of the row ranks them.
+
+    Returns (values, indices): per place, the 1-D column of its values and
+    the column index each row put there, as the smallest unsigned integer
+    type that holds n (a scalar where every row agrees).  One pass over the
+    columns: column c goes to the first place whose value it strictly
+    exceeds, so an equal value stays ahead, and the places below it shift
+    down one.  That is one stable compare-exchange per place: a max and a
+    min, which keep the values a select on ``ahead`` would keep (NaN and
+    the sign of zero aside), and an exact integer swap of the indices.  So
+    the cost is O(n * width) operations on 1-D columns.
+    """
+    n = columns.shape[1]
+    tag = np.min_scalar_type(n).type
+    values, indices = [], []
+    for c in range(n):
+        x = columns[:, c]
+        v, t = x, tag(c)
+        for p in range(len(values)):
+            # rows where x beats place p take it there, and carry the
+            # entry it displaces down; x then beats every later place too
+            ahead = x > values[p]
+            values[p], v = np.maximum(v, values[p]), np.minimum(v, values[p])
+            swap = (t - indices[p]) * ahead
+            indices[p], t = indices[p] + swap, t - swap
+        if len(values) < width:
+            values.append(v)
+            indices.append(t)
+    return values, indices
+
+
+def _place_sum(columns: list, rows: int) -> np.ndarray:
+    """Per-row sum of the place columns, added in the order in which
+    ``np.sum(axis=1)`` adds a row of that many values, so it equals that
+    row sum bit for bit: onto 0.0, one by one below eight places, else as
+    numpy's pairwise summation (`_pairwise_sum`)."""
+    total = np.zeros(rows)
+    if len(columns) < 8:
+        for c in columns:
+            total += c
+    else:
+        total += _pairwise_sum(columns)
+    return total
+
+
+def _pairwise_sum(columns: list):
+    """numpy's pairwise sum of eight or more columns: by halves (cut at a
+    multiple of 8) above 128, else in eight running sums, combined as a
+    tree, then the columns past the last multiple of 8 one by one."""
+    n = len(columns)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
+    end = n - n % 8
+    acc = list(columns[:8])
+    for i in range(8, end, 8):
+        acc = [a + c for a, c in zip(acc, columns[i : i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for c in columns[end:]:
+        total = total + c
+    return total
 
 
 def lazy_vcg_k_uniform(
@@ -130,22 +209,18 @@ def lazy_vcg_k_uniform(
     clear their reserves, as ``vcg_lazy``'s outcome does.  Ties rank toward
     the smaller bidder index, matching the per-auction implementation.
     """
-    n = values.shape[1]
+    T, n = values.shape
     if k < 0:
         raise ValueError("k must be nonnegative")
-    order = np.argsort(-values, axis=1, kind="stable")
-    top = order[:, :k]
-    top_vals = np.take_along_axis(values, top, axis=1)
-    welfare = top_vals.sum(axis=1)
-    if n > k:
-        base = np.take_along_axis(values, order[:, k : k + 1], axis=1)
-    else:
-        base = np.zeros((values.shape[0], 1))
-    res = np.asarray(reserves, dtype=float)[top]
-    keep = top_vals >= res
-    pay = np.maximum(res, base)
-    revenue = (keep * pay).sum(axis=1)
-    return revenue, welfare, (keep * top_vals).sum(axis=1)
+    wins = min(k, n)
+    top, index = _top_places(values, min(k + 1, n))
+    reserve = np.asarray(reserves, dtype=float).take(index[:wins])
+    base = top[k] if n > k else 0.0
+    keep = [top[p] >= reserve[p] for p in range(wins)]
+    revenue = _place_sum([keep[p] * np.maximum(reserve[p], base) for p in range(wins)], T)
+    welfare = _place_sum(top[:wins], T)
+    realized = _place_sum([keep[p] * top[p] for p in range(wins)], T)
+    return revenue, welfare, realized
 
 
 def _first_loser(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,8 +233,8 @@ def _first_loser(weights: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     T, n = weights.shape
     if k >= n:
         return np.zeros((T, 1)), np.full((T, 1), n)
-    place = np.argsort(-weights, axis=1, kind="stable")[:, k : k + 1]
-    return np.take_along_axis(weights, place, axis=1), place
+    top, index = _top_places(weights, k + 1)
+    return top[k][:, None], np.broadcast_to(index[k], (T,)).astype(np.intp)[:, None]
 
 
 def _beats(weight, index, bar: np.ndarray, rival: np.ndarray) -> np.ndarray:
@@ -273,38 +348,41 @@ def posted_price_runs(
     ``values`` has shape (T, I, J).  Returns (revenue, welfare, alloc) with
     alloc a boolean (T, I, J) allocation indicator.  Consumes the RNG in the
     same order as the per-auction function (price mixture first, then offer
-    coins), so a one-row call reproduces it draw for draw.
+    coins), so a one-row call reproduces it draw for draw.  Pairs are
+    offered bidder by bidder, each on 1-D columns of its rows.
     """
     T = values.shape[0]
     n_i, n_j = inst.n_bidders, inst.n_items
     if values.shape != (T, n_i, n_j):
         raise ValueError("values must have shape (T, n_bidders, n_items)")
     price_mix = rng.random((T, n_i, n_j))
-    prices = np.where(price_mix < plan.w_bar, plan.r_bar, plan.r_bar + 1).astype(float)
     offered = rng.random((T, n_i, n_j)) < plan.p_offer
 
-    sold = np.zeros((T, n_j), dtype=bool)
-    held = np.zeros((T, n_i), dtype=np.int64)
-    budget_left = np.tile(np.asarray(inst.budgets, dtype=float), (T, 1))
+    sold = [np.zeros(T, dtype=bool) for _ in range(n_j)]
     alloc = np.zeros((T, n_i, n_j), dtype=bool)
     revenue = np.zeros(T)
     welfare = np.zeros(T)
     for i in range(n_i):
+        held = np.zeros(T, dtype=np.int64)
+        budget_left = np.full(T, float(inst.budgets[i]))
         for j in range(n_j):
-            p = prices[:, i, j]
+            r = plan.r_bar[i, j]
+            p = np.where(price_mix[:, i, j] < plan.w_bar[i, j], float(r), float(r + 1))
+            v = values[:, i, j]
             buy = (
-                (held[:, i] < inst.item_limits[i])
-                & ~sold[:, j]
+                (held < inst.item_limits[i])
+                & ~sold[j]
                 & offered[:, i, j]
-                & (values[:, i, j] >= p)
-                & (budget_left[:, i] >= p)
+                & (v >= p)
+                & (budget_left >= p)
             )
-            sold[:, j] |= buy
-            held[:, i] += buy
-            budget_left[:, i] -= np.where(buy, p, 0.0)
+            sold[j] |= buy
+            held += buy
+            paid = p * buy
+            budget_left -= paid
             alloc[:, i, j] = buy
-            revenue += np.where(buy, p, 0.0)
-            welfare += np.where(buy, values[:, i, j], 0.0)
+            revenue += paid
+            welfare += v * buy
     return revenue, welfare, alloc
 
 
@@ -666,7 +744,7 @@ def run_posted_lp(cfg: ExperimentConfig) -> Report:
         welf.add_batch(welfare)
         for i in range(n_i):
             for j in range(n_j):
-                alloc_accs[i][j].add_batch(alloc[:, i, j].astype(float))
+                alloc_accs[i][j].add_batch(alloc[:, i, j])
     metrics = [
         MetricSummary.exact("v2", v2),
         MetricSummary.from_accumulator("revenue", rev),
@@ -742,7 +820,7 @@ def run_posted_lp_samp(cfg: ExperimentConfig) -> Report:
             rev.add_batch(revenue)
             for i in range(n_i):
                 for j in range(n_j):
-                    alloc_accs[i][j].add_batch(alloc[:, i, j].astype(float))
+                    alloc_accs[i][j].add_batch(alloc[:, i, j])
         metrics.append(MetricSummary.from_accumulator(f"revenue[build={build_idx}]", rev))
         metrics.append(
             _bound_metric(f"revenue_margin[build={build_idx}]", rev, target_rev, target_rev)

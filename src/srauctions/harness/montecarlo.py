@@ -44,7 +44,16 @@ class Accumulator:
         self.total_sq += x * x
 
     def add_batch(self, xs) -> None:
-        arr = np.asarray(xs, dtype=float)
+        """Add every entry of ``xs``; a boolean array adds its true count to
+        both sums, which is exactly what its 0/1 floats would add."""
+        arr = np.asarray(xs)
+        if arr.dtype == bool:
+            hits = int(np.count_nonzero(arr))
+            self.count += arr.size
+            self.total += hits
+            self.total_sq += hits
+            return
+        arr = arr.astype(float, copy=False)
         self.count += arr.size
         self.total += float(arr.sum())
         self.total_sq += float((arr * arr).sum())

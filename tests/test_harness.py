@@ -52,7 +52,12 @@ from srauctions.harness import (
 from srauctions.harness import rng as rng_module
 from srauctions.harness.cli import MECH_CHOICES, mech_rows
 from srauctions.harness.cli import main as cli_main
-from srauctions.harness.experiments import DEFAULT_SEED, _two_mech_setup
+from srauctions.harness.experiments import (
+    DEFAULT_SEED,
+    _first_loser,
+    _place_sum,
+    _two_mech_setup,
+)
 from srauctions.harness.montecarlo import _CHUNK
 from srauctions.lp import PricingPlan
 from srauctions.mechanisms import (
@@ -138,6 +143,15 @@ class TestAccumulator:
         assert merged.count == 100
         assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
         assert merged.stderr == pytest.approx(whole.stderr, rel=1e-12)
+
+    def test_boolean_batch_adds_what_its_floats_add(self):
+        hits = stream(2, 0).random((1000, 3)) < 0.3
+        for xs in (hits, hits[:, 1], hits[::7, 2], np.zeros(5, dtype=bool)):
+            as_bool, as_float = Accumulator(), Accumulator()
+            as_bool.add_batch(xs)
+            as_float.add_batch(xs.astype(float))
+            for attr in ("count", "total", "total_sq", "mean", "stderr"):
+                assert repr(getattr(as_bool, attr)) == repr(getattr(as_float, attr))
 
     def test_empty_and_singleton(self):
         acc = Accumulator()
@@ -368,6 +382,21 @@ class TestOracleAgreement:
         )
 
 
+def argsort_lazy_vcg(values, k, reserves):
+    """``lazy_vcg_k_uniform`` written with a stable row argsort and row
+    sums: the column runner must equal it bit for bit."""
+    order = np.argsort(-values, axis=1, kind="stable")
+    top_vals = np.take_along_axis(values, order[:, :k], axis=1)
+    if values.shape[1] > k:
+        base = np.take_along_axis(values, order[:, k : k + 1], axis=1)
+    else:
+        base = np.zeros((values.shape[0], 1))
+    res = np.asarray(reserves, dtype=float)[order[:, :k]]
+    keep = top_vals >= res
+    revenue = (keep * np.maximum(res, base)).sum(axis=1)
+    return revenue, top_vals.sum(axis=1), (keep * top_vals).sum(axis=1)
+
+
 class TestVectorizedRunners:
     """The chunked fast paths must agree with the per-auction functions."""
 
@@ -400,6 +429,70 @@ class TestVectorizedRunners:
             out = vcg_lazy(env, values[t], reserves)
             assert revenue[t] == pytest.approx(out.revenue, abs=1e-12)
             assert realized[t] == pytest.approx(out.welfare, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lazy_vcg_dense_ties_match_mechanism(self, n):
+        # values and reserves on a half-unit grid, so that most rows tie
+        rng = stream(39, n)
+        rows = 200
+        values = np.round(make_falpha(0.5, 1.0).sample(rng, rows * n).reshape(rows, n) * 2) / 2
+        reserves = np.round(rng.random(n) * 4) / 2
+        for k in range(n + 2):
+            revenue, welfare, realized = lazy_vcg_k_uniform(values, k, reserves)
+            reference = argsort_lazy_vcg(values, k, reserves)
+            assert [a.tobytes() for a in (revenue, welfare, realized)] == [
+                a.tobytes() for a in reference
+            ]
+            top_k = -np.sort(-values, axis=1)[:, :k].sum(axis=1)
+            np.testing.assert_allclose(welfare, top_k, rtol=0, atol=1e-12)
+            env = KUniformMatroid(k, n)
+            for t in range(rows):
+                out = vcg_lazy(env, values[t], reserves)
+                assert revenue[t] == pytest.approx(out.revenue, abs=1e-12)
+                assert realized[t] == pytest.approx(out.welfare, abs=1e-12)
+
+    def test_lazy_vcg_many_winners_equal_row_sorts(self):
+        # eight or more winners sum in numpy's pairwise order
+        rng = stream(46, 0)
+        values = make_falpha(0.5, 1.0).sample(rng, 300 * 12).reshape(300, 12)
+        reserves = rng.random(12) * 3.0
+        for k in (7, 8, 9, 11, 12, 13):
+            fast = lazy_vcg_k_uniform(values, k, reserves)
+            reference = argsort_lazy_vcg(values, k, reserves)
+            assert [a.tobytes() for a in fast] == [a.tobytes() for a in reference]
+
+    @pytest.mark.parametrize("places", [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 40, 128, 129, 300])
+    def test_place_sums_equal_row_sums_bit_for_bit(self, places):
+        rows = 64
+        x = stream(42, places).random((rows, places)) * 10.0 ** stream(43, places).integers(-8, 8, (rows, places))
+        x[::5] = -x[::5]
+        columns = [x[:, p] for p in range(places)]
+        assert _place_sum(columns, rows).tobytes() == x.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_second_price_is_the_second_largest(self, n):
+        rng = stream(44, n)
+        values = make_falpha(0.5, 1.0).sample(rng, 500 * n).reshape(500, n)
+        values[::3] = np.round(values[::3])  # ties, the top two among them
+        fast = second_price_of_pooled(values)
+        assert fast.tobytes() == np.sort(values, axis=1)[:, -2].tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_first_loser_matches_a_stable_argsort(self, n):
+        rng = stream(45, n)
+        weights = rng.integers(0, 3, (400, n)).astype(float)
+        weights[rng.random((400, n)) < 0.25] = -np.inf
+        weights[0] = -np.inf
+        for k in range(n + 2):
+            bar, rival = _first_loser(weights, k)
+            if k >= n:
+                expected_bar, expected_rival = np.zeros((400, 1)), np.full((400, 1), n)
+            else:
+                order = np.argsort(-weights, axis=1, kind="stable")[:, k : k + 1]
+                expected_bar, expected_rival = np.take_along_axis(weights, order, axis=1), order
+            assert bar.shape == rival.shape == (400, 1)
+            assert bar.tobytes() == expected_bar.tobytes()
+            assert np.array_equal(rival, expected_rival)
 
     def test_lazy_vcg_single_bidder(self):
         values = np.array([[2.0], [0.5]])
@@ -623,6 +716,14 @@ class TestExperimentRegistry:
         with pytest.raises(ValueError, match="seed must be a JSON integer"):
             ExperimentConfig.from_json_dict("vcgl", {"seed": seed})
         assert ExperimentConfig.from_json_dict("vcgl", {"seed": 2**70}).master_seed == 2**70
+
+    @pytest.mark.parametrize("trials", [1.5, 300.0, True, "300", None, [300]])
+    def test_config_trials_must_be_a_json_integer(self, trials):
+        # {"trials": 1.5} used to fail deep in a run, {"trials": true} to run one trial
+        with pytest.raises(ValueError, match="trials must be a JSON integer"):
+            ExperimentConfig.from_json_dict("vcgl", {"trials": trials})
+        assert ExperimentConfig.from_json_dict("vcgl", {"trials": 300}).trials == 300
+        assert ExperimentConfig.from_json_dict("vcgl", {}).trials is None
 
     def test_experiment_is_deterministic(self):
         a = run_experiment(
@@ -931,12 +1032,22 @@ class TestCli:
              "unknown discrete distribution key 'scale'"),
             ("experiment", {"instance": dict(MECH_CONFIG["instance"], limits=[1, 1])},
              "unknown instance key 'limits'"),
+            ("experiment", {"trials": 1.5}, "trials must be a JSON integer, got 1.5"),
+            ("experiment", {"trials": True}, "trials must be a JSON integer, got True"),
+            ("experiment", {"trials": "300"}, "trials must be a JSON integer, got '300'"),
+            ("experiment", {"trials": None}, "trials must be a JSON integer, got None"),
+            ("mech", dict(MECH_CONFIG, dists=[1, 1]), "distribution spec must be a JSON object, got int"),
+            ("mech", dict(MECH_CONFIG, env=[3, 1]), "env must be a JSON object, got list"),
+            ("experiment", {"instance": [[1, 1]]}, "instance must be a JSON object, got list"),
         ],
         ids=[
             "trials-0", "env-size", "env-kind", "dist-kind", "missing-key", "experiment-trials-0",
             "experiment-misspelt-key", "mech-misspelt-key", "experiment-not-an-object",
             "experiment-seed-float", "experiment-seed-integral-float", "experiment-seed-bool",
             "experiment-seed-string", "env-misspelt-key", "dist-misspelt-key", "instance-misspelt-key",
+            "experiment-trials-float", "experiment-trials-bool", "experiment-trials-string",
+            "experiment-trials-null", "dist-not-an-object", "env-not-an-object",
+            "instance-not-an-object",
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, command, config, message):
@@ -967,8 +1078,14 @@ class TestCli:
              "unknown falpha distribution key 'rate'"),
             ("posted", dict(MECH_CONFIG, instance=dict(MECH_CONFIG["instance"], budget=[4.0, 4.0])),
              "unknown instance key 'budget'"),
+            ("lottery", dict(MECH_CONFIG, budget_dist=[0.5, 3.0, 0.75]),
+             "budget_dist must be a JSON object, got list"),
+            ("posted", dict(MECH_CONFIG, instance="two by two"), "instance must be a JSON object, got str"),
+            ("posted", dict(MECH_CONFIG, instance=dict(MECH_CONFIG["instance"], dists=[[1, 1], [1, 1]])),
+             "distribution spec must be a JSON object, got int"),
         ],
-        ids=["budget-dist", "explicit-env", "exponential", "falpha", "instance"],
+        ids=["budget-dist", "explicit-env", "exponential", "falpha", "instance", "budget-dist-list",
+             "instance-str", "instance-dist-int"],
     )
     def test_nested_spec_rejects_unknown_keys(self, mech, config, message):
         with pytest.raises(ValueError, match=message):
