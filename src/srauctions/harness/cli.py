@@ -127,7 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dist_eval(args) -> int:
-    d = dist_from_spec(args.spec)
+    try:
+        d = dist_from_spec(args.spec)
+    except _CONFIG_ERRORS as exc:
+        return _bad_input("dist eval", exc)
     v = args.v
     table = {
         "cdf": lambda: d.cdf(v),
@@ -144,7 +147,10 @@ def _cmd_dist_eval(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    d = dist_from_spec(args.spec)
+    try:
+        d = dist_from_spec(args.spec)
+    except _CONFIG_ERRORS as exc:
+        return _bad_input("sample", exc)
     if args.m < 1:
         print("--m must be positive", file=sys.stderr)
         return 2

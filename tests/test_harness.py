@@ -745,8 +745,8 @@ class TestExperimentRegistry:
 
 #: sha256 of ``render_csv`` per registered experiment at the default seed
 #: and these trial counts, which span two ``_CHUNK`` blocks wherever the
-#: experiment is chunked.  vcgl-samp is left out: its 100 resamples of two
-#: theorem-grade builds take about a minute.
+#: experiment is chunked.  vcgl-samp is left out: whatever its trial count,
+#: it makes 100 resamples of two builds at m = 725,085 (about 10 s).
 REPORT_SHA256 = {
     "vcg-duplicates": (300_000, "17229c12affc9c4666b36a6a8ec44c4b7bca43da55b0087e655e57d9e5cfb1e9"),
     "vcgl": (300_000, "81e0a6fbd3840f72887843ace2e11817e5c4de6e48e37d2b65afab9108b9419d"),
@@ -914,6 +914,30 @@ class TestCli:
         )
         assert rc == 2
         assert "need --m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("[1]", "distribution spec must be a JSON object, got list"),
+            ('{"kind": "cauchy"}', "unknown distribution kind 'cauchy'"),
+            ('{"kind": "falpha", "alpha": 0.5, "rate": 1}', "unknown falpha distribution key 'rate'"),
+            ('{"kind": "falpha"', "Expecting"),
+        ],
+        ids=["not-an-object", "unknown-kind", "unknown-key", "not-json"],
+    )
+    @pytest.mark.parametrize("command", ["dist eval", "sample"])
+    def test_bad_spec_exits_2_with_one_line(self, tmp_path, capsys, command, spec, message):
+        out = tmp_path / "x.csv"
+        if command == "sample":
+            argv = ["sample", "--spec", spec, "--m", "3", "--seed", "1", "--out", str(out)]
+        else:
+            argv = ["dist", "eval", "--spec", spec, "--v", "1.0", "--what", "cdf"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"srauctions {command}: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_sample_rejects_nonpositive_m(self, tmp_path, capsys):
         rc = cli_main(["sample", "--spec", FALPHA_SPEC, "--m", "0", "--seed", "1",
