@@ -109,8 +109,9 @@ def _uniform_on_half_open(rng: np.random.Generator, n: int) -> np.ndarray:
 class ValuationDistribution(ABC):
     """Common interface of all valuation distributions.
 
-    Instances are immutable and safe to share between threads; the lazily
-    cached reserve price is idempotent to recompute.
+    Instances are immutable and safe to share between threads; what they
+    cache lazily (the reserve price, `DiscreteTabular`'s cell table) is
+    idempotent to recompute.
     """
 
     # -- primitives -------------------------------------------------------
@@ -180,7 +181,11 @@ class ValuationDistribution(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` values by inverse-cdf sampling from ``rng``."""
+        """Draw ``n`` values by inverse-cdf sampling from ``n`` doubles of
+        ``rng.random``, so a seeded stream fixes every draw: a continuous
+        kind returns ``value_of_quantile(1 - u)``, with 1 - u in (0, 1] by
+        construction, and `DiscreteTabular` the atom at the first cdf entry
+        above u."""
 
     # -- derived quantities ------------------------------------------------
 
@@ -263,11 +268,11 @@ class FAlpha(ValuationDistribution):
 
     def value_of_quantile(self, q):
         arr, scalar = _as_array(q)
+        _check_unbounded_quantiles(arr)
         return _scalarize(self._values_in_place(np.array(arr)), scalar)
 
     def _values_in_place(self, q: np.ndarray) -> np.ndarray:
-        """scale * (q**-(1-alpha) - 1) / b, written over ``q``."""
-        _check_unbounded_quantiles(q)
+        """scale * (q**-(1-alpha) - 1) / b, written over ``q`` in (0, 1]."""
         q **= -(1.0 - self.alpha)
         q -= 1.0
         q *= self.scale
@@ -344,11 +349,11 @@ class Exponential(ValuationDistribution):
 
     def value_of_quantile(self, q):
         arr, scalar = _as_array(q)
+        _check_unbounded_quantiles(arr)
         return _scalarize(self._values_in_place(np.array(arr)), scalar)
 
     def _values_in_place(self, q: np.ndarray) -> np.ndarray:
-        """-log(q) / rate, written over ``q``."""
-        _check_unbounded_quantiles(q)
+        """-log(q) / rate, written over ``q`` in (0, 1]."""
         np.log(q, out=q)
         np.negative(q, out=q)
         q /= self.rate
@@ -399,6 +404,10 @@ class DiscreteTabular(ValuationDistribution):
     ``Pr[value >= v]``, which differs from ``q(v) = 1 - F(v)`` by the atom
     at v; both are exposed because posted-price arguments need the former
     while quantile bookkeeping uses the latter.
+
+    ``sample`` reads a cell table of the cdf (`_cells`, at most 576 KiB)
+    that is built on the first draw and cached, so constructing an
+    instance costs no more than its cdf.
     """
 
     def __init__(self, support: Sequence[float], pmf: Sequence[float]):
@@ -541,12 +550,41 @@ class DiscreteTabular(ValuationDistribution):
         widths = np.diff(edges)
         return float(np.sum(widths * surv[:-1] ** p))
 
+    @cached_property
+    def _cells(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(G, value, mixed): the indexed-search table of Chen and Asau
+        (1974) over G equal cells of [0, 1), built on the first draw.
+
+        G is the smallest power of two at or above 64 per atom, kept within
+        [64, 2**16] (at most 576 KiB).  ``value[c]`` is the draw of every u
+        at c/G, ``support[#{cdf <= c/G}]``, and it is the draw of every u in
+        the cell unless a cdf entry lies strictly inside (c/G, (c+1)/G);
+        ``mixed[c]`` marks those cells, at most one per atom but the last.
+        Multiplying by G is exact, so the cells are exact too.
+        """
+        G = 1 << min((64 * len(self.support) - 1).bit_length(), 16)
+        value = self.support[np.searchsorted(self._cdf, np.arange(G) / G, side="right")]
+        scaled = self._cdf * G
+        inner = scaled[scaled != np.floor(scaled)]
+        mixed = np.zeros(G, dtype=bool)
+        mixed[inner.astype(np.intp)] = True
+        return G, value, mixed
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Inverse-cdf draws, ``support[#{cdf <= u}]`` for u = rng.random(n),
+        read from the cell table (`_cells`); only the u that fall in a mixed
+        cell are searched in the cdf, so each draw equals the search."""
         if n == 0:
             return np.empty(0)
+        G, value, mixed = self._cells
         u = rng.random(int(n))
-        idx = np.searchsorted(self._cdf, u, side="right")
-        return self.support[np.minimum(idx, len(self.support) - 1)]
+        cell = (u * G).astype(np.intp)
+        out = value.take(cell)
+        fix = np.flatnonzero(mixed.take(cell))
+        if fix.size:
+            u = u.take(fix)
+            out[fix] = self.support.take(np.searchsorted(self._cdf, u, side="right"))
+        return out
 
     def truncate_at(self, B: float) -> "DiscreteTabular":
         """Fold all mass above B onto an atom at B."""

@@ -84,8 +84,16 @@ class ExperimentConfig:
     CONFIG_KEYS = frozenset({"trials", "seed", "sample_params", "instance", "out"})
 
     def __post_init__(self):
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        """Reject a trial count that is not an integer >= 1 (a float, a
+        bool) and, for lottery-samp, sampling parameters whose reserve
+        erosion reaches 1, before anything runs."""
+        if self.trials is not None:
+            if not _is_integer(self.trials):
+                raise ValueError(f"trials must be an integer, got {self.trials!r}")
+            if self.trials < 1:
+                raise ValueError("trials must be >= 1")
+        if self.experiment_id == "lottery-samp" and self.sample_params is not None:
+            _reserve_erosion(self.sample_params)
 
     @classmethod
     def from_json_dict(cls, experiment_id: str, data: Mapping) -> "ExperimentConfig":
@@ -107,10 +115,15 @@ class ExperimentConfig:
         )
 
 
+def _is_integer(value) -> bool:
+    """True for an int that is not a bool, as a JSON integer parses."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_integer(data: Mapping, key: str, default: int | None = None) -> int:
     """``data[key]`` (or ``default``), which must be a JSON integer."""
     value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ValueError(f"{key} must be a JSON integer, got {value!r}")
     return value
 
@@ -638,6 +651,23 @@ def run_lottery(cfg: ExperimentConfig) -> Report:
     return _finish("lottery", list(metrics), cfg, trials, started)
 
 
+#: alpha of lottery-samp's FAlpha prior
+_LOTTERY_SAMP_ALPHA = 0.5
+
+
+def _reserve_erosion(p: SampleParams) -> float:
+    """lottery-samp's reserve-accuracy erosion max(sqrt(8 gamma / alpha),
+    4 gamma + xi gamma); a ValueError if it reaches 1, where its factor
+    has no bound."""
+    alpha = _LOTTERY_SAMP_ALPHA
+    erosion = max(math.sqrt(8.0 * p.gamma / alpha), 4.0 * p.gamma + p.xi * p.gamma)
+    if erosion >= 1.0:
+        raise ValueError(
+            f"gamma too large for lottery-samp: reserve-accuracy erosion {erosion:.6g} reaches 1"
+        )
+    return erosion
+
+
 def run_lottery_samp(cfg: ExperimentConfig) -> Report:
     """Threshold lottery with sample-estimated reserves.
 
@@ -646,11 +676,9 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
     """
     started = time.perf_counter()
     trials = cfg.trials or 100_000
-    alpha = 0.5
+    alpha = _LOTTERY_SAMP_ALPHA
     p = (cfg.sample_params or SampleParams(gamma=0.05, xi=0.05, delta=0.05)).with_required_m()
-    erosion = max(math.sqrt(8.0 * p.gamma / alpha), 4.0 * p.gamma + p.xi * p.gamma)
-    if erosion >= 1.0:
-        raise ValueError("gamma too large: reserve-accuracy erosion reaches 1")
+    erosion = _reserve_erosion(p)
     k = 2
     factor = (
         3.0

@@ -439,6 +439,84 @@ def test_sampling_corner_cases():
     assert make_discrete([5.0], [1.0]).sample(rng, 3).tolist() == [5.0, 5.0, 5.0]
 
 
+class _FixedUniforms:
+    """A generator stub whose ``random(n)`` returns the given n doubles."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def _cell_count(atoms: int) -> int:
+    """The smallest power of two at or above 64 per atom, in [64, 2**16]."""
+    return min(max(64, 1 << (64 * atoms - 1).bit_length()), 2**16)
+
+
+def _assert_draws_equal_the_search(d: DiscreteTabular, seed: int, n: int = 4_000):
+    """``d.sample`` equals the inverse-cdf binary search on a Philox stream
+    and on hand-picked u: 0, every cell edge k/G and the double below it,
+    every cdf entry below 1 and the double below it, and 1 - 2**-53."""
+    cdf = d._cdf
+    G = _cell_count(len(d.support))
+    edges = np.arange(G) / G
+    below = cdf[cdf < 1.0]
+    picked = np.concatenate(
+        (
+            [0.0, 1.0 - 2.0**-53],
+            edges,
+            np.nextafter(edges[1:], 0.0),
+            below,
+            np.nextafter(below, 0.0),
+        )
+    )
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    u = np.random.Generator(np.random.Philox(key=[seed, 0])).random(n)
+    for source, u in ((rng, u), (_FixedUniforms(picked), picked)):
+        want = d.support[np.searchsorted(cdf, u, side="right")]
+        assert d.sample(source, u.size).tobytes() == want.tobytes()
+    assert d._cells[0] == G
+
+
+_masses = st.one_of(
+    st.floats(1e-6, 1.0),
+    st.sampled_from([0.0, 1e-17, 1e-300, 0.5, 0.25]),  # zero and vanishing atoms
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(masses=st.lists(_masses, min_size=1, max_size=300), seed=st.integers(0, 2**32 - 1))
+def test_discrete_draws_equal_the_binary_search(masses, seed):
+    # zero-mass atoms are dropped; vanishing ones push the rounded cumsum to
+    # 1.0 before the last atom, so the cdf ends in a run of 1.0 entries
+    pmf = np.asarray(masses)
+    if pmf.sum() == 0.0:
+        pmf[-1] = 1.0
+    d = DiscreteTabular(np.arange(1, pmf.size + 1, dtype=float), pmf / pmf.sum())
+    _assert_draws_equal_the_search(d, seed)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        make_discrete([5.0], [1.0]),
+        make_discrete([1.0, 2.0, 3.0, 4.0], [0.25] * 4),  # cdf entries on cell edges
+        truncate_at(make_falpha(0.5), 4.0, grid=[1.0, 2.0, 3.0, 4.0]),  # the criterion prior
+        make_discrete(  # 5,000 atoms: 64 per atom would exceed the 2**16 cap
+            np.arange(5_000, dtype=float),
+            np.random.Generator(np.random.Philox(key=[3, 0])).dirichlet(np.ones(5_000)),
+        ),
+    ],
+    ids=["one-atom", "quarters", "criterion", "5000-atoms"],
+)
+def test_discrete_cell_table_is_exact_and_lazy(d):
+    # the table is built on the first draw, not by the constructor
+    assert "_cells" not in vars(d)
+    _assert_draws_equal_the_search(d, seed=len(d.support))
+
+
 @pytest.mark.parametrize("d", [make_falpha(0.5), make_falpha(0.3, 7.0), make_exponential(2.0)], ids=repr)
 def test_in_place_sampling_is_byte_equal_to_the_formula(d):
     # sample() computes in place, in the same operation order as the plain
@@ -452,8 +530,9 @@ def test_in_place_sampling_is_byte_equal_to_the_formula(d):
             plain = -np.log(q) / d.rate
         assert draws.tobytes() == plain.tobytes()
         assert draws.tobytes() == np.asarray(d.value_of_quantile(q)).tobytes()
-    with pytest.raises(ValueError):
-        d.value_of_quantile(np.array([0.5, 0.0]))
+    for outside in (np.array([0.5, 0.0]), np.array([1.5]), 0.0, -0.25):
+        with pytest.raises(ValueError):
+            d.value_of_quantile(outside)
     q = np.array([0.25, 0.5])
     d.value_of_quantile(q)
     assert q.tolist() == [0.25, 0.5]  # the caller's array is not overwritten

@@ -58,6 +58,7 @@ from srauctions.harness.experiments import (
     _place_sum,
     _two_mech_setup,
 )
+from srauctions.empirical import SampleParams
 from srauctions.harness.montecarlo import _CHUNK
 from srauctions.lp import PricingPlan
 from srauctions.mechanisms import (
@@ -695,6 +696,25 @@ class TestExperimentRegistry:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment_id="vcgl", trials=0)
 
+    @pytest.mark.parametrize("trials", [1.5, 300.0, True, False, "300", np.float64(3)])
+    def test_config_trials_must_be_an_integer(self, trials):
+        # the Python API used to take trials=1.5 and fail deep in the run
+        with pytest.raises(ValueError, match="trials must be an integer, got"):
+            ExperimentConfig(experiment_id="vcgl", trials=trials)
+
+    def test_lottery_samp_rejects_a_large_gamma_at_construction(self):
+        # erosion max(sqrt(8 gamma / alpha), 4 gamma + xi gamma) at alpha = 1/2
+        # is exactly 1 at gamma = 1/16: the factor then has no bound
+        for gamma in (0.2, 0.0625):
+            bad = SampleParams(gamma=gamma, xi=0.1, delta=0.1)
+            with pytest.raises(ValueError, match="reserve-accuracy erosion .* reaches 1"):
+                ExperimentConfig(experiment_id="lottery-samp", sample_params=bad)
+            # the bound is lottery-samp's own: posted-lp-samp runs at gamma 0.2
+            ExperimentConfig(experiment_id="posted-lp-samp", sample_params=bad)
+        ExperimentConfig(
+            experiment_id="lottery-samp", sample_params=SampleParams(gamma=0.0624, xi=0.1, delta=0.1)
+        )
+
     def test_config_from_json_dict(self):
         cfg = ExperimentConfig.from_json_dict(
             "vcgl",
@@ -741,6 +761,11 @@ class TestExperimentRegistry:
             ExperimentConfig(experiment_id="vcgl", trials=400, master_seed=seed),
         )
         assert render_csv(mk(1)) != render_csv(mk(2))
+
+
+#: sha256 of ``srauctions sample`` of the criterion prior on {1, 2, 3, 4},
+#: 200,000 draws at seed 1
+CRITERION_SAMPLE_SHA256 = "95a3dd2285da391d89c56b2381f81e6946f18a847c256ce0934c3a9744854f5e"
 
 
 #: sha256 of ``render_csv`` per registered experiment at the default seed
@@ -902,6 +927,14 @@ class TestCli:
         assert report["validity"]["required_m"] > 300
         assert not report["validity"]["lemma_grade"]
         assert report["empirical_reserve"] > 0.0
+
+    def test_sample_bytes_of_the_criterion_prior(self, tmp_path):
+        # pins the discrete draws (CI checks the same hash on every Python)
+        spec = json.dumps(criterion_instance().dists[0][0].to_spec())
+        out = tmp_path / "draws.csv"
+        argv = ["sample", "--spec", spec, "--m", "200000", "--seed", "1", "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_SAMPLE_SHA256
 
     def test_build_needs_enough_rows(self, tmp_path, capsys):
         csv_path = tmp_path / "short.csv"
@@ -1089,6 +1122,18 @@ class TestCli:
         assert message in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_lottery_samp_large_gamma_exits_2_before_it_runs(self, tmp_path, capsys):
+        # this config used to exit 1, the code of a failed verdict, with a traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"sample_params": {"gamma": 0.2, "xi": 0.1, "delta": 0.1}, "trials": 300})
+        )
+        assert cli_main(["experiment", "lottery-samp", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gamma too large for lottery-samp" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     @pytest.mark.parametrize(
         "mech, config, message",
