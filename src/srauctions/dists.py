@@ -578,12 +578,14 @@ class DiscreteTabular(ValuationDistribution):
             return np.empty(0)
         G, value, mixed = self._cells
         u = rng.random(int(n))
-        cell = (u * G).astype(np.intp)
-        out = value.take(cell)
+        # u * G is exact (G is a power of two), and so is dividing it back
+        cell = np.multiply(u, G, out=u).astype(np.intp)
         fix = np.flatnonzero(mixed.take(cell))
-        if fix.size:
-            u = u.take(fix)
-            out[fix] = self.support.take(np.searchsorted(self._cdf, u, side="right"))
+        u_fix = u.take(fix) / G
+        # every cell lies in [0, G), so "clip" clips nothing; unlike the
+        # default mode it writes straight into u, with no buffer
+        out = value.take(cell, out=u, mode="clip")
+        out[fix] = self.support.take(np.searchsorted(self._cdf, u_fix, side="right"))
         return out
 
     def truncate_at(self, B: float) -> "DiscreteTabular":
