@@ -21,6 +21,7 @@ from srauctions.dists import (
     make_falpha,
     make_random_alpha_sr_discrete,
 )
+from srauctions.empirical import SampleParams
 from srauctions.harness import (
     CSV_COLUMNS,
     EXPERIMENTS,
@@ -58,7 +59,6 @@ from srauctions.harness.experiments import (
     _place_sum,
     _two_mech_setup,
 )
-from srauctions.empirical import SampleParams
 from srauctions.harness.montecarlo import _CHUNK
 from srauctions.lp import PricingPlan
 from srauctions.mechanisms import (
