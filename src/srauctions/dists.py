@@ -51,8 +51,6 @@ __all__ = [
 QUAD_REL_TOL = 1e-8
 #: Integration over an unbounded tail stops where the survival drops below this.
 TAIL_SURVIVAL_CUTOFF = 1e-12
-#: Absolute tolerance for bisection root finding (reserves, inversions).
-BISECT_TOL = 1e-10
 
 
 class UndefinedVirtualValueError(ValueError):

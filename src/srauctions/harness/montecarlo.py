@@ -1,10 +1,11 @@
 """Monte Carlo engine and report types.
 
-``run_batched`` is the one engine: it hands a batch function blocks of at
-most ``_CHUNK`` rows, block ``c`` drawing from the Philox stream
-``(master_seed, c)``, so a run is a pure function of its seed and its trial
-count.  Aggregation is the commutative monoid (count, sum, sum-of-squares),
-and reports carry a 95% normal confidence interval per metric.  Experiments
+``run_batched`` is the one engine, and every experiment's trials run on
+it: it hands a batch function blocks of at most ``_CHUNK`` rows, block
+``c`` of case ``s`` drawing from ``rng.block_stream(master_seed, s, c)``,
+so a run is a pure function of its seed, its case and its trial count.
+Aggregation is the commutative monoid (count, sum, sum-of-squares), and
+reports carry a 95% normal confidence interval per metric.  Experiments
 attach a target and a verdict to the metrics that encode a theorem bound;
 purely informational metrics leave both blank.
 """
@@ -175,33 +176,30 @@ def render_csv(reports, out_path: str | None = None) -> str:
     return text
 
 
-def _chunks(total: int, chunk: int = _CHUNK):
-    """Sizes of the consecutive blocks, of at most ``chunk`` rows each, that
-    make up ``total`` rows."""
-    for done in range(0, total, chunk):
-        yield min(chunk, total - done)
-
-
 def run_batched(
     batch_fn: Callable[[np.random.Generator, int], Mapping[str, np.ndarray]],
     trials: int,
     master_seed: int,
+    case: int = 0,
 ) -> dict[str, Accumulator]:
     """Accumulate ``batch_fn`` over ``trials`` rows, block by block.
 
     ``batch_fn(rng, rows)`` returns a mapping from metric name to a
-    ``(rows,)`` array.  Block ``c`` of the ``_chunks`` blocks gets the
-    generator of stream ``c`` under ``master_seed``, so runs are
-    reproducible and never depend on scheduling.  Returns one accumulator
-    per metric, in the order the first block named them.
+    ``(rows,)`` array.  Block ``c``, rows ``c * _CHUNK`` on, gets the
+    generator of ``rng.block_stream(master_seed, case, c)``, so runs are
+    reproducible, never depend on scheduling, and an experiment's cases
+    draw from distinct streams.  Returns one accumulator per metric, in the
+    order the first block named them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     accs: dict[str, Accumulator] = {}
-    for c, rows in enumerate(_chunks(trials)):
-        # looked up on the module at call time, so a wrapper installed
-        # there sees every block stream
-        for name, xs in batch_fn(rng.stream(master_seed, c), rows).items():
+    for c, start in enumerate(range(0, trials, _CHUNK)):
+        rows = min(_CHUNK, trials - start)
+        # out keeps the previous block's arrays alive while this one is made,
+        # so the heap reuses their pages rather than trim and fault them again
+        out = batch_fn(rng.block_stream(master_seed, case, c), rows)
+        for name, xs in out.items():
             accs.setdefault(name, Accumulator()).add_batch(xs)
     return accs
 

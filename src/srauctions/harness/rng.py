@@ -6,16 +6,17 @@ indices are statistically independent, and the mapping is pure: the same
 pair always yields the same generator state, which is what makes reports
 byte-for-byte reproducible.
 
-Stream index conventions used by the experiments:
+The stream layout of every experiment and of ``srauctions mech run``:
 
-* index ``c`` -- block ``c`` of every run of ``montecarlo.run_batched``,
-  which hands out blocks of at most 250,000 rows (``montecarlo._chunks``):
-  the trials of ``two-mech``, ``lottery`` and ``lottery-samp``, and the
-  rows of ``srauctions mech run``; resample ``c`` of ``vcgl-samp``;
-* indices at or above ``META_STREAM_BASE`` -- one-off draws such as sampling
-  the training data for an empirical model (``mech run`` uses slot 0), so
-  they can never collide with a trial stream, and the experiments that draw
-  all their trials in sequence from one generator per case.
+* index ``(case << 32) | c`` -- block ``c`` (``montecarlo.run_batched``'s
+  blocks of at most 250,000 rows) of trial case ``case``.  An experiment
+  numbers its cases from 0: the bidder counts of ``vcg-duplicates`` and
+  ``vcgl``, the resamples of ``vcgl-samp``, the build attempts of
+  ``posted-lp-samp``; a run with one case is case 0;
+* indices at or above ``META_STREAM_BASE`` -- one-off draws such as the
+  training data of an empirical model (``mech run`` uses slot 0) or an
+  instance's setup.  Cases lie below 2**30, and a run holds fewer than
+  2**32 blocks (10^15 rows), so no trial stream reaches them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,13 @@ def stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.Philox(key=[master_seed & _MASK64, index & _MASK64])
     )
+
+
+def block_stream(master_seed: int, case: int, block: int) -> np.random.Generator:
+    """Generator for block ``block`` of case ``case``'s trials."""
+    if not 0 <= case < 1 << 30:
+        raise ValueError(f"case must lie in [0, 2**30), got {case}")
+    return stream(master_seed, (case << 32) | block)
 
 
 def meta_stream(master_seed: int, slot: int) -> np.random.Generator:

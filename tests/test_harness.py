@@ -230,6 +230,19 @@ class TestMonteCarlo:
         assert calls == [(9, 0), (9, 1), (9, 2)]
         expected_rows = (_CHUNK, _CHUNK, 3)
         assert seen == [(r, stream(9, c).random()) for c, r in enumerate(expected_rows)]
+        # block c of case s draws from stream (s << 32) | c
+        calls.clear()
+        seen.clear()
+        run_batched(batch, _CHUNK + 1, 9, case=5)
+        assert calls == [(9, 5 << 32), (9, (5 << 32) | 1)]
+        assert seen == [(_CHUNK, stream(9, 5 << 32).random()), (1, stream(9, (5 << 32) | 1).random())]
+
+    @pytest.mark.parametrize("case", [-1, 1 << 30, 1 << 40])
+    def test_case_outside_its_range_raises(self, case):
+        # every trial stream index stays below META_STREAM_BASE
+        with pytest.raises(ValueError, match="case must lie in"):
+            run_batched(lambda rng, rows: {"value": np.zeros(rows)}, 3, 9, case=case)
+        assert ((((1 << 30) - 1) << 32) | ((1 << 32) - 1)) < META_STREAM_BASE
 
 
 class TestConfidenceIntervals:
@@ -702,6 +715,12 @@ class TestExperimentRegistry:
         with pytest.raises(ValueError, match="trials must be an integer, got"):
             ExperimentConfig(experiment_id="vcgl", trials=trials)
 
+    @pytest.mark.parametrize("seed", [1.9, True, "1", None])
+    def test_config_seed_must_be_an_integer(self, seed):
+        # a float seed used to fail deep inside rng.stream with a TypeError
+        with pytest.raises(ValueError, match="master_seed must be an integer, got"):
+            ExperimentConfig(experiment_id="lemma-square", master_seed=seed, trials=3)
+
     def test_lottery_samp_rejects_a_large_gamma_at_construction(self):
         # erosion max(sqrt(8 gamma / alpha), 4 gamma + xi gamma) at alpha = 1/2
         # is exactly 1 at gamma = 1/16: the factor then has no bound
@@ -769,17 +788,21 @@ CRITERION_SAMPLE_SHA256 = "95a3dd2285da391d89c56b2381f81e6946f18a847c256ce0934c3
 
 
 #: sha256 of ``render_csv`` per registered experiment at the default seed
-#: and these trial counts, which span two ``_CHUNK`` blocks wherever the
-#: experiment is chunked.  vcgl-samp is left out: whatever its trial count,
-#: it makes 100 resamples of two builds at m = 725,085 (about 10 s).
+#: and these trial counts, which span two ``_CHUNK`` blocks of every Monte
+#: Carlo case.  Every experiment but lemma-square draws its trials from
+#: ``run_batched``'s block streams (``rng.block_stream``), and a run with
+#: one case is case 0, so two-mech, lottery and lottery-samp keep the bytes
+#: they had when they alone ran on the engine.  vcgl-samp is left out:
+#: whatever its trial count, it makes 100 resamples of two builds at
+#: m = 725,085 (about 10 s).
 REPORT_SHA256 = {
-    "vcg-duplicates": (300_000, "17229c12affc9c4666b36a6a8ec44c4b7bca43da55b0087e655e57d9e5cfb1e9"),
-    "vcgl": (300_000, "81e0a6fbd3840f72887843ace2e11817e5c4de6e48e37d2b65afab9108b9419d"),
-    "posted-lp": (300_000, "5dd8d6a858e8ff6ee8d941d4952588ac31199ac5c18b29e006f29fa427bf895f"),
+    "vcg-duplicates": (300_000, "2cee0b813fc87557e63103c9a6d089890da8883faa437ab5bd1a42d8609fd642"),
+    "vcgl": (300_000, "bf2341d7a16414c2f86ee66dbdab60ab1cc4f5582396a4e6a4f78c7f8ef04010"),
+    "posted-lp": (300_000, "3cdea10337b8bb0d2f1f978f9a79f867e32f8f7f58187299ccc2b5ca83336b6f"),
     "two-mech": (260_000, "72c4785435f0c3d2ddc68b2f79c323a822fe5ebb99b640c88d019128cdec9d8b"),
     "lottery": (260_000, "4b17a93ffad25594db947634ce74b742f150162a7b7f75724963efad02c4bee5"),
     "lottery-samp": (260_000, "bb4837b8f962f183e3c7955f3bf8dc8eacbab3525ac10090c24157d8a1881e9f"),
-    "posted-lp-samp": (260_000, "49d691c04b003e322fdb05aee3df1e10e89559f1c37565d5f0c271377e0c3aec"),
+    "posted-lp-samp": (260_000, "458f7878b613f0c4458c720f06405e72fdd5fd60771b56f8cc4a9a77e4df254e"),
     "lemma-square": (20, "42a4d711d04209805d4beb188f668c1ab6d8cc40d93159cb67c0c0e27a0d4756"),
 }
 
@@ -801,6 +824,46 @@ class TestReportBytes:
         report = run_experiment(experiment_id, cfg)
         assert report.verdict
         assert hashlib.sha256(render_csv(report).encode()).hexdigest() == digest
+
+
+class TestExperimentsOnTheEngine:
+    @pytest.mark.parametrize("experiment_id", ["vcg-duplicates", "vcgl"])
+    def test_factor_margins_carry_the_revenue_stderr(self, experiment_id):
+        # only revenue goes under the 4-stderr rule; vcgl's margins used to
+        # carry the stderr of revenue - ratio * welfare, whose variance is
+        # infinite at alpha = 1/2
+        report = run_experiment(
+            experiment_id, ExperimentConfig(experiment_id=experiment_id, trials=20_000)
+        )
+        margins = [m for m in report.metrics if m.name.startswith("factor_margin[")]
+        assert len(margins) == {"vcg-duplicates": 2, "vcgl": 3}[experiment_id]
+        for m in margins:
+            revenue = report.metric(m.name.replace("factor_margin", "revenue", 1))
+            assert m.stderr == revenue.stderr > 0.0
+
+    def test_vcgl_checks_revenue_against_the_exact_welfare(self):
+        report = run_experiment("vcgl", ExperimentConfig(experiment_id="vcgl", trials=20_000))
+        # E[welfare] at alpha = 1/2: E[X] = 1, E[max of 2] = 5/3, and the top
+        # two of 3 sum to 2.8; one bidder's revenue is r q(r) = 1 * 1/4
+        for label, welfare in (("single[n=1]", 1.0), ("single[n=2]", 5.0 / 3.0), ("matroid[n=3,k=2]", 2.8)):
+            assert report.metric(f"expected_welfare[{label}]").value == pytest.approx(welfare, rel=1e-9)
+            rev = report.metric(f"revenue[{label}]")
+            margin = report.metric(f"factor_margin[{label}]")
+            assert margin.value == pytest.approx(rev.value - 0.25 * welfare + 4.0 * rev.stderr, abs=1e-12)
+        gap = report.metric("equality_gap[single[n=1]]")
+        assert gap.value == pytest.approx(report.metric("revenue[single[n=1]]").value - 0.25, abs=1e-15)
+
+    def test_posted_lp_rows_equal_mech_run_posted(self):
+        # one batch builder: values, then the mechanism's coins, from the
+        # block streams of case 0, as mech run --mech posted draws them
+        trials, seed = 2 * _CHUNK + 7, 13
+        report = run_experiment(
+            "posted-lp", ExperimentConfig(experiment_id="posted-lp", trials=trials, master_seed=seed)
+        )
+        rows = mech_rows("posted", {"instance": criterion_instance().to_spec()}, seed)
+        accs = run_batched(rows.batch, trials, seed)
+        for name in ("revenue", "welfare"):
+            assert report.metric(name) == MetricSummary.from_accumulator(name, accs[name])
 
 
 class TestReportCsv:
