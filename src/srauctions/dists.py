@@ -108,8 +108,8 @@ class ValuationDistribution(ABC):
     """Common interface of all valuation distributions.
 
     Instances are immutable and safe to share between threads; what they
-    cache lazily (the reserve price, `DiscreteTabular`'s cell table) is
-    idempotent to recompute.
+    cache lazily (the reserve price, `DiscreteTabular`'s virtual values and
+    cell table) is idempotent to recompute.
     """
 
     # -- primitives -------------------------------------------------------
@@ -283,6 +283,10 @@ class FAlpha(ValuationDistribution):
             raise UndefinedVirtualValueError("no density below the support")
         return _scalarize(self.alpha * (arr - self.scale), scalar)
 
+    def value_of_virtual(self, t):
+        """phi^-1(t) = scale + t / alpha."""
+        return self.scale + t / self.alpha
+
     def hazard_rate(self, v):
         arr, scalar = _as_array(v)
         out = 1.0 / (self.alpha * self.scale + (1.0 - self.alpha) * np.maximum(arr, 0.0))
@@ -363,6 +367,10 @@ class Exponential(ValuationDistribution):
             raise UndefinedVirtualValueError("no density below the support")
         return _scalarize(arr - 1.0 / self.rate, scalar)
 
+    def value_of_virtual(self, t):
+        """phi^-1(t) = t + 1 / rate."""
+        return t + 1.0 / self.rate
+
     def hazard_rate(self, v):
         arr, scalar = _as_array(v)
         return _scalarize(np.full_like(arr, self.rate), scalar)
@@ -396,9 +404,10 @@ class Exponential(ValuationDistribution):
 class DiscreteTabular(ValuationDistribution):
     """Finite-support distribution given by an ascending support and a pmf.
 
-    The discrete virtual valuation on an atom v is
-    ``phi(v) = v - (1 - F(v)) / (F(v) - F(v-))`` with ``F`` evaluated just
-    below the support minimum being 0.  ``sale_probability(v)`` is
+    The discrete virtual valuation on an atom v_k is
+    ``phi(v_k) = v_k - (v_{k+1} - v_k) (1 - F(v_k)) / (F(v_k) - F(v_k-))``
+    with ``F`` evaluated just below the support minimum being 0
+    (`virtual_values`).  ``sale_probability(v)`` is
     ``Pr[value >= v]``, which differs from ``q(v) = 1 - F(v)`` by the atom
     at v; both are exposed because posted-price arguments need the former
     while quantile bookkeeping uses the latter.
@@ -450,13 +459,21 @@ class DiscreteTabular(ValuationDistribution):
         out = np.where(idx == 0, 0.0, self._cdf[np.maximum(idx - 1, 0)])
         return _scalarize(out, scalar)
 
+    def _atoms(self, arr: np.ndarray, strict: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """(index, on): the least atom at or above each value, clipped to
+        the top atom, and whether the value is exactly that atom.  Unless
+        every value is an atom, ``strict`` raises."""
+        idx = np.minimum(np.searchsorted(self.support, arr), len(self.support) - 1)
+        on = self.support[idx] == arr
+        if strict and not np.all(on):
+            raise UndefinedVirtualValueError(f"value {arr} has zero mass")
+        return idx, on
+
     def density(self, v):
         """Probability mass at v (0 off the support)."""
         arr, scalar = _as_array(v)
-        idx = np.searchsorted(self.support, arr)
-        idx_c = np.minimum(idx, len(self.support) - 1)
-        out = np.where(np.isclose(self.support[idx_c], arr, rtol=0.0, atol=1e-12), self.pmf[idx_c], 0.0)
-        return _scalarize(out, scalar)
+        idx, on = self._atoms(arr, strict=False)
+        return _scalarize(np.where(on, self.pmf[idx], 0.0), scalar)
 
     def sale_probability(self, v):
         """Pr[value >= v] -- the chance a posted price v sells."""
@@ -483,24 +500,12 @@ class DiscreteTabular(ValuationDistribution):
 
     def virtual_valuation(self, v):
         arr, scalar = _as_array(v)
-        idx = np.searchsorted(self.support, arr)
-        idx_c = np.minimum(idx, len(self.support) - 1)
-        on_support = np.isclose(self.support[idx_c], arr, rtol=0.0, atol=1e-12)
-        if not np.all(on_support):
-            raise UndefinedVirtualValueError(f"value {arr} has zero mass")
-        upper = 1.0 - self._cdf[idx_c]
-        out = arr - upper / self.pmf[idx_c]
-        return _scalarize(out, scalar)
+        return _scalarize(self.virtual_values()[self._atoms(arr)[0]], scalar)
 
     def hazard_rate(self, v):
         arr, scalar = _as_array(v)
-        idx = np.searchsorted(self.support, arr)
-        idx_c = np.minimum(idx, len(self.support) - 1)
-        on_support = np.isclose(self.support[idx_c], arr, rtol=0.0, atol=1e-12)
-        if not np.all(on_support):
-            raise UndefinedVirtualValueError(f"value {arr} has zero mass")
-        out = self.pmf[idx_c] / self._sale[idx_c]
-        return _scalarize(out, scalar)
+        idx, _ = self._atoms(arr)
+        return _scalarize(self.pmf[idx] / self._sale[idx], scalar)
 
     def cumulative_hazard(self, v):
         arr, scalar = _as_array(v)
@@ -517,9 +522,26 @@ class DiscreteTabular(ValuationDistribution):
         return float(self.support[nonneg[0]])
 
     def virtual_values(self) -> np.ndarray:
-        """phi on every atom, in support order."""
-        upper = 1.0 - self._cdf
-        return self.support - upper / self.pmf
+        """phi on every atom, in support order; computed on first use and
+        read-only.
+
+        ``phi(v_k) = v_k - (v_{k+1} - v_k) (1 - F(v_k)) / f(v_k)``, the top
+        atom's phi being its value: the slope of the revenue curve between
+        the vertices ``(Pr[value >= v], v Pr[value >= v])`` of v_k and
+        v_{k+1}, the discrete analogue of dR/dq.  Weighting by the step to
+        the next atom makes ``sum_{v >= r} f(v) phi(v) = r * Pr[value >= r]``
+        hold on any support, as ``revenue_curve_hull`` states, so reserves
+        scale with the unit of value; on unit spacing it is
+        ``v - (1 - F(v)) / f(v)``.
+        """
+        return self._phi
+
+    @cached_property
+    def _phi(self) -> np.ndarray:
+        step = np.diff(self.support, append=self.support[-1])
+        phi = self.support - step * (1.0 - self._cdf) / self.pmf
+        phi.flags.writeable = False
+        return phi
 
     def revenue_curve_hull(self, q):
         """Concave revenue curve through the atom vertices.

@@ -188,34 +188,15 @@ def _top_places(columns: np.ndarray, width: int) -> tuple[list, list]:
 
 
 def _place_sum(columns: list, rows: int) -> np.ndarray:
-    """Per-row sum of the place columns, added in the order in which
-    ``np.sum(axis=1)`` adds a row of that many values, so it equals that
-    row sum bit for bit: onto 0.0, one by one below eight places, else as
-    numpy's pairwise summation (`_pairwise_sum`)."""
+    """Per-row sum of the place columns, equal bit for bit to the row sum
+    ``np.sum(axis=1)`` of their (rows, places) stack: below eight places
+    numpy adds a row one by one onto 0.0, as done here in place; at eight
+    or more it sums pairwise, so the stack is made and summed."""
+    if len(columns) >= 8:
+        return np.column_stack(columns).sum(axis=1)
     total = np.zeros(rows)
-    if len(columns) < 8:
-        for c in columns:
-            total += c
-    else:
-        total += _pairwise_sum(columns)
-    return total
-
-
-def _pairwise_sum(columns: list):
-    """numpy's pairwise sum of eight or more columns: by halves (cut at a
-    multiple of 8) above 128, else in eight running sums, combined as a
-    tree, then the columns past the last multiple of 8 one by one."""
-    n = len(columns)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
-    end = n - n % 8
-    acc = list(columns[:8])
-    for i in range(8, end, 8):
-        acc = [a + c for a, c in zip(acc, columns[i : i + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for c in columns[end:]:
-        total = total + c
+    for c in columns:
+        total += c
     return total
 
 

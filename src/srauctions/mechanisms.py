@@ -70,33 +70,14 @@ class Environment(ABC):
         ``include_zero`` asks for zero-weight bidders to stay in.
         """
 
+    @abstractmethod
     def inclusion_threshold(self, weights, i: int) -> float:
         """Infimum of the weights v' that put bidder ``i`` in ``best_set``.
 
         Every other weight stays as given.  Membership is monotone in v',
-        so a bisection to 1e-9 over [0, max weight + 1] finds it; 0 when
-        bidder ``i`` is a member at weight 0, inf when it never is.
-        Environments with a closed form override this.
+        so the infimum is a threshold: 0 when any positive weight joins,
+        inf when bidder ``i`` never does.
         """
-        w = np.array(weights, dtype=float)
-        hi = float(w.max()) + 1.0
-
-        def member(vprime: float) -> bool:
-            w[i] = vprime
-            return i in self.best_set(w)[0]
-
-        if member(0.0):
-            return 0.0
-        if not member(hi):
-            return float("inf")
-        lo = 0.0
-        while hi - lo > 1e-9:
-            mid = 0.5 * (lo + hi)
-            if member(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
 
 class ExplicitFeasibleSets(Environment):
@@ -140,6 +121,17 @@ class ExplicitFeasibleSets(Environment):
                 best = (members, weight)
         return best
 
+    def inclusion_threshold(self, weights, i: int) -> float:
+        """The best weight without ``i`` less the best weight that the
+        others add to a listed set holding ``i``, floored at 0; inf when no
+        listed set holds ``i``."""
+        w = np.maximum(np.asarray(weights, dtype=float), 0.0)
+        others = [sum(w[j] for j in sorted(s) if j != i) for s in self._sets if i in s]
+        if not others:
+            return float("inf")
+        _, without = self.best_set(w, exclude={i})
+        return max(0.0, without - float(max(others)))
+
 
 class KUniformMatroid(Environment):
     """Any set of at most k bidders is feasible."""
@@ -177,9 +169,12 @@ class KUniformMatroid(Environment):
         return float(positive[-self.k]) if positive.size >= self.k else 0.0
 
 
-class _DoubledEnvironment(Environment):
+class _DoubledEnvironment:
     """base environment over bidder *slots*, where slot i is contested by the
-    original bidder i and its copy n+i; the two can never win together."""
+    original bidder i and its copy n+i; the two can never win together.
+
+    It offers what ``vcg`` reads of an environment (``n_bidders`` and
+    ``best_set``) and ``is_feasible``, but no inclusion threshold."""
 
     def __init__(self, base: Environment):
         self.base = base
@@ -309,26 +304,23 @@ def empirical_vcg_lazy(
 # ---------------------------------------------------------------------------
 
 
-def _min_winning_report(wins, v_won: float, dist: ValuationDistribution) -> float:
+def _min_winning_report(
+    wins, v_won: float, dist: ValuationDistribution, threshold: float
+) -> float:
     """Least report keeping ``wins`` true, assuming upward-closed wins.
 
-    Discrete kinds scan their support; continuous kinds bisect to 1e-10.
+    ``threshold`` is the least virtual value that still wins, 0 or more.
+    Discrete kinds scan their support, so a report whose virtual value
+    ties the threshold wins or loses by the index tie rule that ``wins``
+    carries; continuous kinds invert their virtual valuation at the
+    threshold, capped at the winner's own report.
     """
     if isinstance(dist, DiscreteTabular):
         for u in dist.support:
             if u <= v_won and wins(float(u)):
                 return float(u)
         return v_won
-    lo, hi = 0.0, v_won
-    if wins(lo):
-        return lo
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if wins(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return min(v_won, float(dist.value_of_virtual(threshold)))
 
 
 def _virtual_step(dist: ValuationDistribution, u: float) -> float:
@@ -353,8 +345,8 @@ def myerson_single_item(
     """Sell one item to the highest nonnegative virtual valuation.
 
     The winner (smallest index on ties) pays the least value that would
-    still have won, i.e. the virtual-valuation threshold against the
-    runner-up and the reserve.
+    still have won: the value whose virtual valuation is the larger of the
+    runner-up's and 0.
     """
     v = np.asarray(values, dtype=float)
     if len(v) != len(dists):
@@ -376,7 +368,8 @@ def myerson_single_item(
         trial[win] = float(dists[win].virtual_valuation(report))
         return winner_of(trial) == win
 
-    pay = _min_winning_report(wins, float(v[win]), dists[win])
+    rival = float(np.delete(phis, win).max(initial=0.0))
+    pay = _min_winning_report(wins, float(v[win]), dists[win], rival)
     return _outcome([win], {win: pay}, lambda i: v[i])
 
 
@@ -422,7 +415,8 @@ def two_mech_budget(
             trial[i] = phi if phi >= 0.0 else 0.0
             return phi >= 0.0 and i in env.best_set(trial)[0]
 
-        payments[i] = _min_winning_report(wins, float(capped[i]), dists[i])
+        threshold = env.inclusion_threshold(eligible, i)
+        payments[i] = _min_winning_report(wins, float(capped[i]), dists[i], threshold)
     return _outcome(winners, payments, lambda i: v[i])
 
 

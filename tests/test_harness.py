@@ -550,20 +550,22 @@ class TestVectorizedRunners:
                     assert welfare[t] == pytest.approx(out.welfare, abs=1e-12)
 
     def test_two_mech_steps_to_exact_atoms(self):
-        # atoms 1e-13 apart: phi = v - (1 - F) / f is negative on the two
-        # lower atoms and 3e-13 on the top one.  A value capped on an atom
-        # takes that atom's virtual value, and a winner pays the top atom.
+        # atoms 1e-13 apart, the 1e-13 image of (1, 2, 3): phi is -1e-13,
+        # 1e-13 and 3e-13, so the reserve is the middle atom.  A value
+        # capped on an atom takes that atom's virtual value, and a winner
+        # pays the middle atom.
         prior = DiscreteTabular((1e-13, 2e-13, 3e-13), (1 / 3, 1 / 3, 1 / 3))
         values = np.array([[3e-13], [3e-13], [2e-13]])
         budgets = np.array([[1e-13], [3e-13], [math.inf]])
-        expected = [0.0, 3e-13, 0.0]
+        expected_revenue = [0.0, 2e-13, 2e-13]
+        expected_welfare = [0.0, 3e-13, 2e-13]
         revenue, welfare = two_mech_k_uniform(values, budgets, np.full(3, 2), [prior], 1)
-        assert revenue.tolist() == expected
-        assert welfare.tolist() == expected
+        assert revenue.tolist() == expected_revenue
+        assert welfare.tolist() == expected_welfare
         env = KUniformMatroid(1, 1)
         for t in range(3):
             out = two_mech_budget(env, [prior], values[t], budgets[t], 2)
-            assert (out.revenue, out.welfare) == (expected[t], expected[t])
+            assert (out.revenue, out.welfare) == (expected_revenue[t], expected_welfare[t])
 
     def test_two_mech_rejects_bad_input(self):
         values = np.ones((2, 2))

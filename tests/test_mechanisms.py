@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srauctions.dists import DiscreteTabular, Exponential, make_falpha, truncate_at
 from srauctions.empirical import SampleCountWarning, SampleParams, build_empirical
@@ -21,7 +23,6 @@ from srauctions.lp import (
     solve,
 )
 from srauctions.mechanisms import (
-    Environment,
     ExplicitFeasibleSets,
     KUniformMatroid,
     LotteryOffer,
@@ -379,6 +380,51 @@ class TestBSetAndThresholds:
         assert t[0] == pytest.approx(2.0, abs=1e-8)
 
 
+def bisected_threshold(env, weights, i):
+    """Reference inclusion threshold: bisect bidder ``i``'s membership in
+    ``env.best_set`` over [0, sum of positive weights + 1] for 60 halvings,
+    to within 2**-60 of that top; inf when bidder ``i`` is not a member at
+    the top."""
+    w = np.array(weights, dtype=float)
+    lo, hi = 0.0, float(np.maximum(w, 0.0).sum()) + 1.0
+
+    def member(vprime):
+        w[i] = vprime
+        return i in env.best_set(w)[0]
+
+    if not member(hi):
+        return math.inf
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if member(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def assert_matches_bisection(env, w, i):
+    exact = env.inclusion_threshold(w, i)
+    bisected = bisected_threshold(env, w, i)
+    if math.isinf(bisected):
+        assert exact == bisected
+    else:
+        # membership is decided on float sums, a few ulps of the total weight
+        top = float(np.maximum(w, 0.0).sum()) + 1.0
+        assert exact == pytest.approx(bisected, rel=0.0, abs=1e-12 * top)
+
+
+def random_downward_closed(rng, n):
+    """A random family over n bidders: some random sets and every subset
+    of each."""
+    family = set()
+    for _ in range(int(rng.integers(1, 5))):
+        top = [j for j in range(n) if rng.random() < 0.5]
+        for size in range(len(top) + 1):
+            family.update(frozenset(c) for c in itertools.combinations(top, size))
+    return ExplicitFeasibleSets(n, family)
+
+
 class TestInclusionThreshold:
     def test_k_uniform_closed_form_matches_bisection(self):
         rng = rng_of(118)
@@ -388,14 +434,8 @@ class TestInclusionThreshold:
             if trial % 2:
                 w = np.where(w > 0.0, rng.uniform(0.0, 4.0, n), 0.0)
             for k in (0, 1, 2, n):
-                env = KUniformMatroid(k, n)
                 for i in range(n):
-                    closed = env.inclusion_threshold(w, i)
-                    bisected = Environment.inclusion_threshold(env, w, i)
-                    if math.isinf(bisected):
-                        assert closed == bisected
-                    else:
-                        assert closed == pytest.approx(bisected, abs=1e-9)
+                    assert_matches_bisection(KUniformMatroid(k, n), w, i)
 
     def test_k_uniform_reads_the_kth_competitor(self):
         env = KUniformMatroid(2, 4)
@@ -405,15 +445,36 @@ class TestInclusionThreshold:
         # fewer than k positive competitors: any positive weight joins
         assert KUniformMatroid(3, 4).inclusion_threshold([3.0, 0.0, 3.0, 0.0], 3) == 0.0
 
-    def test_explicit_family_bisects(self):
+    def test_explicit_family_threshold_is_exact(self):
         # {0, 1} (weight w0 + 1) against {2} (weight 3): bidder 0 joins at 2
         env = ExplicitFeasibleSets(3, [{0}, {1}, {2}, {0, 1}])
-        assert env.inclusion_threshold([1.0, 1.0, 3.0], 0) == pytest.approx(
-            2.0, abs=1e-8
-        )
-        assert env.inclusion_threshold([1.0, 1.0, 3.0], 2) == pytest.approx(
-            2.0, abs=1e-8
-        )
+        assert env.inclusion_threshold([1.0, 1.0, 3.0], 0) == 2.0
+        assert env.inclusion_threshold([1.0, 1.0, 3.0], 2) == 2.0
+        # bidder 1 joins {0, 1} at any positive weight; bidder 2 never
+        # shares a set, so it joins alone
+        assert env.inclusion_threshold([3.0, 1.0, 1.0], 1) == 0.0
+        assert env.inclusion_threshold([3.0, 1.0, 1.0], 2) == 4.0
+        # no listed set holds bidder 2 here, so it never joins
+        env = ExplicitFeasibleSets(3, [{0}, {1}])
+        assert env.inclusion_threshold([1.0, 1.0, 5.0], 2) == math.inf
+
+    def test_explicit_threshold_above_every_weight(self):
+        # bidder 0 sits alone and must outweigh {1, 2} at 6, above the
+        # largest weight plus 1
+        env = ExplicitFeasibleSets(3, [{0}, {1}, {2}, {1, 2}])
+        assert env.inclusion_threshold([1.0, 3.0, 3.0], 0) == 6.0
+        assert bisected_threshold(env, [1.0, 3.0, 3.0], 0) == pytest.approx(6.0)
+
+    def test_explicit_matches_bisection_on_random_families(self):
+        rng = rng_of(119)
+        for trial in range(60):
+            n = int(rng.integers(1, 6))
+            env = random_downward_closed(rng, n)
+            w = rng.choice([0.0, 0.5, 1.0, 2.0, 3.5], size=n)  # ties and zeros
+            if trial % 2:
+                w = np.where(w > 0.0, rng.uniform(0.0, 4.0, n) * 10.0 ** rng.integers(-6, 7), 0.0)
+            for i in range(n):
+                assert_matches_bisection(env, w, i)
 
 
 class TestLotteryMechanism:
@@ -629,3 +690,61 @@ class TestTruthfulness:
                             f"{name}: bidder {i} gains by reporting {lie} "
                             f"at profile {profile}"
                         )
+
+
+# ---------------------------------------------------------------------------
+# the unit of value
+# ---------------------------------------------------------------------------
+
+
+class TestUnitOfValue:
+    """Scaling values, budgets and the priors' scale by c = 2**e scales
+    every payment by c.  Multiplying by a power of two is exact, so the
+    scaled payments must be equal bit for bit."""
+
+    ENVS = (KUniformMatroid(2, 3), ExplicitFeasibleSets(3, [{0}, {1}, {2}, {0, 1}, {1, 2}]))
+
+    @staticmethod
+    def _assert_scaled(unit, scaled, c):
+        assert scaled.winners == unit.winners
+        assert scaled.payments == {i: c * p for i, p in unit.payments.items()}
+        assert scaled.revenue == c * unit.revenue
+
+    @settings(max_examples=40, deadline=None)
+    @given(e=st.integers(-40, 30), seed=st.integers(0, 2**32 - 1))
+    def test_payments_scale_with_the_unit_of_value(self, e, seed):
+        c = 2.0**e
+        rng = rng_of(seed)
+        scale, rate = rng.uniform(0.5, 2.0, 2)
+        support = np.sort(rng.uniform(0.1, 5.0, 4))  # uneven spacing
+        pmf = rng.dirichlet(np.ones(4))
+
+        def priors(u):
+            falpha = make_falpha(0.5, scale * u)
+            return {
+                "falpha": [falpha] * 3,
+                "mixed": [falpha, Exponential(rate / u), falpha],
+                "discrete": [DiscreteTabular(support * u, pmf)] * 3,
+            }
+
+        unit, scaled = priors(1.0), priors(c)
+        assert scaled["discrete"][0].reserve_price == c * unit["discrete"][0].reserve_price
+        continuous = make_falpha(0.5, scale).sample(rng, 3) * rng.uniform(0.5, 2.0, 3)
+        atoms = rng.choice(support, 3)
+        budgets = np.where(rng.random(3) < 0.25, math.inf, rng.uniform(0.5, 4.0, 3))
+        for kind in unit:
+            v = atoms if kind == "discrete" else continuous
+            self._assert_scaled(
+                myerson_single_item(unit[kind], v), myerson_single_item(scaled[kind], c * v), c
+            )
+            for env in self.ENVS:
+                self._assert_scaled(
+                    two_mech_budget(env, unit[kind], v, budgets, coin=2),
+                    two_mech_budget(env, scaled[kind], c * v, c * budgets, coin=2),
+                    c,
+                )
+            self._assert_scaled(
+                lottery_mechanism(self.ENVS[1], unit[kind], v, budgets, rng_of(seed)),
+                lottery_mechanism(self.ENVS[1], scaled[kind], c * v, c * budgets, rng_of(seed)),
+                c,
+            )
