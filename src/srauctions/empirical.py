@@ -128,18 +128,25 @@ def validate_params(p: SampleParams) -> ValidityReport:
     return ValidityReport(lemma, theorem, required_m, tuple(messages))
 
 
-#: Block length of the hull prune.  Each block of x-sorted points lends the
-#: prune one point, so a million-point input gives a small hull of about
-#: a thousand vertices.
+#: Block length of the hull prune's first level.  Each block of x-sorted
+#: points lends the prune one point, so a million-point input gives a small
+#: hull of about a thousand points.
 _PRUNE_BLOCK = 1024
 
+#: Block length of the second level, which prunes the first level's few
+#: thousand survivors down to a few hundred for the scan.
+_FINE_BLOCK = 32
 
-def _pop_slack(pts: np.ndarray) -> float:
+
+def _pop_slack(max_abs_x: float, max_abs_y: float) -> float:
     """1e-15 times 2**(ex + ey), where ex and ey are the binary exponents of
-    max|x| and max|y| of nonempty x-sorted points (0 for an all-zero column)."""
-    ex = math.frexp(max(abs(pts[0, 0]), abs(pts[-1, 0])))[1]
-    ey = math.frexp(float(np.abs(pts[:, 1]).max()))[1]
-    return math.ldexp(1e-15, ex + ey)
+    max|x| and max|y| of a point set (0 for an all-zero column)."""
+    return math.ldexp(1e-15, math.frexp(max_abs_x)[1] + math.frexp(max_abs_y)[1])
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max|a| of a nonempty array, by two reductions and no temporary."""
+    return float(max(a.max(), -a.min()))
 
 
 def _upper_chain(pts: np.ndarray, slack: float) -> np.ndarray:
@@ -167,54 +174,108 @@ def _upper_chain(pts: np.ndarray, slack: float) -> np.ndarray:
     return np.column_stack((hull_x, hull_y))
 
 
-def _hull_prune(pts: np.ndarray, slack: float) -> np.ndarray:
-    """Drop the x-sorted points that lie strictly below the upper hull of a
-    few of them: the throw-away step of Akl & Toussaint (1978).
+@dataclass(frozen=True)
+class _Rows:
+    """``n`` x-sorted (x, y) rows in blocks of ``block``, as `_hull_prune`
+    reads them.
 
-    Each block of `_PRUNE_BLOCK` points lends the point farthest above the
-    chord from the block's first point to its last (`_far_points`, which
-    scores a few blocks at a time); with the two end points
-    these are scanned, with the pop slack ``slack``, into a small hull.  Its
-    vertices are input points, so it lies under the true hull, and a point
-    strictly below it can never be a vertex.  "Strictly" is guarded
-    relative to the terms `np.interp` combines: each small-hull vertex is
-    lowered by 1e-12 times the largest |y| among it and its two neighbours,
-    which bounds the rounding of the interpolation on both adjacent
-    segments, so points within rounding of the small hull stay for the
-    scan.
-
-    A point stays if ``y >= np.interp(x, ...)`` against the lowered small
-    hull.  Most blocks are settled whole from their two ends instead
-    (`_blocks_below`): every point of a block lies on or below the line
-    through its far point parallel to its chord, so where the lowered hull
-    is one segment over the block and that line passes below it at both of
-    the block's ends, no point of the block can pass the test, and the
-    block is dropped without interpolating it.  The points kept are
-    exactly those the per-point test keeps.
+    For each of the ``n // block`` full blocks: its first and last x (``x0``,
+    ``x1``), its rise ``dy`` from first point to last, the row ``far`` of its
+    point farthest above that chord and the point's score ``s_far``
+    (`_far_points`).  ``take(rows)`` returns the x and the y column at
+    ascending row indices; rows past the last full block are the tail.
     """
-    n = len(pts)
-    nb = n // _PRUNE_BLOCK
+
+    n: int
+    block: int
+    x0: np.ndarray
+    x1: np.ndarray
+    dy: np.ndarray
+    far: np.ndarray
+    s_far: np.ndarray
+    take: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _point_rows(pts: np.ndarray, block: int) -> _Rows:
+    """The rows of an (n, 2) x-sorted points array, scored in blocks of
+    ``block``; ``take`` slices the array."""
+    nb = len(pts) // block
     x, y = pts[:, 0], pts[:, 1]
-    bx = x[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK)
-    by = y[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK)
+    bx = x[: nb * block].reshape(nb, block)
+    by = y[: nb * block].reshape(nb, block)
     best, s_far = _far_points(bx, by)
-    far = best + np.arange(0, nb * _PRUNE_BLOCK, _PRUNE_BLOCK)
-    small = _upper_chain(pts[np.concatenate(([0], far, [n - 1]))], slack)
+    far = best + np.arange(0, nb * block, block)
+    dy = by[:, -1] - by[:, 0]
+    return _Rows(len(pts), block, bx[:, 0], bx[:, -1], dy, far, s_far, lambda r: (x[r], y[r]))
+
+
+def _hull_prune(rows: _Rows, slack: float) -> np.ndarray:
+    """Drop the x-sorted rows that lie strictly below the upper hull of a
+    few of them: the throw-away step of Akl & Toussaint (1978).  Returns the
+    rows kept, as an (k, 2) points array in row order.
+
+    The rows come from a `_Rows` source: a points array (`_point_rows`) or
+    a build's revenue grid, computed from the sort (`_grid_rows`), so the
+    grid is never written out whole.  Each full block of ``rows.block`` rows
+    lends the row farthest above the chord from the block's first row to
+    its last; with the two end rows these are scanned, with the pop slack
+    ``slack``, into a small hull.  Its vertices are input rows, so it lies
+    under the true hull, and a row strictly below it can never be a vertex.
+    "Strictly" is guarded relative to the terms `np.interp` combines: each
+    small-hull vertex is lowered by 1e-12 times the largest |y| among it and
+    its two neighbours, which bounds the rounding of the interpolation on
+    both adjacent segments, so rows within rounding of the small hull stay
+    for the scan.
+
+    A row stays if ``y >= np.interp(x, ...)`` against the lowered small
+    hull.  Most blocks are settled whole from their two ends instead
+    (`_blocks_below`): every row of a block lies on or below the line
+    through its far row parallel to its chord, so where the lowered hull
+    is one segment over the block and that line passes below it at both of
+    the block's ends, no row of the block can pass the test, and the block
+    is dropped without reading it.  The other blocks and the tail are read
+    in one ``take`` and tested row by row.  The rows kept are exactly those
+    the per-row test keeps.
+    """
+    block, nb = rows.block, len(rows.far)
+    ends = np.concatenate(([0], rows.far, [rows.n - 1]))
+    small = _upper_chain(np.column_stack(rows.take(ends)), slack)
     mag = np.pad(np.abs(small[:, 1]), 1)
     lowered = small[:, 1] - 1e-12 * np.maximum(np.maximum(mag[:-2], mag[1:-1]), mag[2:])
-    drop = _blocks_below(bx[:, 0], bx[:, -1], by[:, -1] - by[:, 0], s_far, small[:, 0], lowered)
-    blocks = pts[: nb * _PRUNE_BLOCK].reshape(nb, _PRUNE_BLOCK, 2)[~drop].reshape(-1, 2)
-    return np.concatenate(
-        [p[p[:, 1] >= np.interp(p[:, 0], small[:, 0], lowered)] for p in (blocks, pts[nb * _PRUNE_BLOCK :])]
+    drop = _blocks_below(rows.x0, rows.x1, rows.dy, rows.s_far, small[:, 0], lowered)
+    starts = np.flatnonzero(~drop) * block
+    x, y = rows.take(
+        np.concatenate(((starts[:, None] + np.arange(block)).ravel(), np.arange(nb * block, rows.n)))
     )
+    keep = y >= np.interp(x, small[:, 0], lowered)
+    return np.column_stack((x[keep], y[keep]))
+
+
+def _pruned(rows: _Rows, slack: float) -> np.ndarray:
+    """The rows that survive both prune levels: `_hull_prune` on ``rows``,
+    then, when more than four `_FINE_BLOCK` blocks survive, `_hull_prune`
+    again on the survivors in blocks of `_FINE_BLOCK`.  Each level keeps
+    every row that can be a vertex of the scan with pop slack ``slack``, so
+    the scan of the survivors is the scan of all rows."""
+    pts = _hull_prune(rows, slack)
+    if len(pts) > 4 * _FINE_BLOCK:
+        pts = _hull_prune(_point_rows(pts, _FINE_BLOCK), slack)
+    return pts
 
 
 #: Blocks `_far_points` scores at a time: 64 rows of 1,024 scores are
 #: 512 KiB, so the pass keeps no temporary the size of its input.
 _SCORE_CHUNK = 64
 
+#: Blocks of the revenue grid `_grid_rows` computes at a time: 32 blocks of
+#: 1,024 floats are 256 KiB, so the six such arrays a chunk works on fit in
+#: a 2 MiB L2 cache.
+_GRID_CHUNK = 32
 
-def _far_points(bx: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def _far_points(
+    bx: np.ndarray, by: np.ndarray, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """For each row (block) of the (nb, B) coordinates: the column of the
     point farthest above the chord from the row's first point to its last,
     and its score ``y*dx - x*dy``, the height above the chord times the
@@ -222,17 +283,23 @@ def _far_points(bx: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     Rows are scored `_SCORE_CHUNK` at a time with the element-wise
     operations of a one-shot pass over all of them, so ``best`` and
-    ``s_far`` are bit-identical to that pass's.
+    ``s_far`` are bit-identical to that pass's.  The two score terms go
+    into ``work``, a (2, k, B) float array with k at least the rows scored
+    at a time, which a caller that scores many chunks passes to allocate it
+    once.
     """
-    nb = len(bx)
+    nb, width = bx.shape
+    if work is None:
+        work = np.empty((2, min(nb, _SCORE_CHUNK), width))
     dx = bx[:, -1:] - bx[:, :1]
     dy = by[:, -1:] - by[:, :1]
     best = np.empty(nb, dtype=np.intp)
     s_far = np.empty(nb)
     for start in range(0, nb, _SCORE_CHUNK):
         rows = slice(start, start + _SCORE_CHUNK)
-        score = by[rows] * dx[rows]
-        score -= bx[rows] * dy[rows]
+        score, term = work[:, : len(bx[rows])]
+        np.multiply(by[rows], dx[rows], out=score)
+        score -= np.multiply(bx[rows], dy[rows], out=term)
         best[rows] = score.argmax(axis=1)
         s_far[rows] = score[np.arange(len(score)), best[rows]]
     return best, s_far
@@ -287,15 +354,6 @@ def _run_ends(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def _run_end_points(revenue_points: np.ndarray, kept_vals: np.ndarray) -> np.ndarray:
-    """The anchored revenue points minus the interior of each run of equal
-    retained values; ``revenue_points`` itself when there are no ties."""
-    first, last = _run_ends(kept_vals)
-    if first.all():
-        return revenue_points
-    return revenue_points[np.concatenate(([True], first | last, [True]))]
-
-
 #: Margin by which a block's ends must clear the coverage bracket for
 #: `EmpiricalModel.coverage_event_holds` to certify the block: the 2**-50
 #: of `ValuationDistribution.quantile_interval`'s monotonicity contract,
@@ -312,25 +370,32 @@ def _bracketed(d: ValuationDistribution, values, t, xi_bar: float, factor: float
     return bool(np.all(q_lo <= qbar * factor + 1e-15) and np.all(q_hi >= qbar / factor - 1e-15))
 
 
-def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
+def concave_envelope(
+    points: Sequence[tuple[float, float]], *, _slack: float | None = None
+) -> np.ndarray:
     """Upper concave hull of the points, by the monotone-chain scan.
 
     Points are sorted by x (stably) only when the x column is not already
-    nondecreasing, so a caller that holds them in x order, as
-    `build_empirical` does, pays one O(n) check instead of a sort.  Inputs
-    of more than four `_PRUNE_BLOCK` blocks first lose, in one vectorized
-    pass (`_hull_prune`), every point strictly below the hull of a thousandth
-    of them, so a million-point build sends a few thousand points to the
-    Python scan.  The prune drops most blocks whole, from a test at their
-    two ends, and compares only the rest point by point.  Returns the hull
-    vertices as an (k, 2) array; every vertex is one of the inputs.
-    Collinear interior points are absorbed.
+    nondecreasing, so a caller that holds them in x order pays one O(n)
+    check instead of a sort.  Inputs of more than four `_PRUNE_BLOCK` blocks
+    are first pruned in two vectorized levels (`_pruned`): every point
+    strictly below the hull of a thousandth of them goes, then every
+    survivor strictly below the hull of a thirty-second of the survivors,
+    so a million points send a few hundred to the Python scan.  Each level
+    drops most blocks whole, from a test at their two ends, and compares
+    only the rest point by point.  Returns the hull vertices as an (k, 2)
+    array; every vertex is one of the inputs.  Collinear interior points are
+    absorbed.
 
     The scan pops a middle point unless it turns down by more than 1e-15 at
     the input's binary scale (`_pop_slack`), which pops exactly what a
     slack of 1e-15 pops on the points normalized by powers of two.  So no
     unit of value is too small or too large for the slack, and scaling an
     axis by a power of two scales the hull by the same factor exactly.
+
+    ``_slack`` is for `build_empirical`, which prunes its revenue grid
+    itself and passes only the survivors: they are scanned as given, with
+    the pop slack of the whole grid, so the hull is the whole grid's.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
@@ -338,27 +403,99 @@ def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
     x = pts[:, 0]
     if not np.all(x[1:] >= x[:-1]):
         pts = pts[np.argsort(x, kind="stable")]
-    slack = _pop_slack(pts)
+    if _slack is not None:
+        return _upper_chain(pts, _slack)
+    slack = _pop_slack(max(abs(pts[0, 0]), abs(pts[-1, 0])), _max_abs(pts[:, 1]))
     if len(pts) > 4 * _PRUNE_BLOCK:
-        pts = _hull_prune(pts, slack)
+        pts = _pruned(_point_rows(pts, _PRUNE_BLOCK), slack)
     return _upper_chain(pts, slack)
 
 
 def _revenue_points(kept_vals: np.ndarray, kept_from: int, m: int) -> np.ndarray:
     """The anchored revenue points (0, 0), (t_j, t_j * v_j), (1, 0) of the
-    retained values, t ascending.
+    retained values ``kept_vals``, the first at 1-based sort position
+    ``kept_from``, t ascending.
 
-    Written in place: the grid t_j = (2j - 1)/(2m), j = kept_from..m, is a
-    float range of odd numbers (exact) divided by 2m, straight into the
-    first column, and R = t * v goes into the second.
+    Written in place: the grid t_j = (2j - 1)/(2m) is a float range of odd
+    numbers (exact) divided by 2m, straight into the first column, and
+    R = t * v goes into the second.
     """
     rp = np.empty((len(kept_vals) + 2, 2))
     rp[0] = 0.0
     rp[-1] = (1.0, 0.0)
     t = rp[1:-1, 0]
-    np.divide(np.arange(2 * kept_from - 1, 2 * m, 2, dtype=float), 2 * m, out=t)
+    odd = np.arange(2 * kept_from - 1, 2 * (kept_from + len(kept_vals)) - 1, 2, dtype=float)
+    np.divide(odd, 2 * m, out=t)
     np.multiply(t, kept_vals, out=rp[1:-1, 1])
     return rp
+
+
+def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, float] | None:
+    """A build's anchored revenue grid as `_Rows` in blocks of
+    `_PRUNE_BLOCK`, and the grid's pop slack; None if two retained values tie.
+
+    Row 0 is the anchor (0, 0), row r = 1..n the retained value v at
+    t = (2(kept_from + r - 1) - 1)/(2m), R = t * v, and row n + 1 the anchor
+    (1, 0): bit for bit the rows of `_revenue_points`.  One pass over the
+    sort computes them `_GRID_CHUNK` blocks at a time.  Each chunk is
+    checked for a tie between adjacent values (the pass stops at the first),
+    its blocks are scored (`_far_points`), and its max|R| is taken, which
+    with max|x| = 1 sets the slack.  No array of all rows is written:
+    ``take`` computes the rows it is asked for from the sort.
+    """
+    n = len(kept_vals)
+    size, block = n + 2, _PRUNE_BLOCK
+    nb = size // block
+    odd = 2 * kept_from - 3  # row r lies at t = (2r + odd)/(2m)
+
+    def take(r):
+        j = r - 1  # each row's position among the retained values
+        y = kept_vals[np.clip(j, 0, n - 1, out=j)]
+        del j
+        x = r * 2.0
+        x += odd
+        x /= 2 * m
+        y *= x
+        if len(r) and r[0] == 0:
+            x[0] = y[0] = 0.0
+        if len(r) and r[-1] == size - 1:
+            x[-1], y[-1] = 1.0, 0.0
+        return x, y
+
+    x0, x1, dy, s_far = (np.empty(nb) for _ in range(4))
+    far = np.empty(nb, dtype=np.intp)
+    top = 0.0
+    # one set of chunk buffers, so that no chunk allocates
+    chunk = _GRID_CHUNK * block
+    ramp = np.arange(0, 2 * min(chunk, size), 2, dtype=float)
+    xs, ys, ties = np.empty(len(ramp)), np.empty(len(ramp)), np.empty(len(ramp), dtype=bool)
+    work = np.empty((2, min(_GRID_CHUNK, nb), block))
+    ascending = kept_vals[::-1]
+    for r0 in range(0, size, chunk):
+        r1 = min(r0 + chunk, size)
+        # the pairs (i, i + 1) of values whose first lies in this chunk,
+        # compared in ascending order, the sort's memory order
+        a, b = n - min(r1, n), max(n - max(r0, 1), 0)
+        if np.equal(ascending[a:b], ascending[a + 1 : b + 1], out=ties[: b - a]).any():
+            return None
+        x, y = xs[: r1 - r0], ys[: r1 - r0]
+        np.add(ramp[: r1 - r0], 2 * r0 + odd, out=x)
+        x /= 2 * m
+        lo, hi = max(r0, 1), min(r1, n + 1)  # the rows of retained values
+        np.multiply(x[lo - r0 : hi - r0], kept_vals[lo - 1 : hi - 1], out=y[lo - r0 : hi - r0])
+        if r0 == 0:
+            x[0] = y[0] = 0.0
+        if r1 == size:
+            x[-1], y[-1] = 1.0, 0.0
+        top = max(top, _max_abs(y))
+        k = (min(r1, nb * block) - r0) // block
+        if k:
+            bx, by = x[: k * block].reshape(k, block), y[: k * block].reshape(k, block)
+            blocks = slice(r0 // block, r0 // block + k)
+            best, s_far[blocks] = _far_points(bx, by, work)
+            far[blocks] = best + np.arange(r0, r0 + k * block, block)
+            x0[blocks], x1[blocks], dy[blocks] = bx[:, 0], bx[:, -1], by[:, -1] - by[:, 0]
+    return _Rows(size, block, x0, x1, dy, far, s_far, take), _pop_slack(1.0, top)
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,6 +617,14 @@ class EmpiricalModel:
     def retained_quantiles(self) -> np.ndarray:
         return self.revenue_points[1:-1, 0]
 
+    @cached_property
+    def _tie_free(self) -> bool:
+        """Whether no two retained values are equal.  `build_empirical`
+        stores the answer its own tie check found, so a build's coverage
+        check does not scan the values again."""
+        first, _ = _run_ends(self.retained_values())
+        return bool(first.all())
+
     def _distinct_retained(self) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """Distinct retained values (descending), and a map from positions
         among them to the grid point t_j of each one's first occurrence.
@@ -491,9 +636,9 @@ class EmpiricalModel:
         `_grid_at` itself, with no gather and no array of positions.
         """
         kept = self.retained_values()
-        first, _ = _run_ends(kept)
-        if first.all():
+        if self._tie_free:
             return kept, self._grid_at
+        first, _ = _run_ends(kept)
         pos = np.flatnonzero(first)
         return kept[pos], lambda k: self._grid_at(pos[k])
 
@@ -559,17 +704,27 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     `EmpiricalModel.coverage_event_holds` reads leftmost quantiles off the
     same descending array.
 
-    The hull is fed only the two anchors and the first and last point of
-    each run of equal retained values.  A run's points (t_j, t_j * v) lie on
-    the ray R = v * q, so its interior points cannot be hull vertices; left
-    in, rounding can make them spurious ones at large value scales.  A
-    build without ties passes the revenue points whole, uncopied.
+    A build of more than four `_PRUNE_BLOCK` blocks of revenue points whose
+    retained values have no ties never writes the points out.  One pass over
+    the sort (`_grid_rows`), in chunks that fit in L2, computes them, scores
+    each block for the prune, takes max|R| for the scan's pop slack and
+    checks for ties; the two prune levels (`_pruned`) then read only the
+    rows of blocks that do not drop whole, and `concave_envelope` scans the
+    few hundred survivors with the whole grid's slack.  The hull is the
+    hull of every revenue point, byte for byte.  The tie check is stored
+    on the model, so `EmpiricalModel.coverage_event_holds` does not repeat
+    it.
 
-    The model keeps the sort and the hull, not the revenue points: they
-    are a temporary of the build, written once and in place
-    (`_revenue_points`), and the model derives the same bytes again only
-    if a curve lookup asks for them.  The point mass value interpolates the
-    raw curve on the one pair of revenue points that brackets xi_bar.
+    Every other build writes the anchored revenue points (`_revenue_points`)
+    and hulls the two anchors and the first and last point of each run of
+    equal retained values: a run's points (t_j, t_j * v) lie on the ray
+    R = v * q, so its interior points cannot be hull vertices; left in,
+    rounding can make them spurious ones at large value scales.
+
+    The model keeps the sort and the hull, not the revenue points, and
+    derives them again only if a curve lookup asks for them.  The point
+    mass value interpolates the raw curve on the one pair of grid rows that
+    brackets xi_bar.
 
     A sub-lemma-grade sample count is allowed (with a warning); only an
     empty retained set is an error.
@@ -593,14 +748,25 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
             f"discard rule drops all samples (floor(xi*m)={math.floor(p.xi * m)}, m={m})"
         )
     kept_vals = desc[kept_from - 1 :]
-    revenue_points = _revenue_points(kept_vals, kept_from, m)
-    envelope = concave_envelope(_run_end_points(revenue_points, kept_vals))
-    xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(revenue_points[1, 0]))
+    grid = _grid_rows(kept_vals, kept_from, m) if len(kept_vals) + 2 > 4 * _PRUNE_BLOCK else None
+    if grid is None:
+        revenue_points = _revenue_points(kept_vals, kept_from, m)
+        first, last = _run_ends(kept_vals)
+        tie_free = bool(first.all())
+        if not tie_free:
+            revenue_points = revenue_points[np.concatenate(([True], first | last, [True]))]
+        envelope = concave_envelope(revenue_points)
+    else:
+        rows, slack = grid
+        tie_free = True
+        envelope = concave_envelope(_pruned(rows, slack), _slack=slack)
     # xi_bar is t[0], or floor(xi*m)/m short of t[1]: rows 1 and 2 of the
     # revenue curve bracket it
-    raw_at_xi_bar = float(np.interp(xi_bar, revenue_points[1:3, 0], revenue_points[1:3, 1]))
+    head = _revenue_points(kept_vals[:2], kept_from, m)
+    xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(head[1, 0]))
+    raw_at_xi_bar = float(np.interp(xi_bar, head[1:3, 0], head[1:3, 1]))
     point_mass_value = raw_at_xi_bar / xi_bar if xi_bar > 0 else float(kept_vals[0])
-    return EmpiricalModel(
+    model = EmpiricalModel(
         sorted_samples=desc,
         kept_from=kept_from,
         params=p,
@@ -608,3 +774,5 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
         xi_bar=float(xi_bar),
         point_mass_value=float(point_mass_value),
     )
+    object.__setattr__(model, "_tie_free", tie_free)
+    return model

@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 from srauctions import empirical, make_falpha, truncate_at
 from srauctions.dists import DiscreteTabular, Exponential, FAlpha
 from srauctions.empirical import (
+    _GRID_CHUNK,
     _PRUNE_BLOCK,
     _SCORE_CHUNK,
     _bracketed,
     _far_points,
     _hull_prune,
+    _point_rows,
     _pop_slack,
     _run_ends,
     EmpiricalModel,
@@ -293,6 +295,19 @@ class TestLeanModel:
         with pytest.raises(dataclasses.FrozenInstanceError):
             em.revenue_points = rp
 
+    @pytest.mark.parametrize("m", [3000, 20_000])
+    def test_coverage_reuses_the_build_tie_check(self, m, monkeypatch):
+        # a tie-free build's coverage check reads the sort as it is, without
+        # scanning the values for ties a second time
+        d = make_falpha(0.5, 1.0)
+        em = quiet_build(d.sample(np.random.Generator(np.random.Philox(key=[31, m])), m), SampleParams(0.2, 0.05, 0.1))
+
+        def no_scan(vals):
+            raise AssertionError("the retained values were scanned for ties again")
+
+        monkeypatch.setattr(empirical, "_run_ends", no_scan)
+        assert em.coverage_event_holds(d, gamma=1.0)
+
     def test_model_keeps_one_copy_of_its_sample(self):
         m = 2**18
         d = make_falpha(0.5, 1.0)
@@ -306,6 +321,22 @@ class TestLeanModel:
             tracemalloc.stop()
         assert em.m == m and len(em.envelope) > 2
         assert kept <= 8 * m + 64 * 1024, kept
+
+    def test_a_tie_free_build_writes_no_revenue_points(self):
+        # the anchored revenue points alone would be 16 bytes per sample; a
+        # tie-free build holds its sort (8) and temporaries for the blocks
+        # that do not drop whole, plus about 1 MiB of chunk buffers
+        m = 2**18
+        samples = make_falpha(0.5, 1.0).sample(np.random.Generator(np.random.Philox(key=[32, 0])), m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            em = quiet_build(samples, SampleParams(0.05, 0.05, 0.05))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert em._tie_free and "revenue_points" not in em.__dict__
+        assert peak <= 16 * m + 2 * 1024 * 1024, peak
 
     @pytest.mark.parametrize("n_distinct", [_PRUNE_BLOCK - 1, _PRUNE_BLOCK, _PRUNE_BLOCK + 1, 4 * _PRUNE_BLOCK + 1])
     def test_index_reads_match_the_per_value_check_on_full_arrays(self, n_distinct):
@@ -551,6 +582,16 @@ def hull_family(kind, seed):
     return np.column_stack((x, y))
 
 
+def pop_slack(pts):
+    """`concave_envelope`'s pop slack for x-sorted points."""
+    return _pop_slack(max(abs(pts[0, 0]), abs(pts[-1, 0])), float(np.abs(pts[:, 1]).max()))
+
+
+def hull_prune(pts, slack):
+    """The first prune level, `_PRUNE_BLOCK` points a block, over a points array."""
+    return _hull_prune(_point_rows(pts, _PRUNE_BLOCK), slack)
+
+
 def per_point_prune(pts, slack):
     """`_hull_prune` with the per-point test on every point: each block's
     point farthest above its chord and the two end points are scanned into a
@@ -596,7 +637,7 @@ class TestHullPrune:
     @settings(max_examples=25, deadline=None)
     def test_keeps_every_vertex_at_every_scale(self, kind, seed, exponent):
         pts = hull_family(kind, seed) * [1.0, 10.0**exponent]
-        kept = _hull_prune(pts, _pop_slack(pts))
+        kept = hull_prune(pts, pop_slack(pts))
         if kind == "on_curve":
             assert len(kept) == len(pts)
         rows = {tuple(r) for r in kept.tolist()}
@@ -621,7 +662,7 @@ class TestHullPrune:
         for _ in range(3 if Fraction(y[i]) > chord else 4):
             y[i] = np.nextafter(y[i], np.inf)
         pts = np.column_stack((x, y))
-        assert tuple(pts[i]) in {tuple(r) for r in _hull_prune(pts, _pop_slack(pts)).tolist()}
+        assert tuple(pts[i]) in {tuple(r) for r in hull_prune(pts, pop_slack(pts)).tolist()}
         assert concave_envelope(pts).tobytes() == reference_hull(pts).tobytes()
 
     @pytest.mark.parametrize("kind", HULL_FAMILIES)
@@ -645,8 +686,8 @@ class TestHullPrune:
     @settings(max_examples=25, deadline=None)
     def test_block_drop_equals_per_point_prune(self, kind, seed, exponent):
         pts = hull_family(kind, seed) * [1.0, 10.0**exponent]
-        slack = _pop_slack(pts)
-        assert _hull_prune(pts, slack).tobytes() == per_point_prune(pts, slack)[0].tobytes()
+        slack = pop_slack(pts)
+        assert hull_prune(pts, slack).tobytes() == per_point_prune(pts, slack)[0].tobytes()
 
     @pytest.mark.parametrize("seed", range(60))
     def test_block_at_a_zero_crossing_keeps_a_point_on_the_hull(self, seed):
@@ -670,7 +711,7 @@ class TestHullPrune:
         zero = x[i] + rng.uniform(-3e-10, 3e-10)
         y = rng.uniform(0.3, 3.0) * (zero - x - below) * 10.0 ** rng.integers(-9, 10)
         pts = np.column_stack((x, y))
-        slack = _pop_slack(pts)
+        slack = pop_slack(pts)
         _, hx, hy = per_point_prune(pts, slack)
         pts[i, 1] = np.interp(x[i], hx, hy)
         for _ in range(rng.integers(0, 4)):
@@ -678,28 +719,38 @@ class TestHullPrune:
         kept, hx_after, _ = per_point_prune(pts, slack)
         assert hx_after.tobytes() == hx.tobytes()  # p is not a small-hull vertex
         assert tuple(pts[i]) in {tuple(r) for r in kept.tolist()}
-        assert _hull_prune(pts, slack).tobytes() == kept.tobytes()
+        assert hull_prune(pts, slack).tobytes() == kept.tobytes()
 
     def test_prune_certifies_most_blocks_of_a_theorem_grade_build(self, monkeypatch):
         # a silent fallback to the per-point test would keep the output and
-        # lose the speed: at least half the blocks of an FAlpha build at
-        # m = 1,107,402 must be dropped whole
+        # lose the speed: in an FAlpha build at m = 1,107,402, at least half
+        # the first level's blocks must be dropped whole, and a quarter of
+        # the second level's, which must leave the scan at most a quarter of
+        # the first level's survivors
         p = SampleParams(0.05, 0.05, 0.05).with_required_m()
         assert p.m == 1_107_402 and validate_params(p).theorem_grade
         d = make_falpha(0.5, 1.0)
-        em = build_empirical(d.sample(np.random.Generator(np.random.Philox(key=[3, 0])), p.m), p)
-        dropped = []
-        blocks_below = empirical._blocks_below
+        samples = d.sample(np.random.Generator(np.random.Philox(key=[3, 0])), p.m)
+        dropped, survivors = [], []
+        blocks_below, hull_prune_level = empirical._blocks_below, empirical._hull_prune
 
-        def spy(*args):
+        def spy_blocks(*args):
             out = blocks_below(*args)
             dropped.append(out.mean())
             return out
 
-        monkeypatch.setattr(empirical, "_blocks_below", spy)
-        hull = concave_envelope(em.revenue_points)
-        assert hull.tobytes() == em.envelope.tobytes()
-        assert len(dropped) == 1 and dropped[0] >= 0.5
+        def spy_level(*args):
+            out = hull_prune_level(*args)
+            survivors.append(len(out))
+            return out
+
+        monkeypatch.setattr(empirical, "_blocks_below", spy_blocks)
+        monkeypatch.setattr(empirical, "_hull_prune", spy_level)
+        em = build_empirical(samples, p)
+        assert len(dropped) == 2 and dropped[0] >= 0.5 and dropped[1] >= 0.25
+        assert 4 * survivors[1] <= survivors[0]
+        monkeypatch.undo()
+        assert concave_envelope(em.revenue_points).tobytes() == em.envelope.tobytes()
 
     @pytest.mark.parametrize("nb", [1, _SCORE_CHUNK - 1, _SCORE_CHUNK, 2 * _SCORE_CHUNK + 5, 5 * _SCORE_CHUNK + 37])
     def test_blocked_score_pass_equals_one_shot(self, nb):
@@ -725,6 +776,142 @@ class TestHullPrune:
         hull = concave_envelope(pts)
         assert hull.tolist() == [[0.0, 0.0], [x[-1], 0.0]]
         assert hull.tobytes() == reference_hull(pts).tobytes()
+
+
+class GridSpy:
+    """Counts, while installed, the builds that hulled their revenue grid
+    off the sort (`_grid_rows` returned rows) and the prune levels run."""
+
+    def __init__(self, monkeypatch):
+        self.grid_builds, self.levels = 0, 0
+        grid_rows, hull_prune_level = empirical._grid_rows, empirical._hull_prune
+
+        def spy_grid(*args):
+            out = grid_rows(*args)
+            self.grid_builds += out is not None
+            return out
+
+        def spy_level(*args):
+            self.levels += 1
+            return hull_prune_level(*args)
+
+        monkeypatch.setattr(empirical, "_grid_rows", spy_grid)
+        monkeypatch.setattr(empirical, "_hull_prune", spy_level)
+
+
+#: Retained counts n (n + 2 anchored rows) at the edges of the block
+#: layout: four blocks exactly (no prune) and one row over, a retained count
+#: that is a multiple of a block, tails of 0, 1 and 1,023 rows, and a grid
+#: of several `_grid_rows` chunks ending one row into a chunk.
+EDGE_COUNTS = [
+    4 * _PRUNE_BLOCK - 2,
+    4 * _PRUNE_BLOCK - 1,
+    4 * _PRUNE_BLOCK + 1,
+    8 * _PRUNE_BLOCK,
+    8 * _PRUNE_BLOCK - 2,
+    8 * _PRUNE_BLOCK - 1,
+    8 * _PRUNE_BLOCK + _PRUNE_BLOCK - 3,
+    3 * _GRID_CHUNK * _PRUNE_BLOCK - 1,
+]
+
+
+class TestGridHull:
+    """A tie-free build of more than four blocks hulls its revenue grid
+    straight off the sort, in two prune levels; other builds hull the
+    revenue points (or their tie-run ends).  Either way the envelope is the
+    hull of every revenue point, byte for byte, and the model is the same."""
+
+    @pytest.mark.parametrize("n", EDGE_COUNTS)
+    @pytest.mark.parametrize("xi", [1e-5, 0.05])
+    def test_edge_shapes_match_the_full_point_hull(self, n, xi, monkeypatch):
+        spy = GridSpy(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=[27, n]))
+        m = retained_count_m(n, xi)
+        builds = [quiet_build(make_falpha(0.5, 1.0).sample(rng, m), SampleParams(0.2, xi, 0.1)) for _ in range(3)]
+        assert spy.grid_builds == (3 if n + 2 > 4 * _PRUNE_BLOCK else 0)
+        for em in builds:
+            assert len(em.retained_values()) == n
+            full = concave_envelope(em.revenue_points)
+            assert em.envelope.tobytes() == full.tobytes()
+            assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
+
+    @pytest.mark.parametrize("where", ["first", "chunk-edge", "last"])
+    def test_one_tie_among_a_million_values_takes_the_run_end_path(self, where, monkeypatch):
+        spy = GridSpy(monkeypatch)
+        p = SampleParams(0.1, 0.05, 0.1)
+        rng = np.random.Generator(np.random.Philox(key=[28, 0]))
+        values = np.sort(make_falpha(0.5, 1.0).sample(rng, 1_000_000))[::-1].copy()
+        kept_from = math.floor(p.xi * len(values))
+        n = len(values) - kept_from + 1
+        # the tie (i, i + 1) among the retained values; chunk-edge pairs the
+        # last value of the grid's first chunk with the first of its second
+        i = {"first": 0, "chunk-edge": _GRID_CHUNK * _PRUNE_BLOCK - 2, "last": n - 2}[where]
+        values[kept_from + i] = values[kept_from - 1 + i]
+        em = quiet_build(rng.permutation(values), p)
+        assert spy.grid_builds == 0 and not em._tie_free
+        assert len(em._distinct_retained()[0]) == n - 1
+        assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+
+    def test_all_values_equal(self, monkeypatch):
+        spy = GridSpy(monkeypatch)
+        em = quiet_build(np.full(20_000, 2.5), SampleParams(0.2, 0.05, 0.1))
+        assert spy.grid_builds == 0
+        assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+        assert em.empirical_reserve() == 2.5
+
+    @pytest.mark.parametrize("kind", ["mixed", "negative", "on-curve"])
+    def test_negative_values(self, kind, monkeypatch):
+        # R = t * v is most negative where no hull vertex lies, so the
+        # survivors' max|R| is not the grid's, and the scan must pop with
+        # the grid's slack.  The on-curve values v = 1/2 - t put the grid
+        # on R = t (1/2 - t), where each point turns down from its
+        # neighbours by 2/m**3: at m = 150,000 that lies between the pop
+        # slack of the survivors and that of the grid, so the survivors' own
+        # slack would keep about twice as many vertices
+        spy = GridSpy(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=[29, 0]))
+        if kind == "on-curve":
+            m = 150_000
+            samples = [0.5 - (2 * np.arange(1, m + 1) - 1) / (2 * m)]
+        else:
+            draws = [make_falpha(0.5, 1.0).sample(rng, 200_000) for _ in range(3)]
+            samples = [v - 100.0 if kind == "mixed" else -v for v in draws]
+        builds = [quiet_build(rng.permutation(v), SampleParams(0.2, 0.01, 0.1)) for v in samples]
+        assert spy.grid_builds == len(builds)
+        for em in builds:
+            assert pop_slack(em.envelope) < pop_slack(em.revenue_points)
+            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
+
+    @pytest.mark.parametrize("kind", ["tie-free", "ties"])
+    @given(e=st.integers(-40, 30), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_power_of_two_scaling_scales_the_model_exactly(self, kind, e, seed):
+        # scaling every sample by 2**e scales the envelope's R column, the
+        # reserve and the point mass value bit for bit, and moves no
+        # quantile: on tie-free builds through both prune levels, and on
+        # tie-heavy builds through the run-end path
+        rng = np.random.Generator(np.random.Philox(key=[30, seed]))
+        if kind == "tie-free":
+            samples = make_falpha(0.5, 1.0).sample(rng, 40_000)
+        else:
+            samples = random_tabular(rng, 40).sample(rng, 20_000)
+        p = SampleParams(0.2, 0.01, 0.1)
+        levels = []
+        hull_prune_level = empirical._hull_prune
+        try:
+            empirical._hull_prune = lambda *args: levels.append(1) or hull_prune_level(*args)
+            base = quiet_build(samples, p)
+        finally:
+            empirical._hull_prune = hull_prune_level
+        assert len(levels) == (2 if kind == "tie-free" else 0)
+        c = 2.0**e
+        scaled = quiet_build(samples * c, p)
+        assert scaled.envelope[:, 0].tobytes() == base.envelope[:, 0].tobytes()
+        assert scaled.envelope[:, 1].tobytes() == (base.envelope[:, 1] * c).tobytes()
+        assert scaled.empirical_reserve() == base.empirical_reserve() * c
+        assert scaled.point_mass_value == base.point_mass_value * c
+        assert scaled.xi_bar == base.xi_bar
 
 
 # ---------------------------------------------------------------------------
