@@ -411,22 +411,37 @@ def concave_envelope(
     return _upper_chain(pts, slack)
 
 
+def _fill_grid(
+    x: np.ndarray, y: np.ndarray, values: Callable[[int, int], np.ndarray], kept_from: int, m: int, size: int
+) -> None:
+    """Fill rows of a build's anchored revenue grid in place.
+
+    The grid has ``size`` rows: row 0 is the anchor (0, 0), row r the
+    retained value v at t = (2(kept_from + r - 1) - 1)/(2m), R = t * v, and
+    row ``size - 1`` the anchor (1, 0).  On entry ``x`` holds 2r for
+    ascending row indices r, exact in floats; the non-anchor rows among
+    them sit at positions lo:hi, and ``values(lo, hi)`` returns their
+    retained values.  Anchor rows are found by index value, so an index
+    may repeat.
+    """
+    lo = int(np.searchsorted(x, 0.0, side="right"))
+    hi = int(np.searchsorted(x, 2.0 * (size - 1), side="left"))
+    x += 2 * kept_from - 3
+    x /= 2 * m
+    np.multiply(x[lo:hi], values(lo, hi), out=y[lo:hi])
+    x[:lo] = y[:lo] = 0.0
+    x[hi:], y[hi:] = 1.0, 0.0
+
+
 def _revenue_points(kept_vals: np.ndarray, kept_from: int, m: int) -> np.ndarray:
     """The anchored revenue points (0, 0), (t_j, t_j * v_j), (1, 0) of the
     retained values ``kept_vals``, the first at 1-based sort position
-    ``kept_from``, t ascending.
-
-    Written in place: the grid t_j = (2j - 1)/(2m) is a float range of odd
-    numbers (exact) divided by 2m, straight into the first column, and
-    R = t * v goes into the second.
-    """
-    rp = np.empty((len(kept_vals) + 2, 2))
-    rp[0] = 0.0
-    rp[-1] = (1.0, 0.0)
-    t = rp[1:-1, 0]
-    odd = np.arange(2 * kept_from - 1, 2 * (kept_from + len(kept_vals)) - 1, 2, dtype=float)
-    np.divide(odd, 2 * m, out=t)
-    np.multiply(t, kept_vals, out=rp[1:-1, 1])
+    ``kept_from``, t ascending: every row of the `_fill_grid` grid."""
+    size = len(kept_vals) + 2
+    rp = np.empty((size, 2))
+    x = np.arange(0, 2 * size, 2, dtype=float)
+    _fill_grid(x, rp[:, 1], lambda lo, hi: kept_vals, kept_from, m, size)
+    rp[:, 0] = x
     return rp
 
 
@@ -434,32 +449,26 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
     """A build's anchored revenue grid as `_Rows` in blocks of
     `_PRUNE_BLOCK`, and the grid's pop slack; None if two retained values tie.
 
-    Row 0 is the anchor (0, 0), row r = 1..n the retained value v at
-    t = (2(kept_from + r - 1) - 1)/(2m), R = t * v, and row n + 1 the anchor
-    (1, 0): bit for bit the rows of `_revenue_points`.  One pass over the
-    sort computes them `_GRID_CHUNK` blocks at a time.  Each chunk is
-    checked for a tie between adjacent values (the pass stops at the first),
-    its blocks are scored (`_far_points`), and its max|R| is taken, which
-    with max|x| = 1 sets the slack.  No array of all rows is written:
-    ``take`` computes the rows it is asked for from the sort.
+    The rows are those of `_revenue_points`, filled by the same
+    `_fill_grid`.  One pass over the sort computes them `_GRID_CHUNK`
+    blocks at a time.  Each chunk is checked for a tie between adjacent
+    values (the pass stops at the first), its blocks are scored
+    (`_far_points`), and its max|R| is taken, which with max|x| = 1 sets the
+    slack.  No array of all rows is written: ``take`` computes the rows it
+    is asked for from the sort.
     """
     n = len(kept_vals)
     size, block = n + 2, _PRUNE_BLOCK
     nb = size // block
-    odd = 2 * kept_from - 3  # row r lies at t = (2r + odd)/(2m)
 
     def take(r):
-        j = r - 1  # each row's position among the retained values
+        # each row's retained value, gathered into y itself; an anchor row
+        # reads an end value, which `_fill_grid` does not use
+        j = r - 1
         y = kept_vals[np.clip(j, 0, n - 1, out=j)]
         del j
         x = r * 2.0
-        x += odd
-        x /= 2 * m
-        y *= x
-        if len(r) and r[0] == 0:
-            x[0] = y[0] = 0.0
-        if len(r) and r[-1] == size - 1:
-            x[-1], y[-1] = 1.0, 0.0
+        _fill_grid(x, y, lambda lo, hi: y[lo:hi], kept_from, m, size)
         return x, y
 
     x0, x1, dy, s_far = (np.empty(nb) for _ in range(4))
@@ -479,14 +488,8 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
         if np.equal(ascending[a:b], ascending[a + 1 : b + 1], out=ties[: b - a]).any():
             return None
         x, y = xs[: r1 - r0], ys[: r1 - r0]
-        np.add(ramp[: r1 - r0], 2 * r0 + odd, out=x)
-        x /= 2 * m
-        lo, hi = max(r0, 1), min(r1, n + 1)  # the rows of retained values
-        np.multiply(x[lo - r0 : hi - r0], kept_vals[lo - 1 : hi - 1], out=y[lo - r0 : hi - r0])
-        if r0 == 0:
-            x[0] = y[0] = 0.0
-        if r1 == size:
-            x[-1], y[-1] = 1.0, 0.0
+        np.add(ramp[: r1 - r0], 2 * r0, out=x)
+        _fill_grid(x, y, lambda lo, hi: kept_vals[r0 + lo - 1 : r0 + hi - 1], kept_from, m, size)
         top = max(top, _max_abs(y))
         k = (min(r1, nb * block) - r0) // block
         if k:

@@ -780,10 +780,12 @@ class TestHullPrune:
 
 class GridSpy:
     """Counts, while installed, the builds that hulled their revenue grid
-    off the sort (`_grid_rows` returned rows) and the prune levels run."""
+    off the sort (`_grid_rows` returned rows), the prune levels run, and the
+    levels whose far rows include an end row (row 0 or the last), which the
+    small hull's rows then repeat."""
 
     def __init__(self, monkeypatch):
-        self.grid_builds, self.levels = 0, 0
+        self.grid_builds, self.levels, self.end_far = 0, 0, 0
         grid_rows, hull_prune_level = empirical._grid_rows, empirical._hull_prune
 
         def spy_grid(*args):
@@ -791,9 +793,10 @@ class GridSpy:
             self.grid_builds += out is not None
             return out
 
-        def spy_level(*args):
+        def spy_level(rows, *args):
             self.levels += 1
-            return hull_prune_level(*args)
+            self.end_far += bool(len(rows.far)) and (rows.far[0] == 0 or rows.far[-1] == rows.n - 1)
+            return hull_prune_level(rows, *args)
 
         monkeypatch.setattr(empirical, "_grid_rows", spy_grid)
         monkeypatch.setattr(empirical, "_hull_prune", spy_level)
@@ -834,6 +837,23 @@ class TestGridHull:
             full = concave_envelope(em.revenue_points)
             assert em.envelope.tobytes() == full.tobytes()
             assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
+
+    def test_convex_tail_whose_far_row_is_the_end_anchor(self, monkeypatch):
+        # on samples U**2 the revenue curve q (1 - q)**2 is convex for
+        # q > 2/3, so the last block's far row is one of its ends; when the
+        # block ends at the (1, 0) anchor, rounding can pick that anchor,
+        # and the small hull reads the anchor row twice
+        spy = GridSpy(monkeypatch)
+        builds = []
+        for n in (5 * _PRUNE_BLOCK - 2, 8 * _PRUNE_BLOCK - 2):
+            m = retained_count_m(n, 0.05)
+            for seed in range(4):
+                rng = np.random.Generator(np.random.Philox(key=[31, seed]))
+                builds.append(quiet_build(rng.random(m) ** 2, SampleParams(0.2, 0.05, 0.1)))
+        assert spy.grid_builds == len(builds) and spy.end_far >= 1
+        for em in builds:
+            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            assert em.envelope[-1].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("where", ["first", "chunk-edge", "last"])
     def test_one_tie_among_a_million_values_takes_the_run_end_path(self, where, monkeypatch):
