@@ -584,7 +584,9 @@ class EmpiricalModel:
     def quantile_of_value(self, v) -> float | np.ndarray:
         """Leftmost quantile with v(q) <= v (the generalized inverse).
 
-        Values above the point mass clip to xi_bar.  Vectorized over v.
+        Values strictly above the point mass value clip to xi_bar, by an
+        exact comparison, so the map has no slack in the unit of value.
+        Vectorized over v.
         """
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
         qs = self.revenue_points[:, 0]
@@ -608,7 +610,7 @@ class EmpiricalModel:
         exact = vals[idx] == v_arr
         out = np.where(exact, qs[idx], cross)
         out = np.maximum(out, self.xi_bar)
-        out = np.where(v_arr > self.point_mass_value + 1e-12, self.xi_bar, out)
+        out = np.where(v_arr > self.point_mass_value, self.xi_bar, out)
         return float(out[0]) if np.isscalar(v) or np.ndim(v) == 0 else out
 
     # -- diagnostics ----------------------------------------------------------

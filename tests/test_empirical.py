@@ -983,6 +983,30 @@ class TestLookups:
         assert em.value_at_quantile(0.01) == pytest.approx(5.0)
         assert em.quantile_of_value(100.0) == pytest.approx(em.xi_bar)
 
+    @pytest.mark.parametrize("kind", ["tie-free", "ties"])
+    def test_power_of_two_scaling_moves_no_quantile(self, kind):
+        # scaling the samples and the looked-up values by 2**e leaves every
+        # quantile bit for bit, values just above the point mass included:
+        # they clip to xi_bar at every scale, with no slack in the unit of
+        # value
+        rng = np.random.Generator(np.random.Philox(key=[14, 0]))
+        d = make_falpha(0.5, 1.0) if kind == "tie-free" else random_tabular(rng, 12)
+        samples = d.sample(rng, 3000)
+        p = SampleParams(0.2, 0.05, 0.1)
+        base = quiet_build(samples, p)
+        pmv, kept = base.point_mass_value, base.retained_values()
+        above = [np.nextafter(pmv, np.inf), pmv * (1 + 2**-40), pmv * 1.5, 2 * kept[0]]
+        probes = np.concatenate(
+            (above, [pmv, np.nextafter(pmv, -np.inf), 0.0, kept[-1] / 2], kept[:50], (kept[1:50] + kept[:49]) / 2)
+        )
+        want = base.quantile_of_value(probes)
+        assert np.all(want[: len(above)] == base.xi_bar)
+        for e in range(-40, 31):
+            c = 2.0**e
+            scaled = quiet_build(samples * c, p)
+            assert scaled.point_mass_value == pmv * c
+            assert scaled.quantile_of_value(probes * c).tobytes() == want.tobytes()
+
     def test_quantile_of_zero_is_one(self, em):
         assert em.quantile_of_value(0.0) == pytest.approx(1.0)
 
