@@ -104,6 +104,27 @@ def _uniform_on_half_open(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.subtract(1.0, q, out=q)
 
 
+def _uniform_order_statistics(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The order statistics of ``n`` uniforms on (0, 1], ascending, in O(n)
+    and without a sort: ``S_i / S_{n+1}`` for the partial sums S_i of n + 1
+    standard exponentials (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, section V.3).
+
+    The quantiles are computed directly, not as 1 - u, so the smallest
+    ones, which give the largest values, keep their relative precision.
+    Partial sums of nonnegative terms never decrease in floating point, so
+    the quantiles are exactly nondecreasing and at most 1.  A draw that
+    opens with zero exponentials (each of probability about 2**-53) would
+    give q = 0, whose value is infinite on an unbounded support; those
+    quantiles are raised to the least normal double instead.
+    """
+    s = rng.standard_exponential(int(n) + 1)
+    np.cumsum(s, out=s)
+    q = np.divide(s[:-1], s[-1], out=s[:-1])
+    q[: np.searchsorted(q, 0.0, side="right")] = np.finfo(float).tiny
+    return q
+
+
 class ValuationDistribution(ABC):
     """Common interface of all valuation distributions.
 
@@ -184,6 +205,19 @@ class ValuationDistribution(ABC):
         kind returns ``value_of_quantile(1 - u)``, with 1 - u in (0, 1] by
         construction, and `DiscreteTabular` the atom at the first cdf entry
         above u."""
+
+    @abstractmethod
+    def sorted_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The values of ``n`` i.i.d. draws, largest first, as one
+        contiguous array, drawn in O(n) without a sort.
+
+        The joint law is that of ``np.sort(sample(rng, n))[::-1]``, but the
+        draws are not: a continuous kind maps the order statistics of n
+        uniforms (`_uniform_order_statistics`) through
+        ``value_of_quantile``, which is decreasing, and `DiscreteTabular`
+        repeats each atom, from the top, by its multinomial count.  A
+        seeded stream fixes every draw.  `build_empirical` takes the result
+        as its sort after an O(n) check, with no copy."""
 
     # -- derived quantities ------------------------------------------------
 
@@ -318,6 +352,9 @@ class FAlpha(ValuationDistribution):
             return np.empty(0)
         return self._values_in_place(_uniform_on_half_open(rng, n))
 
+    def sorted_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self._values_in_place(_uniform_order_statistics(rng, n))
+
     def to_spec(self) -> dict:
         return {"kind": "falpha", "alpha": self.alpha, "scale": self.scale}
 
@@ -396,6 +433,9 @@ class Exponential(ValuationDistribution):
         if n == 0:
             return np.empty(0)
         return self._values_in_place(_uniform_on_half_open(rng, n))
+
+    def sorted_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self._values_in_place(_uniform_order_statistics(rng, n))
 
     def to_spec(self) -> dict:
         return {"kind": "exponential", "rate": self.rate}
@@ -607,6 +647,11 @@ class DiscreteTabular(ValuationDistribution):
         out = value.take(cell, out=u, mode="clip")
         out[fix] = self.support.take(np.searchsorted(self._cdf, u_fix, side="right"))
         return out
+
+    def sorted_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Each atom, from the top, repeated by its count in one multinomial
+        draw of ``n`` over the pmf."""
+        return np.repeat(self.support[::-1], rng.multinomial(int(n), self.pmf)[::-1])
 
     def truncate_at(self, B: float) -> "DiscreteTabular":
         """Fold all mass above B onto an atom at B."""

@@ -456,16 +456,27 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
     (`_far_points`), and its max|R| is taken, which with max|x| = 1 sets the
     slack.  No array of all rows is written: ``take`` computes the rows it
     is asked for from the sort.
+
+    The tie check and ``take`` read the sort in its memory order, which
+    runs descending for a drawn sort (`ValuationDistribution.sorted_sample`)
+    and ascending for `np.sort`'s reversed output.  The products R = t * v
+    read it in row order, the order the block scores need: on a drawn sort
+    that is memory order too.
     """
     n = len(kept_vals)
     size, block = n + 2, _PRUNE_BLOCK
     nb = size // block
+    flip = kept_vals.strides[0] < 0
+    mem = kept_vals[::-1] if flip else kept_vals
 
     def take(r):
         # each row's retained value, gathered into y itself; an anchor row
         # reads an end value, which `_fill_grid` does not use
         j = r - 1
-        y = kept_vals[np.clip(j, 0, n - 1, out=j)]
+        np.clip(j, 0, n - 1, out=j)
+        if flip:
+            np.subtract(n - 1, j, out=j)
+        y = mem.take(j)
         del j
         x = r * 2.0
         _fill_grid(x, y, lambda lo, hi: y[lo:hi], kept_from, m, size)
@@ -479,13 +490,15 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
     ramp = np.arange(0, 2 * min(chunk, size), 2, dtype=float)
     xs, ys, ties = np.empty(len(ramp)), np.empty(len(ramp)), np.empty(len(ramp), dtype=bool)
     work = np.empty((2, min(_GRID_CHUNK, nb), block))
-    ascending = kept_vals[::-1]
     for r0 in range(0, size, chunk):
         r1 = min(r0 + chunk, size)
-        # the pairs (i, i + 1) of values whose first lies in this chunk,
-        # compared in ascending order, the sort's memory order
-        a, b = n - min(r1, n), max(n - max(r0, 1), 0)
-        if np.equal(ascending[a:b], ascending[a + 1 : b + 1], out=ties[: b - a]).any():
+        # the pairs (i, i + 1) of values whose first lies in this chunk, at
+        # their positions in memory
+        a = max(r0, 1) - 1
+        b = max(min(r1, n) - 1, a)
+        if flip:
+            a, b = n - 1 - b, n - 1 - a
+        if np.equal(mem[a:b], mem[a + 1 : b + 1], out=ties[: b - a]).any():
             return None
         x, y = xs[: r1 - r0], ys[: r1 - r0]
         np.add(ramp[: r1 - r0], 2 * r0, out=x)
@@ -505,7 +518,7 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
 class EmpiricalModel:
     """Immutable result of one empirical build; see the module docstring.
 
-    Stored: the build's one sort ``sorted_samples`` (descending),
+    Stored: the build's sort ``sorted_samples`` (descending),
     ``kept_from``, ``params``, the hull ``envelope``, ``xi_bar`` and
     ``point_mass_value``.  Everything else is a closed form of the sort: the
     retained value at 0-based position j is ``sorted_samples[kept_from - 1
@@ -702,12 +715,16 @@ class EmpiricalModel:
 def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel:
     """Sort, discard the top floor(xi*m)-1 samples, and assemble the model.
 
-    This is the build's only sort.  The samples are sorted once by value,
-    unstably: equal floats are interchangeable (bar the sign of a zero), so
-    the model does not depend on input order.  The revenue points come out
-    in quantile order, so `concave_envelope` does not sort again, and
-    `EmpiricalModel.coverage_event_holds` reads leftmost quantiles off the
-    same descending array.
+    A nonincreasing input, such as a drawn sort
+    (`ValuationDistribution.sorted_sample`), is the sort: one O(n) check
+    finds it so, and the model keeps the array itself, not a copy, so it
+    must not be written to afterwards.  Any other input is sorted once by
+    value, unstably: equal floats are interchangeable (bar the sign of a
+    zero), so the model does not depend on input order, and a presorted
+    input and any shuffle of it give the same model.  The revenue points
+    come out in quantile order, so `concave_envelope` does not sort again,
+    and `EmpiricalModel.coverage_event_holds` reads leftmost quantiles off
+    the same descending array.
 
     A build of more than four `_PRUNE_BLOCK` blocks of revenue points whose
     retained values have no ties never writes the points out.  One pass over
@@ -746,7 +763,7 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
             SampleCountWarning,
             stacklevel=2,
         )
-    desc = np.sort(values)[::-1]
+    desc = values if np.all(values[:-1] >= values[1:]) else np.sort(values)[::-1]
     kept_from = max(math.floor(p.xi * m), 1)
     if kept_from > m:
         raise InsufficientSamplesError(

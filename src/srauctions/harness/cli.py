@@ -296,7 +296,7 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
         else:
             sp = SampleParams(**config["sample_params"]).with_required_m()
             build_rng = meta_stream(seed, 0)
-            models = {(i, j): build_empirical(d.sample(build_rng, sp.m), sp) for i, j, d in inst.pairs()}
+            models = {(i, j): build_empirical(d.sorted_sample(build_rng, sp.m), sp) for i, j, d in inst.pairs()}
             lp3 = build_lp3(inst, models, sp)
             plan = make_pricing_plan(aggregate(solve(lp3), lp3, inst), inst, models, sp)
         return MechRows(
@@ -330,7 +330,7 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
     elif mech == "vcgl-emp":
         sp = SampleParams(**config["sample_params"]).with_required_m()
         build_rng = meta_stream(seed, 0)
-        reserves = [build_empirical(d.sample(build_rng, sp.m), sp).empirical_reserve() for d in dists]
+        reserves = [build_empirical(d.sorted_sample(build_rng, sp.m), sp).empirical_reserve() for d in dists]
     else:
         reserves = config.get("reserves") or [d.reserve_price for d in dists]
     if mech in ("vcg", "vcgl", "vcgl-emp"):

@@ -530,7 +530,7 @@ def run_vcgl_samp(cfg: ExperimentConfig) -> Report:
     rev_all, welf_all = Accumulator(), Accumulator()
     for t in range(resamples):
         build_rng = meta_stream(cfg.master_seed, t)
-        reserves = [build_empirical(d.sample(build_rng, p.m), p).empirical_reserve() for _ in range(n)]
+        reserves = [build_empirical(d.sorted_sample(build_rng, p.m), p).empirical_reserve() for _ in range(n)]
         accs = run_batched(_lazy_vcg_batch(d, n, 1, reserves), block, cfg.master_seed, t)
         per_resample.add(accs["revenue"].mean)
         rev_all = rev_all.merge(accs["revenue"])
@@ -671,7 +671,7 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
     )
     d = make_falpha(alpha, 1.0)
     models = [
-        build_empirical(d.sample(meta_stream(cfg.master_seed, slot), p.m), p)
+        build_empirical(d.sorted_sample(meta_stream(cfg.master_seed, slot), p.m), p)
         for slot in range(k)
     ]
     reserves = [m.empirical_reserve() for m in models]
@@ -798,7 +798,7 @@ def run_posted_lp_samp(cfg: ExperimentConfig) -> Report:
         while len(covered_builds) < wanted and attempts < attempts_cap:
             build_rng = meta_stream(cfg.master_seed, 10 + attempts)
             models = {
-                (i, j): build_empirical(d.sample(build_rng, p.m), p)
+                (i, j): build_empirical(d.sorted_sample(build_rng, p.m), p)
                 for i, j, d in inst.pairs()
             }
             attempts += 1

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from srauctions.dists import (
     DiscreteTabular,
@@ -536,6 +537,78 @@ def test_in_place_sampling_is_byte_equal_to_the_formula(d):
     q = np.array([0.25, 0.5])
     d.value_of_quantile(q)
     assert q.tolist() == [0.25, 0.5]  # the caller's array is not overwritten
+
+
+CONTINUOUS_KINDS = [make_falpha(0.5), make_falpha(0.3, 7.0), make_exponential(2.0)]
+DISCRETE_KINDS = [
+    truncate_at(make_falpha(0.5), 4.0, grid=[1.0, 2.0, 3.0, 4.0]),  # the criterion prior
+    make_discrete([0.5, 1.25, 2.0, 6.0, 9.5], [0.1, 0.35, 0.3, 0.2, 0.05]),
+]
+
+
+def _sorted_draws(d, n, reps, seed):
+    """``reps`` draws of ``d.sorted_sample(rng, n)`` on one seeded stream,
+    as the rows of one array."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, n]))
+    return np.array([d.sorted_sample(rng, n) for _ in range(reps)])
+
+
+class _ZeroLeadingExponentials:
+    """A generator stub whose ``standard_exponential(n)`` returns seeded
+    draws whose first ``zeros`` are 0."""
+
+    def __init__(self, zeros):
+        self.zeros = zeros
+
+    def standard_exponential(self, n):
+        e = np.random.Generator(np.random.Philox(key=[44, n])).standard_exponential(n)
+        e[: self.zeros] = 0.0
+        return e
+
+
+class TestSortedSample:
+    """``sorted_sample`` draws the order statistics of n i.i.d. values
+    directly; its law is that of a sorted ``sample``."""
+
+    @pytest.mark.parametrize("n", [5, 40])
+    @pytest.mark.parametrize("d", CONTINUOUS_KINDS, ids=repr)
+    def test_each_rank_has_the_beta_law(self, d, n):
+        # the k-th largest value sits at the k-th smallest of n uniform
+        # quantiles, which is Beta(k, n + 1 - k)
+        q = d.quantile_of_value(_sorted_draws(d, n, 2_000, 41))
+        pvalues = [stats.kstest(q[:, k - 1], stats.beta(k, n + 1 - k).cdf).pvalue for k in range(1, n + 1)]
+        assert min(pvalues) > 1e-4
+
+    @pytest.mark.parametrize("n", [5, 40])
+    @pytest.mark.parametrize("d", DISCRETE_KINDS, ids=repr)
+    def test_discrete_counts_follow_the_pmf(self, d, n):
+        reps = 2_000
+        draws = _sorted_draws(d, n, reps, 42)
+        counts = (draws[:, :, None] == d.support).sum(axis=1)
+        assert np.all(counts.sum(axis=1) == n)
+        # pooled, the counts are one multinomial draw of n * reps
+        assert stats.chisquare(counts.sum(axis=0), n * reps * d.pmf).pvalue > 1e-4
+        # per draw, each atom's count is binomial, not a fixed allotment
+        np.testing.assert_allclose(counts.var(axis=0, ddof=1), n * d.pmf * (1 - d.pmf), rtol=0.2)
+
+    @pytest.mark.parametrize("d", CONTINUOUS_KINDS + DISCRETE_KINDS, ids=repr)
+    def test_draws_are_nonincreasing_finite_and_seeded(self, d):
+        for n in (0, 1, 5, 40, 100_003):
+            a, b = (d.sorted_sample(np.random.Generator(np.random.Philox(key=[43, n])), n) for _ in range(2))
+            assert a.shape == (n,) and a.flags.c_contiguous
+            assert np.all(np.isfinite(a)) and np.all(a[:-1] >= a[1:])
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("zeros", [1, 2])
+    @pytest.mark.parametrize("d", [make_falpha(0.5), make_falpha(0.05), make_exponential(2.0)], ids=repr)
+    def test_zero_exponentials_give_a_finite_top_value(self, d, zeros):
+        # a zero exponential at the head of the partial sums would put a
+        # draw at quantile 0, whose value is infinite
+        a = d.sorted_sample(_ZeroLeadingExponentials(zeros), 40)
+        top = d.value_of_quantile(np.finfo(float).tiny)
+        assert math.isfinite(top)
+        assert a[:zeros].tolist() == [top] * zeros
+        assert np.all(np.isfinite(a)) and np.all(a[:-1] >= a[1:])
 
 
 @pytest.mark.parametrize(

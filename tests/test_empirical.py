@@ -934,6 +934,71 @@ class TestGridHull:
         assert scaled.xi_bar == base.xi_bar
 
 
+class TestPresortedBuild:
+    """A nonincreasing input, such as a drawn sort (`sorted_sample`), is the
+    build's sort: one O(n) check and no copy.  Any other input is sorted, so
+    a presorted array and a shuffle of it give the same model, whichever
+    way the sort runs in memory."""
+
+    @pytest.mark.parametrize("kind", ["tie-free", "ties"])
+    def test_a_presorted_input_and_its_shuffle_give_the_same_model(self, kind, monkeypatch):
+        spy = GridSpy(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=[33, 0]))
+        p = SampleParams(0.2, 0.05, 0.1)
+        if kind == "tie-free":
+            # more than four blocks, over several `_grid_rows` chunks
+            d, m = make_falpha(0.5, 1.0), 5 * _GRID_CHUNK * _PRUNE_BLOCK
+        else:
+            d, m = random_tabular(rng, 40), 20_000
+        desc = d.sorted_sample(rng, m)
+        backward = desc[::-1].copy()[::-1]  # the same values, ascending in memory
+        em = quiet_build(desc, p)
+        assert np.shares_memory(em.sorted_samples, desc)
+        for other in (rng.permutation(desc), backward):
+            o = quiet_build(other, p)
+            assert np.shares_memory(o.sorted_samples, other) == (other is backward)
+            assert o.sorted_samples.tobytes() == em.sorted_samples.tobytes()
+            assert o.envelope.tobytes() == em.envelope.tobytes()
+            assert o.empirical_reserve() == em.empirical_reserve()
+            assert o.xi_bar == em.xi_bar and o.point_mass_value == em.point_mass_value
+            assert o._tie_free == em._tie_free == (kind == "tie-free")
+        assert spy.grid_builds == (3 if kind == "tie-free" else 0)
+        assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+
+    @pytest.mark.parametrize("n", EDGE_COUNTS)
+    def test_edge_shapes_of_a_drawn_sort(self, n, monkeypatch):
+        # `_grid_rows` reads a drawn sort descending in memory, the other
+        # way from a sorted input's: its tie check and reads at the block
+        # and chunk edges, against the full-point hull and a shuffle's build
+        spy = GridSpy(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=[35, n]))
+        m = retained_count_m(n, 0.05)
+        p = SampleParams(0.2, 0.05, 0.1)
+        builds = [quiet_build(make_falpha(0.5, 1.0).sorted_sample(rng, m), p) for _ in range(3)]
+        assert spy.grid_builds == (3 if n + 2 > 4 * _PRUNE_BLOCK else 0)
+        for em in builds:
+            assert len(em.retained_values()) == n and em.sorted_samples.strides[0] > 0
+            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            assert em.envelope.tobytes() == quiet_build(rng.permutation(em.sorted_samples), p).envelope.tobytes()
+
+    def test_a_presorted_build_makes_no_second_copy(self):
+        # at lottery-samp's theorem-grade m the build's peak above its
+        # input stays below one m-float array; sorting a shuffle takes one
+        m = 1_107_402
+        rng = np.random.Generator(np.random.Philox(key=[34, 0]))
+        desc = make_falpha(0.5, 1.0).sorted_sample(rng, m)
+        peaks = []
+        for samples in (desc, rng.permutation(desc)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                quiet_build(samples, SampleParams(0.05, 0.05, 0.05))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 8 * m <= peaks[1], peaks
+
+
 # ---------------------------------------------------------------------------
 # value/quantile maps, virtual values, reserve
 # ---------------------------------------------------------------------------

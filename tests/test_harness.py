@@ -793,21 +793,22 @@ CRITERION_SAMPLE_SHA256 = "95a3dd2285da391d89c56b2381f81e6946f18a847c256ce0934c3
 #: and these trial counts, which span two ``_CHUNK`` blocks of every Monte
 #: Carlo case.  Every experiment but lemma-square draws its trials from
 #: ``run_batched``'s block streams (``rng.block_stream``), and a run with
-#: one case is case 0, so two-mech, lottery and lottery-samp keep the bytes
-#: they had when they alone ran on the engine.  vcgl-samp is left out:
-#: whatever its trial count, it makes 100 resamples of two builds at
-#: m = 725,085 (about 10 s).
+#: one case is case 0, so two-mech and lottery keep the bytes they had when
+#: they alone ran on the engine.  lottery-samp, posted-lp-samp and
+#: vcgl-samp draw each build's samples as order statistics
+#: (``sorted_sample``); vcgl-samp makes 100 resamples of two builds at
+#: m = 725,085 whatever its trial count.
 REPORT_SHA256 = {
     "vcg-duplicates": (300_000, "2cee0b813fc87557e63103c9a6d089890da8883faa437ab5bd1a42d8609fd642"),
     "vcgl": (300_000, "bf2341d7a16414c2f86ee66dbdab60ab1cc4f5582396a4e6a4f78c7f8ef04010"),
     "posted-lp": (300_000, "3cdea10337b8bb0d2f1f978f9a79f867e32f8f7f58187299ccc2b5ca83336b6f"),
     "two-mech": (260_000, "72c4785435f0c3d2ddc68b2f79c323a822fe5ebb99b640c88d019128cdec9d8b"),
     "lottery": (260_000, "4b17a93ffad25594db947634ce74b742f150162a7b7f75724963efad02c4bee5"),
-    "lottery-samp": (260_000, "bb4837b8f962f183e3c7955f3bf8dc8eacbab3525ac10090c24157d8a1881e9f"),
-    "posted-lp-samp": (260_000, "458f7878b613f0c4458c720f06405e72fdd5fd60771b56f8cc4a9a77e4df254e"),
+    "lottery-samp": (260_000, "8450bb388eb48bb63f3c22eec64fd10943d5f9c0eb27474f680d412a67364ca3"),
+    "posted-lp-samp": (260_000, "195b842862186b09a1ebb539cd794818b6ffd438a7b40291e6b6d64605114122"),
     "lemma-square": (20, "42a4d711d04209805d4beb188f668c1ab6d8cc40d93159cb67c0c0e27a0d4756"),
     # 200 theorem-grade builds (m = 725,085) and 1,000 auctions per resample
-    "vcgl-samp": (1_000, "5cc090c0508cd09d4df929bd691390be91e4f19eff6ca2925e2aaf126e88ceb0"),
+    "vcgl-samp": (1_000, "383cd5f6801f7e5addcfd26cc172050679375ceaabd00cb2218ec6f783ef965a"),
 }
 
 
