@@ -49,8 +49,6 @@ __all__ = [
 
 #: Relative tolerance for adaptive quadrature fallbacks.
 QUAD_REL_TOL = 1e-8
-#: Integration over an unbounded tail stops where the survival drops below this.
-TAIL_SURVIVAL_CUTOFF = 1e-12
 
 
 class UndefinedVirtualValueError(ValueError):

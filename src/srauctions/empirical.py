@@ -449,34 +449,26 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
     """A build's anchored revenue grid as `_Rows` in blocks of
     `_PRUNE_BLOCK`, and the grid's pop slack; None if two retained values tie.
 
-    The rows are those of `_revenue_points`, filled by the same
-    `_fill_grid`.  One pass over the sort computes them `_GRID_CHUNK`
-    blocks at a time.  Each chunk is checked for a tie between adjacent
-    values (the pass stops at the first), its blocks are scored
+    ``kept_vals`` is a view of the build's sort: contiguous and descending,
+    so memory order is row order.  The rows are those of `_revenue_points`,
+    filled by the same `_fill_grid`.  One pass over the sort computes them
+    `_GRID_CHUNK` blocks at a time.  Each chunk is checked for a tie between
+    adjacent values (the pass stops at the first), its blocks are scored
     (`_far_points`), and its max|R| is taken, which with max|x| = 1 sets the
     slack.  No array of all rows is written: ``take`` computes the rows it
-    is asked for from the sort.
-
-    The tie check and ``take`` read the sort in its memory order, which
-    runs descending for a drawn sort (`ValuationDistribution.sorted_sample`)
-    and ascending for `np.sort`'s reversed output.  The products R = t * v
-    read it in row order, the order the block scores need: on a drawn sort
-    that is memory order too.
+    is asked for from the sort.  A grid of fewer than one block has no
+    blocks to score; its rows are all tail.
     """
     n = len(kept_vals)
     size, block = n + 2, _PRUNE_BLOCK
     nb = size // block
-    flip = kept_vals.strides[0] < 0
-    mem = kept_vals[::-1] if flip else kept_vals
 
     def take(r):
         # each row's retained value, gathered into y itself; an anchor row
         # reads an end value, which `_fill_grid` does not use
         j = r - 1
         np.clip(j, 0, n - 1, out=j)
-        if flip:
-            np.subtract(n - 1, j, out=j)
-        y = mem.take(j)
+        y = kept_vals.take(j)
         del j
         x = r * 2.0
         _fill_grid(x, y, lambda lo, hi: y[lo:hi], kept_from, m, size)
@@ -492,13 +484,10 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
     work = np.empty((2, min(_GRID_CHUNK, nb), block))
     for r0 in range(0, size, chunk):
         r1 = min(r0 + chunk, size)
-        # the pairs (i, i + 1) of values whose first lies in this chunk, at
-        # their positions in memory
+        # the pairs (i, i + 1) of values whose first lies in this chunk
         a = max(r0, 1) - 1
         b = max(min(r1, n) - 1, a)
-        if flip:
-            a, b = n - 1 - b, n - 1 - a
-        if np.equal(mem[a:b], mem[a + 1 : b + 1], out=ties[: b - a]).any():
+        if np.equal(kept_vals[a:b], kept_vals[a + 1 : b + 1], out=ties[: b - a]).any():
             return None
         x, y = xs[: r1 - r0], ys[: r1 - r0]
         np.add(ramp[: r1 - r0], 2 * r0, out=x)
@@ -518,11 +507,14 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
 class EmpiricalModel:
     """Immutable result of one empirical build; see the module docstring.
 
-    Stored: the build's sort ``sorted_samples`` (descending),
-    ``kept_from``, ``params``, the hull ``envelope``, ``xi_bar`` and
-    ``point_mass_value``.  Everything else is a closed form of the sort: the
-    retained value at 0-based position j is ``sorted_samples[kept_from - 1
-    + j]``, at grid point ``(2(kept_from + j) - 1) / (2m)`` (`_grid_at`).
+    Stored: the build's sort ``sorted_samples`` (one contiguous, descending
+    array), ``kept_from``, ``params``, the hull ``envelope``, ``xi_bar``,
+    ``point_mass_value`` and ``tie_free``, the build's own answer to
+    whether no two retained values are equal, which the coverage check
+    reads instead of scanning the values again.  Everything else is a
+    closed form of the sort: the retained value at 0-based position j is
+    ``sorted_samples[kept_from - 1 + j]``, at grid point
+    ``(2(kept_from + j) - 1) / (2m)`` (`_grid_at`).
 
     Derived, read-only and cached on first access: ``revenue_points``, the
     anchored (q, R) rows, and ``quantile_points``, the (t_j, v_j) rows.  A
@@ -537,6 +529,7 @@ class EmpiricalModel:
     envelope: np.ndarray = field(repr=False)  # hull vertices (q, CR)
     xi_bar: float
     point_mass_value: float
+    tie_free: bool  # no two retained values are equal
 
     # -- derived arrays -------------------------------------------------------
 
@@ -635,14 +628,6 @@ class EmpiricalModel:
     def retained_quantiles(self) -> np.ndarray:
         return self.revenue_points[1:-1, 0]
 
-    @cached_property
-    def _tie_free(self) -> bool:
-        """Whether no two retained values are equal.  `build_empirical`
-        stores the answer its own tie check found, so a build's coverage
-        check does not scan the values again."""
-        first, _ = _run_ends(self.retained_values())
-        return bool(first.all())
-
     def _distinct_retained(self) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         """Distinct retained values (descending), and a map from positions
         among them to the grid point t_j of each one's first occurrence.
@@ -654,7 +639,7 @@ class EmpiricalModel:
         `_grid_at` itself, with no gather and no array of positions.
         """
         kept = self.retained_values()
-        if self._tie_free:
+        if self.tie_free:
             return kept, self._grid_at
         first, _ = _run_ends(kept)
         pos = np.flatnonzero(first)
@@ -715,34 +700,36 @@ class EmpiricalModel:
 def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel:
     """Sort, discard the top floor(xi*m)-1 samples, and assemble the model.
 
-    A nonincreasing input, such as a drawn sort
-    (`ValuationDistribution.sorted_sample`), is the sort: one O(n) check
-    finds it so, and the model keeps the array itself, not a copy, so it
-    must not be written to afterwards.  Any other input is sorted once by
-    value, unstably: equal floats are interchangeable (bar the sign of a
-    zero), so the model does not depend on input order, and a presorted
-    input and any shuffle of it give the same model.  The revenue points
-    come out in quantile order, so `concave_envelope` does not sort again,
-    and `EmpiricalModel.coverage_event_holds` reads leftmost quantiles off
-    the same descending array.
+    The model's sort is one contiguous, descending array.  A nonincreasing
+    input, such as a drawn sort (`ValuationDistribution.sorted_sample`), is
+    the sort: one O(n) check finds it so, and a contiguous one is kept
+    itself, not a copy, so it must not be written to afterwards (a strided
+    one is copied).  Any other input is sorted once by value, unstably, as
+    its negation in a fresh array that is then negated back in place:
+    equal floats are interchangeable (bar the sign of a zero), so the model
+    does not depend on input order, and a presorted input and any shuffle
+    of it give the same model.  Samples must be finite: NaN fails the
+    order check and sorts last, so the sort's two ends decide, and a
+    non-finite sample raises ValueError.
 
-    A build of more than four `_PRUNE_BLOCK` blocks of revenue points whose
-    retained values have no ties never writes the points out.  One pass over
-    the sort (`_grid_rows`), in chunks that fit in L2, computes them, scores
-    each block for the prune, takes max|R| for the scan's pop slack and
-    checks for ties; the two prune levels (`_pruned`) then read only the
-    rows of blocks that do not drop whole, and `concave_envelope` scans the
-    few hundred survivors with the whole grid's slack.  The hull is the
-    hull of every revenue point, byte for byte.  The tie check is stored
-    on the model, so `EmpiricalModel.coverage_event_holds` does not repeat
-    it.
+    One pass over the retained values (`_grid_rows`), in chunks that fit in
+    L2, checks them for ties, and its answer alone picks the hull's path.
+    The model stores it (``tie_free``), so
+    `EmpiricalModel.coverage_event_holds` does not check again.
 
-    Every other build writes the anchored revenue points (`_revenue_points`)
-    and hulls the two anchors and the first and last point of each run of
-    equal retained values: a run's points (t_j, t_j * v) lie on the ray
-    R = v * q, so its interior points cannot be hull vertices; left in,
-    rounding can make them spurious ones at large value scales.
+    - Without ties, the same pass computes the revenue points without
+      writing them out, scores each block for the prune and takes max|R|
+      for the scan's pop slack.  The two prune levels (`_pruned`) then read
+      only the rows of blocks that do not drop whole, and
+      `concave_envelope` scans the survivors with the whole grid's slack.
+    - With ties, the build writes the anchored revenue points
+      (`_revenue_points`) and hulls the two anchors and the first and last
+      point of each run of equal retained values: a run's points
+      (t_j, t_j * v) lie on the ray R = v * q, so its interior points
+      cannot be hull vertices; left in, rounding can make them spurious
+      ones at large value scales.
 
+    Either way the hull is the hull of every revenue point, byte for byte.
     The model keeps the sort and the hull, not the revenue points, and
     derives them again only if a curve lookup asks for them.  The point
     mass value interpolates the raw curve on the one pair of grid rows that
@@ -754,6 +741,14 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     values = np.asarray(samples, dtype=float)
     if values.size == 0:
         raise InsufficientSamplesError("no samples given")
+    if np.all(values[:-1] >= values[1:]):
+        desc = np.ascontiguousarray(values)
+    else:
+        desc = np.negative(values)
+        desc.sort()
+        np.negative(desc, out=desc)
+    if not (math.isfinite(desc[0]) and math.isfinite(desc[-1])):
+        raise ValueError(f"samples must be finite; their sort runs from {desc[0]} to {desc[-1]}")
     m = int(values.size)
     report = validate_params(SampleParams(p.gamma, p.xi, p.delta, m))
     if not report.lemma_grade:
@@ -763,24 +758,19 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
             SampleCountWarning,
             stacklevel=2,
         )
-    desc = values if np.all(values[:-1] >= values[1:]) else np.sort(values)[::-1]
     kept_from = max(math.floor(p.xi * m), 1)
     if kept_from > m:
         raise InsufficientSamplesError(
             f"discard rule drops all samples (floor(xi*m)={math.floor(p.xi * m)}, m={m})"
         )
     kept_vals = desc[kept_from - 1 :]
-    grid = _grid_rows(kept_vals, kept_from, m) if len(kept_vals) + 2 > 4 * _PRUNE_BLOCK else None
+    grid = _grid_rows(kept_vals, kept_from, m)
     if grid is None:
-        revenue_points = _revenue_points(kept_vals, kept_from, m)
         first, last = _run_ends(kept_vals)
-        tie_free = bool(first.all())
-        if not tie_free:
-            revenue_points = revenue_points[np.concatenate(([True], first | last, [True]))]
-        envelope = concave_envelope(revenue_points)
+        run_ends = np.concatenate(([True], first | last, [True]))
+        envelope = concave_envelope(_revenue_points(kept_vals, kept_from, m)[run_ends])
     else:
         rows, slack = grid
-        tie_free = True
         envelope = concave_envelope(_pruned(rows, slack), _slack=slack)
     # xi_bar is t[0], or floor(xi*m)/m short of t[1]: rows 1 and 2 of the
     # revenue curve bracket it
@@ -788,13 +778,12 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(head[1, 0]))
     raw_at_xi_bar = float(np.interp(xi_bar, head[1:3, 0], head[1:3, 1]))
     point_mass_value = raw_at_xi_bar / xi_bar if xi_bar > 0 else float(kept_vals[0])
-    model = EmpiricalModel(
+    return EmpiricalModel(
         sorted_samples=desc,
         kept_from=kept_from,
         params=p,
         envelope=envelope,
         xi_bar=float(xi_bar),
         point_mass_value=float(point_mass_value),
+        tie_free=grid is not None,
     )
-    object.__setattr__(model, "_tie_free", tie_free)
-    return model

@@ -177,17 +177,17 @@ def _read_sample_csv(path: str) -> list[float]:
 
 
 def _cmd_empirical_build(args) -> int:
-    samples = _read_sample_csv(args.infile)
-    if len(samples) < args.m:
-        print(
-            f"input has {len(samples)} values, need --m {args.m}", file=sys.stderr
-        )
-        return 2
-    p = SampleParams(gamma=args.gamma, xi=args.xi, delta=args.delta, m=args.m)
+    try:
+        samples = _read_sample_csv(args.infile)
+        if len(samples) < args.m:
+            raise ValueError(f"input has {len(samples)} values, need --m {args.m}")
+        p = SampleParams(gamma=args.gamma, xi=args.xi, delta=args.delta, m=args.m)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = build_empirical(samples[: args.m], p)
+    except _CONFIG_ERRORS as exc:
+        return _bad_input("empirical build", exc)
     validity = validate_params(p)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        model = build_empirical(samples[: args.m], p)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     report = {

@@ -300,7 +300,7 @@ class LpSolution:
     iterations: int
 
 
-def solve(lp: LpProblem, tol: float = 1e-8, max_iterations: int | None = None) -> LpSolution:
+def solve(lp: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Maximize c.x subject to A x <= b, 0 <= x <= 1.
 
     Slack start (x = 0 is always feasible here since b >= 0), Bland's rule

@@ -60,14 +60,12 @@ class Environment(ABC):
     def is_feasible(self, bidders) -> bool: ...
 
     @abstractmethod
-    def best_set(
-        self, values, exclude=frozenset(), include_zero: bool = False
-    ) -> tuple[tuple, float]:
+    def best_set(self, values, exclude=frozenset()) -> tuple[tuple, float]:
         """The welfare-maximizing feasible set avoiding ``exclude``.
 
-        Ties break toward the lexicographically smallest sorted index
-        tuple, so an all-zero profile selects the empty set unless
-        ``include_zero`` asks for zero-weight bidders to stay in.
+        Bidders of weight 0 or less are left out, and ties break toward the
+        lexicographically smallest sorted index tuple, so an all-zero
+        profile selects the empty set.
         """
 
     @abstractmethod
@@ -103,7 +101,7 @@ class ExplicitFeasibleSets(Environment):
     def is_feasible(self, bidders) -> bool:
         return frozenset(int(i) for i in bidders) in set(self._sets)
 
-    def best_set(self, values, exclude=frozenset(), include_zero=False):
+    def best_set(self, values, exclude=frozenset()):
         v = np.asarray(values, dtype=float)
         excl = set(exclude)
         best_key = None
@@ -111,9 +109,7 @@ class ExplicitFeasibleSets(Environment):
         for s in self._sets:
             if s & excl:
                 continue
-            members = tuple(sorted(s))
-            if not include_zero:
-                members = tuple(i for i in members if v[i] > 0.0)
+            members = tuple(i for i in sorted(s) if v[i] > 0.0)
             weight = float(sum(v[i] for i in members))
             key = (-weight, members)
             if best_key is None or key < best_key:
@@ -146,12 +142,11 @@ class KUniformMatroid(Environment):
         s = {int(i) for i in bidders}
         return len(s) <= self.k and all(0 <= i < self.n_bidders for i in s)
 
-    def best_set(self, values, exclude=frozenset(), include_zero=False):
+    def best_set(self, values, exclude=frozenset()):
         v = np.asarray(values, dtype=float)
         excl = set(exclude)
-        floor = -1e-300 if include_zero else 0.0
         order = sorted(
-            (i for i in range(self.n_bidders) if i not in excl and v[i] > floor),
+            (i for i in range(self.n_bidders) if i not in excl and v[i] > 0.0),
             key=lambda i: (-v[i], i),
         )
         chosen = tuple(sorted(order[: self.k]))
@@ -186,7 +181,7 @@ class _DoubledEnvironment:
         slots = [i % n for i in s]
         return len(slots) == len(set(slots)) and self.base.is_feasible(set(slots))
 
-    def best_set(self, values, exclude=frozenset(), include_zero=False):
+    def best_set(self, values, exclude=frozenset()):
         n = self.base.n_bidders
         v = np.asarray(values, dtype=float)
         excl = set(exclude)
@@ -201,9 +196,7 @@ class _DoubledEnvironment:
             champ = min(live, key=lambda m: (-v[m], m))
             champion[slot] = champ
             slot_values[slot] = v[champ]
-        slots, welfare = self.base.best_set(
-            slot_values, exclude=dead_slots, include_zero=include_zero
-        )
+        slots, welfare = self.base.best_set(slot_values, exclude=dead_slots)
         winners = tuple(sorted(champion[s] for s in slots))
         return winners, welfare
 
@@ -221,14 +214,6 @@ class MechanismOutcome:
     payments: dict
     revenue: float
     welfare: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "winners": [list(w) if isinstance(w, tuple) else w for w in self.winners],
-            "payments": {str(k): v for k, v in self.payments.items()},
-            "revenue": self.revenue,
-            "welfare": self.welfare,
-        }
 
 
 def _outcome(winners, payments, values_of):

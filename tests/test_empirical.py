@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from srauctions import empirical, make_falpha, truncate_at
 from srauctions.dists import DiscreteTabular, Exponential, FAlpha
 from srauctions.empirical import (
+    _FINE_BLOCK,
     _GRID_CHUNK,
     _PRUNE_BLOCK,
     _SCORE_CHUNK,
@@ -335,7 +336,7 @@ class TestLeanModel:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert em._tie_free and "revenue_points" not in em.__dict__
+        assert em.tie_free and "revenue_points" not in em.__dict__
         assert peak <= 16 * m + 2 * 1024 * 1024, peak
 
     @pytest.mark.parametrize("n_distinct", [_PRUNE_BLOCK - 1, _PRUNE_BLOCK, _PRUNE_BLOCK + 1, 4 * _PRUNE_BLOCK + 1])
@@ -803,10 +804,18 @@ class GridSpy:
 
 
 #: Retained counts n (n + 2 anchored rows) at the edges of the block
-#: layout: four blocks exactly (no prune) and one row over, a retained count
-#: that is a multiple of a block, tails of 0, 1 and 1,023 rows, and a grid
-#: of several `_grid_rows` chunks ending one row into a chunk.
+#: layout: grids of less than one block (all rows tail), at and one row over
+#: the size above which the second prune level runs, four blocks exactly and
+#: one row over, a retained count that is a multiple of a block, tails of 0,
+#: 1 and 1,023 rows, and a grid of several `_grid_rows` chunks ending one row
+#: into a chunk.
 EDGE_COUNTS = [
+    1,
+    2,
+    4 * _FINE_BLOCK - 2,
+    4 * _FINE_BLOCK - 1,
+    _PRUNE_BLOCK - 2,
+    _PRUNE_BLOCK - 1,
     4 * _PRUNE_BLOCK - 2,
     4 * _PRUNE_BLOCK - 1,
     4 * _PRUNE_BLOCK + 1,
@@ -819,10 +828,10 @@ EDGE_COUNTS = [
 
 
 class TestGridHull:
-    """A tie-free build of more than four blocks hulls its revenue grid
-    straight off the sort, in two prune levels; other builds hull the
-    revenue points (or their tie-run ends).  Either way the envelope is the
-    hull of every revenue point, byte for byte, and the model is the same."""
+    """A tie-free build, whatever its size, hulls its revenue grid straight
+    off the sort, in two prune levels; a build with ties hulls the ends of
+    its tie runs.  Either way the envelope is the hull of every revenue
+    point, byte for byte, and the model is the same."""
 
     @pytest.mark.parametrize("n", EDGE_COUNTS)
     @pytest.mark.parametrize("xi", [1e-5, 0.05])
@@ -831,11 +840,30 @@ class TestGridHull:
         rng = np.random.Generator(np.random.Philox(key=[27, n]))
         m = retained_count_m(n, xi)
         builds = [quiet_build(make_falpha(0.5, 1.0).sample(rng, m), SampleParams(0.2, xi, 0.1)) for _ in range(3)]
-        assert spy.grid_builds == (3 if n + 2 > 4 * _PRUNE_BLOCK else 0)
+        assert spy.grid_builds == 3
         for em in builds:
             assert len(em.retained_values()) == n
             full = concave_envelope(em.revenue_points)
             assert em.envelope.tobytes() == full.tobytes()
+            assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
+
+    @pytest.mark.parametrize("n", [n for n in EDGE_COUNTS if n + 2 <= 4 * _PRUNE_BLOCK])
+    @pytest.mark.parametrize("kind", ["uniform-squared", "negative"])
+    def test_small_convex_and_negative_builds_match_the_full_point_hull(self, n, kind, monkeypatch):
+        # builds of at most four blocks take the grid path too, and
+        # `concave_envelope` scans their revenue points whole, without a
+        # prune: on a convex tail, and on values whose R = t * v falls
+        # below the anchors' line, where the prune drops rows
+        spy = GridSpy(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=[36, n]))
+        m = retained_count_m(n, 0.05)
+        draws = {"uniform-squared": lambda: rng.random(m) ** 2, "negative": lambda: rng.random(m) - 0.75}[kind]
+        builds = [quiet_build(draws(), SampleParams(0.2, 0.05, 0.1)) for _ in range(3)]
+        assert spy.grid_builds == 3
+        for em in builds:
+            assert em.tie_free and len(em.retained_values()) == n
+            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            assert em.envelope.tobytes() == reference_hull(em.revenue_points).tobytes()
             assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
 
     def test_convex_tail_whose_far_row_is_the_end_anchor(self, monkeypatch):
@@ -868,7 +896,7 @@ class TestGridHull:
         i = {"first": 0, "chunk-edge": _GRID_CHUNK * _PRUNE_BLOCK - 2, "last": n - 2}[where]
         values[kept_from + i] = values[kept_from - 1 + i]
         em = quiet_build(rng.permutation(values), p)
-        assert spy.grid_builds == 0 and not em._tie_free
+        assert spy.grid_builds == 0 and not em.tie_free
         assert len(em._distinct_retained()[0]) == n - 1
         assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
 
@@ -936,9 +964,10 @@ class TestGridHull:
 
 class TestPresortedBuild:
     """A nonincreasing input, such as a drawn sort (`sorted_sample`), is the
-    build's sort: one O(n) check and no copy.  Any other input is sorted, so
-    a presorted array and a shuffle of it give the same model, whichever
-    way the sort runs in memory."""
+    build's sort: one O(n) check, and no copy of a contiguous one.  Any
+    other input is sorted, so a presorted array and a shuffle of it give
+    the same model, and every model's sort is one contiguous, descending
+    array, whatever the input's layout in memory."""
 
     @pytest.mark.parametrize("kind", ["tie-free", "ties"])
     def test_a_presorted_input_and_its_shuffle_give_the_same_model(self, kind, monkeypatch):
@@ -951,33 +980,40 @@ class TestPresortedBuild:
         else:
             d, m = random_tabular(rng, 40), 20_000
         desc = d.sorted_sample(rng, m)
-        backward = desc[::-1].copy()[::-1]  # the same values, ascending in memory
+        shuffled = rng.permutation(desc)
+        others = {
+            "shuffle": shuffled,
+            "ascending": desc[::-1].copy(),
+            # nonincreasing views: ascending in memory, and strided
+            "ascending-in-memory": desc[::-1].copy()[::-1],
+            "strided": np.repeat(desc, 3)[1::3],
+            "strided-shuffle": np.column_stack((shuffled, shuffled))[:, 1],
+        }
         em = quiet_build(desc, p)
         assert np.shares_memory(em.sorted_samples, desc)
-        for other in (rng.permutation(desc), backward):
+        for name, other in others.items():
             o = quiet_build(other, p)
-            assert np.shares_memory(o.sorted_samples, other) == (other is backward)
+            assert o.sorted_samples.flags.c_contiguous and not np.shares_memory(o.sorted_samples, other), name
             assert o.sorted_samples.tobytes() == em.sorted_samples.tobytes()
             assert o.envelope.tobytes() == em.envelope.tobytes()
             assert o.empirical_reserve() == em.empirical_reserve()
             assert o.xi_bar == em.xi_bar and o.point_mass_value == em.point_mass_value
-            assert o._tie_free == em._tie_free == (kind == "tie-free")
-        assert spy.grid_builds == (3 if kind == "tie-free" else 0)
+            assert o.tie_free == em.tie_free == (kind == "tie-free")
+        assert spy.grid_builds == (1 + len(others) if kind == "tie-free" else 0)
         assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
 
     @pytest.mark.parametrize("n", EDGE_COUNTS)
     def test_edge_shapes_of_a_drawn_sort(self, n, monkeypatch):
-        # `_grid_rows` reads a drawn sort descending in memory, the other
-        # way from a sorted input's: its tie check and reads at the block
-        # and chunk edges, against the full-point hull and a shuffle's build
+        # a drawn sort's tie check and reads at the block and chunk edges,
+        # against the full-point hull and a shuffle's build
         spy = GridSpy(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=[35, n]))
         m = retained_count_m(n, 0.05)
         p = SampleParams(0.2, 0.05, 0.1)
         builds = [quiet_build(make_falpha(0.5, 1.0).sorted_sample(rng, m), p) for _ in range(3)]
-        assert spy.grid_builds == (3 if n + 2 > 4 * _PRUNE_BLOCK else 0)
+        assert spy.grid_builds == 3
         for em in builds:
-            assert len(em.retained_values()) == n and em.sorted_samples.strides[0] > 0
+            assert len(em.retained_values()) == n and em.sorted_samples.flags.c_contiguous
             assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
             assert em.envelope.tobytes() == quiet_build(rng.permutation(em.sorted_samples), p).envelope.tobytes()
 
@@ -997,6 +1033,28 @@ class TestPresortedBuild:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 8 * m <= peaks[1], peaks
+
+
+class TestNonFiniteSamples:
+    """A NaN or infinite sample is refused at the build, wherever it lies:
+    NaN fails the order check and sorts last, so the sort's ends show it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["top", "middle", "bottom"])
+    @pytest.mark.parametrize("order", ["presorted", "shuffled"])
+    def test_a_non_finite_sample_raises(self, bad, where, order):
+        rng = np.random.Generator(np.random.Philox(key=[37, 0]))
+        samples = make_falpha(0.5, 1.0).sorted_sample(rng, 5000)
+        samples[{"top": 0, "middle": 2500, "bottom": -1}[where]] = bad
+        if order == "shuffled":
+            samples = rng.permutation(samples)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            quiet_build(samples, SampleParams(0.2, 0.05, 0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_single_non_finite_sample_raises(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            quiet_build([bad], SampleParams(0.2, 0.05, 0.1))
 
 
 # ---------------------------------------------------------------------------

@@ -1017,6 +1017,33 @@ class TestCli:
         assert "need --m" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "rows, flags, message",
+        [
+            (["1.5", "inf", "0.5"], [], "samples must be finite"),
+            (["1.5", "nan", "0.5"], [], "samples must be finite"),
+            (["-inf", "1.5", "0.5"], [], "samples must be finite"),
+            (["1.5", "1.0", "0.5"], ["--gamma", "2"], "gamma must lie in (0,1)"),
+            (["1.5", "1.0", "0.5"], ["--m", "0"], "m must be a positive integer"),
+            (None, [], "No such file or directory"),
+        ],
+        ids=["inf", "nan", "minus-inf", "gamma-2", "m-0", "missing-file"],
+    )
+    def test_bad_build_input_exits_2_with_one_line(self, tmp_path, capsys, rows, flags, message):
+        csv_path = tmp_path / "values.csv"
+        if rows is not None:
+            csv_path.write_text("\n".join(["value", *rows]) + "\n")
+        report = tmp_path / "r.json"
+        args = {"--m": "3", "--gamma": "0.3", "--xi": "0.15", "--delta": "0.1"}
+        args.update(zip(flags[::2], flags[1::2]))
+        argv = ["empirical", "build", "--in", str(csv_path), "--report", str(report)]
+        assert cli_main(argv + [x for kv in args.items() for x in kv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("srauctions empirical build: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ("[1]", "distribution spec must be a JSON object, got list"),
