@@ -6,8 +6,11 @@ and the empirical revenue curve R(q) = q * v(q) is drawn through the points
 (t_j, t_j * v_j) with anchors at (0,0) and (1,0).  Its concave upper
 envelope CR plays the role the true revenue curve plays in full
 information: the envelope's slopes are the empirical virtual values and its
-maximizer gives the empirical reserve.  A point mass at the top (quantile
-xi_bar) makes the value/quantile maps total.
+maximizer gives the empirical reserve.  The envelope peaks at one of the
+curve's own points, so the reserve is R/t at the curve's first argmax: a
+build finds it in one pass over the points and stores it, and hulls the
+points only when the envelope itself is read.  A point mass at the top
+(quantile xi_bar) makes the value/quantile maps total.
 
 The accuracy guarantee tracked throughout is the multiplicative bracketing
 event: for every retained sample value v, the true quantile q(v) lies
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -267,9 +270,9 @@ def _pruned(rows: _Rows, slack: float) -> np.ndarray:
 #: 512 KiB, so the pass keeps no temporary the size of its input.
 _SCORE_CHUNK = 64
 
-#: Blocks of the revenue grid `_grid_rows` computes at a time: 32 blocks of
-#: 1,024 floats are 256 KiB, so the six such arrays a chunk works on fit in
-#: a 2 MiB L2 cache.
+#: Blocks of the revenue grid `_grid_chunks` computes at a time: 32 blocks
+#: of 1,024 floats are 256 KiB, so the six such arrays a chunk works on fit
+#: in a 2 MiB L2 cache.
 _GRID_CHUNK = 32
 
 
@@ -393,9 +396,10 @@ def concave_envelope(
     unit of value is too small or too large for the slack, and scaling an
     axis by a power of two scales the hull by the same factor exactly.
 
-    ``_slack`` is for `build_empirical`, which prunes its revenue grid
-    itself and passes only the survivors: they are scanned as given, with
-    the pop slack of the whole grid, so the hull is the whole grid's.
+    ``_slack`` is for `EmpiricalModel.envelope`, which prunes a build's
+    revenue grid itself and passes only the survivors: they are scanned as
+    given, with the pop slack of the whole grid, so the hull is the whole
+    grid's.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
@@ -445,19 +449,61 @@ def _revenue_points(kept_vals: np.ndarray, kept_from: int, m: int) -> np.ndarray
     return rp
 
 
-def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, float] | None:
-    """A build's anchored revenue grid as `_Rows` in blocks of
-    `_PRUNE_BLOCK`, and the grid's pop slack; None if two retained values tie.
+def _grid_chunks(kept_vals: np.ndarray, kept_from: int, m: int):
+    """A build's anchored revenue grid, `_GRID_CHUNK` blocks of rows at a
+    time, without an array of all rows.
 
     ``kept_vals`` is a view of the build's sort: contiguous and descending,
-    so memory order is row order.  The rows are those of `_revenue_points`,
-    filled by the same `_fill_grid`.  One pass over the sort computes them
-    `_GRID_CHUNK` blocks at a time.  Each chunk is checked for a tie between
-    adjacent values (the pass stops at the first), its blocks are scored
-    (`_far_points`), and its max|R| is taken, which with max|x| = 1 sets the
-    slack.  No array of all rows is written: ``take`` computes the rows it
-    is asked for from the sort.  A grid of fewer than one block has no
-    blocks to score; its rows are all tail.
+    so memory order is row order.  Yields ``(r0, x, y)``: the rows from r0
+    on, those of `_revenue_points`, filled by the same `_fill_grid`.  ``x``
+    and ``y`` are views of two buffers sized to the grid (at most one
+    chunk) that the next chunk overwrites.
+    """
+    size, chunk = len(kept_vals) + 2, _GRID_CHUNK * _PRUNE_BLOCK
+    xs, ys = np.empty(min(chunk, size)), np.empty(min(chunk, size))
+    # 2r for the rows of a chunk, exact in floats, made once per build: a
+    # module-level one would keep 256 KiB resident in every process
+    ramp = np.arange(0, 2 * len(xs), 2, dtype=float)
+    for r0 in range(0, size, chunk):
+        x, y = xs[: size - r0], ys[: size - r0]
+        np.add(ramp[: len(x)], 2 * r0, out=x)
+        _fill_grid(x, y, lambda lo, hi: kept_vals[r0 + lo - 1 : r0 + hi - 1], kept_from, m, size)
+        yield r0, x, y
+
+
+def _scan_grid(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[bool, float, float]:
+    """One pass over a build's anchored revenue grid (`_grid_chunks`):
+    whether no two adjacent retained values are equal, and the (t, R) row
+    of R's first argmax.
+
+    The envelope of the grid peaks at one of its rows, the first of them
+    that attains max R, so that row is the envelope's maximizer.  The
+    anchor (0, 0) comes first, so a grid with no positive R returns it.
+    The tie check stops at the first tie; the argmax reads every chunk.
+    """
+    n = len(kept_vals)
+    ties = np.empty(min(_GRID_CHUNK * _PRUNE_BLOCK, n), dtype=bool)
+    tie_free, t, r = True, 0.0, -math.inf
+    for r0, x, y in _grid_chunks(kept_vals, kept_from, m):
+        if tie_free:
+            # the pairs (i, i + 1) of values whose first lies in this chunk
+            a = max(r0, 1) - 1
+            b = max(min(r0 + len(x), n) - 1, a)
+            tie_free = not np.equal(kept_vals[a:b], kept_vals[a + 1 : b + 1], out=ties[: b - a]).any()
+        i = int(y.argmax())
+        if y[i] > r:
+            t, r = x[i], y[i]
+    return tie_free, t, r
+
+
+def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, float]:
+    """A tie-free build's anchored revenue grid as `_Rows` in blocks of
+    `_PRUNE_BLOCK`, and the grid's pop slack.
+
+    One pass over the grid's chunks (`_grid_chunks`) scores their blocks
+    (`_far_points`) and takes max|R|, which with max|x| = 1 sets the slack.
+    ``take`` computes the rows it is asked for from the sort.  A grid of
+    fewer than one block has no blocks to score; its rows are all tail.
     """
     n = len(kept_vals)
     size, block = n + 2, _PRUNE_BLOCK
@@ -477,23 +523,10 @@ def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, fl
     x0, x1, dy, s_far = (np.empty(nb) for _ in range(4))
     far = np.empty(nb, dtype=np.intp)
     top = 0.0
-    # one set of chunk buffers, so that no chunk allocates
-    chunk = _GRID_CHUNK * block
-    ramp = np.arange(0, 2 * min(chunk, size), 2, dtype=float)
-    xs, ys, ties = np.empty(len(ramp)), np.empty(len(ramp)), np.empty(len(ramp), dtype=bool)
     work = np.empty((2, min(_GRID_CHUNK, nb), block))
-    for r0 in range(0, size, chunk):
-        r1 = min(r0 + chunk, size)
-        # the pairs (i, i + 1) of values whose first lies in this chunk
-        a = max(r0, 1) - 1
-        b = max(min(r1, n) - 1, a)
-        if np.equal(kept_vals[a:b], kept_vals[a + 1 : b + 1], out=ties[: b - a]).any():
-            return None
-        x, y = xs[: r1 - r0], ys[: r1 - r0]
-        np.add(ramp[: r1 - r0], 2 * r0, out=x)
-        _fill_grid(x, y, lambda lo, hi: kept_vals[r0 + lo - 1 : r0 + hi - 1], kept_from, m, size)
+    for r0, x, y in _grid_chunks(kept_vals, kept_from, m):
         top = max(top, _max_abs(y))
-        k = (min(r1, nb * block) - r0) // block
+        k = (min(r0 + len(x), nb * block) - r0) // block
         if k:
             bx, by = x[: k * block].reshape(k, block), y[: k * block].reshape(k, block)
             blocks = slice(r0 // block, r0 // block + k)
@@ -508,30 +541,58 @@ class EmpiricalModel:
     """Immutable result of one empirical build; see the module docstring.
 
     Stored: the build's sort ``sorted_samples`` (one contiguous, descending
-    array), ``kept_from``, ``params``, the hull ``envelope``, ``xi_bar``,
-    ``point_mass_value`` and ``tie_free``, the build's own answer to
-    whether no two retained values are equal, which the coverage check
-    reads instead of scanning the values again.  Everything else is a
-    closed form of the sort: the retained value at 0-based position j is
-    ``sorted_samples[kept_from - 1 + j]``, at grid point
-    ``(2(kept_from + j) - 1) / (2m)`` (`_grid_at`).
+    array), ``kept_from``, ``params``, the empirical ``reserve``,
+    ``xi_bar``, ``point_mass_value`` and ``tie_free``, the build's own
+    answer to whether no two retained values are equal, which the coverage
+    check and the hull read instead of scanning the values again.
+    Everything else is a closed form of the sort: the retained value at
+    0-based position j is ``sorted_samples[kept_from - 1 + j]``, at grid
+    point ``(2(kept_from + j) - 1) / (2m)`` (`_grid_at`).
 
-    Derived, read-only and cached on first access: ``revenue_points``, the
-    anchored (q, R) rows, and ``quantile_points``, the (t_j, v_j) rows.  A
-    build and the coverage check never materialize them, so a model keeps
-    about 8*m bytes; the curve lookups (`revenue_at`, `value_at_quantile`,
-    `quantile_of_value`) compute them once.
+    Derived, read-only and cached on first access: ``envelope``, the hull
+    vertices; ``revenue_points``, the anchored (q, R) rows; and
+    ``quantile_points``, the (t_j, v_j) rows.  A build, the reserve and the
+    coverage check compute none of them, so a model keeps about 8*m bytes;
+    the envelope lookups (`envelope_at`, `empirical_virtual`) and the curve
+    lookups (`revenue_at`, `value_at_quantile`, `quantile_of_value`) compute
+    them once.
     """
 
     sorted_samples: np.ndarray  # descending
     kept_from: int  # 1-based index of the first retained sample
     params: SampleParams
-    envelope: np.ndarray = field(repr=False)  # hull vertices (q, CR)
+    reserve: float  # value at the envelope's first maximizer
     xi_bar: float
     point_mass_value: float
     tie_free: bool  # no two retained values are equal
 
     # -- derived arrays -------------------------------------------------------
+
+    @cached_property
+    def envelope(self) -> np.ndarray:
+        """Hull vertices (q, CR) of the anchored revenue points.
+
+        - Without ties, the rows are scored off the sort in one pass
+          (`_grid_rows`), the two prune levels (`_pruned`) read only the
+          rows of blocks that do not drop whole, and `concave_envelope`
+          scans the survivors with the whole grid's pop slack.
+        - With ties, the revenue points are written out and the two
+          anchors and the first and last point of each run of equal
+          retained values are hulled: a run's points (t_j, t_j * v) lie on
+          the ray R = v * q, so its interior points cannot be hull
+          vertices; left in, rounding can make them spurious ones at large
+          value scales.
+
+        Either way the hull is the hull of every revenue point, byte for
+        byte.
+        """
+        kept = self.retained_values()
+        if self.tie_free:
+            rows, slack = _grid_rows(kept, self.kept_from, self.m)
+            return concave_envelope(_pruned(rows, slack), _slack=slack)
+        first, last = _run_ends(kept)
+        run_ends = np.concatenate(([True], first | last, [True]))
+        return concave_envelope(_revenue_points(kept, self.kept_from, self.m)[run_ends])
 
     @cached_property
     def revenue_points(self) -> np.ndarray:
@@ -571,13 +632,10 @@ class EmpiricalModel:
         return float((hy[i] - hy[i - 1]) / (hx[i] - hx[i - 1]))
 
     def empirical_reserve(self) -> float:
-        """Value at the envelope's maximizer (smallest maximizing quantile)."""
-        hy = self.envelope[:, 1]
-        i = int(np.argmax(hy))  # argmax returns the first (smallest-q) maximum
-        q_star = float(self.envelope[i, 0])
-        if q_star <= 0.0:
-            return self.point_mass_value
-        return float(self.envelope[i, 1] / q_star)
+        """Value at the envelope's maximizer (smallest maximizing quantile),
+        as the build found it (`_scan_grid`): R/t at that point, or the
+        point mass value when it is the anchor at q = 0."""
+        return self.reserve
 
     def value_at_quantile(self, q: float) -> float:
         """v(q) = R(q)/q, clipped to the top point mass below xi_bar."""
@@ -712,28 +770,16 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     order check and sorts last, so the sort's two ends decide, and a
     non-finite sample raises ValueError.
 
-    One pass over the retained values (`_grid_rows`), in chunks that fit in
-    L2, checks them for ties, and its answer alone picks the hull's path.
-    The model stores it (``tie_free``), so
-    `EmpiricalModel.coverage_event_holds` does not check again.
-
-    - Without ties, the same pass computes the revenue points without
-      writing them out, scores each block for the prune and takes max|R|
-      for the scan's pop slack.  The two prune levels (`_pruned`) then read
-      only the rows of blocks that do not drop whole, and
-      `concave_envelope` scans the survivors with the whole grid's slack.
-    - With ties, the build writes the anchored revenue points
-      (`_revenue_points`) and hulls the two anchors and the first and last
-      point of each run of equal retained values: a run's points
-      (t_j, t_j * v) lie on the ray R = v * q, so its interior points
-      cannot be hull vertices; left in, rounding can make them spurious
-      ones at large value scales.
-
-    Either way the hull is the hull of every revenue point, byte for byte.
-    The model keeps the sort and the hull, not the revenue points, and
-    derives them again only if a curve lookup asks for them.  The point
-    mass value interpolates the raw curve on the one pair of grid rows that
-    brackets xi_bar.
+    One pass over the anchored revenue grid (`_scan_grid`), in chunks that
+    fit in L2, checks the retained values for ties and finds the grid's
+    first argmax of R, the envelope's maximizer.  The model stores the
+    answers: ``tie_free``, which picks the hull's path and spares the
+    coverage check a second scan, and the ``reserve``, R/t at that row (the
+    point mass value at the anchor q = 0).  The build neither hulls nor
+    writes out the revenue points: the envelope is computed on its first
+    read (`EmpiricalModel.envelope`), and the revenue points only if a
+    curve lookup asks for them.  The point mass value interpolates the raw
+    curve on the one pair of grid rows that brackets xi_bar.
 
     A sub-lemma-grade sample count is allowed (with a warning); only an
     empty retained set is an error.
@@ -764,26 +810,19 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
             f"discard rule drops all samples (floor(xi*m)={math.floor(p.xi * m)}, m={m})"
         )
     kept_vals = desc[kept_from - 1 :]
-    grid = _grid_rows(kept_vals, kept_from, m)
-    if grid is None:
-        first, last = _run_ends(kept_vals)
-        run_ends = np.concatenate(([True], first | last, [True]))
-        envelope = concave_envelope(_revenue_points(kept_vals, kept_from, m)[run_ends])
-    else:
-        rows, slack = grid
-        envelope = concave_envelope(_pruned(rows, slack), _slack=slack)
+    tie_free, t_star, r_star = _scan_grid(kept_vals, kept_from, m)
     # xi_bar is t[0], or floor(xi*m)/m short of t[1]: rows 1 and 2 of the
     # revenue curve bracket it
     head = _revenue_points(kept_vals[:2], kept_from, m)
     xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(head[1, 0]))
     raw_at_xi_bar = float(np.interp(xi_bar, head[1:3, 0], head[1:3, 1]))
-    point_mass_value = raw_at_xi_bar / xi_bar if xi_bar > 0 else float(kept_vals[0])
+    point_mass_value = float(raw_at_xi_bar / xi_bar if xi_bar > 0 else kept_vals[0])
     return EmpiricalModel(
         sorted_samples=desc,
         kept_from=kept_from,
         params=p,
-        envelope=envelope,
+        reserve=float(r_star / t_star) if t_star > 0 else point_mass_value,
         xi_bar=float(xi_bar),
-        point_mass_value=float(point_mass_value),
-        tie_free=grid is not None,
+        point_mass_value=point_mass_value,
+        tie_free=tie_free,
     )

@@ -164,15 +164,26 @@ def _cmd_sample(args) -> int:
 
 
 def _read_sample_csv(path: str) -> list[float]:
+    """The values of a one-column CSV, one a row, skipping blank rows.
+
+    The first row may be a header, which is skipped if it is one cell that
+    does not parse as a number.  Any other row that is not one number, such
+    as ``abc`` or a decimal comma ``1,5``, is a ValueError naming its line.
+    """
     out: list[float] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
             try:
-                out.append(float(row[0]))
+                (cell,) = row
+                out.append(float(cell))
             except ValueError:
-                continue  # header or stray text
+                if reader.line_num == 1 and len(row) == 1:
+                    continue  # header
+                got = ",".join(row)
+                raise ValueError(f"{path} line {reader.line_num}: expected one number, got {got!r}") from None
     return out
 
 
@@ -185,23 +196,24 @@ def _cmd_empirical_build(args) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             model = build_empirical(samples[: args.m], p)
+        fh = open(args.report, "w")
     except _CONFIG_ERRORS as exc:
         return _bad_input("empirical build", exc)
-    validity = validate_params(p)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    report = {
-        "model": model.to_json_dict(),
-        "params": dataclasses.asdict(p),
-        "validity": {
-            "lemma_grade": validity.lemma_grade,
-            "theorem_grade": validity.theorem_grade,
-            "required_m": validity.required_m,
-        },
-        "empirical_reserve": model.empirical_reserve(),
-        "xi_bar": model.xi_bar,
-    }
-    with open(args.report, "w") as fh:
+    with fh:
+        validity = validate_params(p)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+        report = {
+            "model": model.to_json_dict(),
+            "params": dataclasses.asdict(p),
+            "validity": {
+                "lemma_grade": validity.lemma_grade,
+                "theorem_grade": validity.theorem_grade,
+                "required_m": validity.required_m,
+            },
+            "empirical_reserve": model.empirical_reserve(),
+            "xi_bar": model.xi_bar,
+        }
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0

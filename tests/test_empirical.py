@@ -63,9 +63,14 @@ def random_tabular(rng, max_atoms, scale=1.0):
     return DiscreteTabular(support, rng.dirichlet(np.ones(k)))
 
 
-def full_point_hull(em):
-    """The model with its envelope taken over every revenue point."""
-    return dataclasses.replace(em, envelope=concave_envelope(em.revenue_points))
+def hull_reserve(em):
+    """The reserve read off the hull of every revenue point, apart from the
+    build: the hull's first argmax, then R/q, or the point mass value at
+    q = 0."""
+    hull = concave_envelope(em.revenue_points)
+    i = int(np.argmax(hull[:, 1]))
+    q, r = hull[i]
+    return em.point_mass_value if q <= 0 else float(r / q)
 
 
 def leftmost_quantile_reference(em, u):
@@ -275,16 +280,16 @@ def retained_count_m(n, xi):
 
 
 class TestLeanModel:
-    """A model stores the sort and the hull; the quantile and revenue
-    columns are derived on first access, and neither the build, the
-    reserve nor the coverage check asks for them."""
+    """A model stores the sort and the reserve; the hull and the quantile
+    and revenue columns are derived on first access, and neither the
+    build, the reserve nor the coverage check asks for them."""
 
     @pytest.mark.parametrize("prior", ["falpha", "tabular"])
     def test_build_reserve_and_coverage_leave_no_derived_arrays(self, prior):
         d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
         rng = np.random.Generator(np.random.Philox(key=[24, 0]))
         em = quiet_build(d.sample(rng, 5 * _PRUNE_BLOCK), SampleParams(0.2, 0.05, 0.1))
-        derived = {"quantile_points", "revenue_points"}
+        derived = {"envelope", "quantile_points", "revenue_points"}
         em.empirical_reserve()
         assert not derived & set(em.__dict__)
         em.coverage_event_holds(d)
@@ -295,6 +300,21 @@ class TestLeanModel:
         assert em.value_at_quantile(0.5) == float(em.revenue_at(0.5)) / 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             em.revenue_points = rp
+
+    @pytest.mark.parametrize("prior", ["falpha", "tabular"])
+    def test_the_envelope_is_hulled_once_on_first_read(self, prior, monkeypatch):
+        d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
+        rng = np.random.Generator(np.random.Philox(key=[37, 0]))
+        em = quiet_build(d.sample(rng, 5 * _PRUNE_BLOCK), SampleParams(0.2, 0.05, 0.1))
+        assert em.tie_free == (prior == "falpha") and "envelope" not in em.__dict__
+        calls = []
+        hull = empirical.concave_envelope
+        monkeypatch.setattr(empirical, "concave_envelope", lambda *a, **k: calls.append(1) or hull(*a, **k))
+        envelope = em.envelope
+        assert em.envelope is envelope and len(calls) == 1
+        assert em.empirical_virtual(0.5) == em.empirical_virtual(0.5) and len(calls) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            em.envelope = envelope
 
     @pytest.mark.parametrize("m", [3000, 20_000])
     def test_coverage_reuses_the_build_tie_check(self, m, monkeypatch):
@@ -372,6 +392,77 @@ class TestLeanModel:
                 em.__dict__.pop("revenue_points")
                 outcomes.add(verdict)
         assert outcomes == {True, False}
+
+
+class TestStoredReserve:
+    """The build stores the reserve, R/t at the revenue grid's first
+    argmax; it equals the reserve read off the full-point hull
+    (`hull_reserve`).  The EDGE_COUNTS FAlpha shapes are checked in
+    `TestGridHull` and `TestPresortedBuild`."""
+
+    def test_criterion_draws(self):
+        rng = np.random.Generator(np.random.Philox(key=[38, 0]))
+        p = SampleParams(0.2, 0.1, 0.1, m=9888)
+        for _ in range(3):
+            for _i, _j, d in criterion_instance().pairs():
+                em = quiet_build(d.sample(rng, p.m), p)
+                assert not em.tie_free and em.empirical_reserve() == hull_reserve(em)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_random_tabular_priors(self, scale):
+        rng = np.random.Generator(np.random.Philox(key=[39, int(math.log10(scale)) + 6]))
+        for _ in range(40):
+            d = random_tabular(rng, 200, scale)
+            em = quiet_build(
+                d.sample(rng, int(rng.integers(50, 4000))),
+                SampleParams(0.2, float(rng.choice([0.01, 0.05, 0.1])), 0.1),
+            )
+            assert em.empirical_reserve() == hull_reserve(em)
+
+    @pytest.mark.parametrize("kind", ["negative", "zero", "convex-negative", "negative-ties"])
+    @pytest.mark.parametrize("n", [1, 2, _PRUNE_BLOCK - 1, 5 * _PRUNE_BLOCK])
+    def test_no_positive_revenue_gives_the_point_mass_value(self, kind, n):
+        # every R = t * v is at most 0, so the anchor (0, 0) is the first
+        # argmax of the grid and of the hull
+        rng = np.random.Generator(np.random.Philox(key=[40, n]))
+        m = retained_count_m(n, 0.05)
+        draws = {
+            "negative": lambda: -make_falpha(0.5, 1.0).sample(rng, m),
+            "zero": lambda: np.zeros(m),
+            "convex-negative": lambda: rng.random(m) - 1.0,
+            "negative-ties": lambda: -rng.integers(1, 4, m).astype(float),
+        }[kind]
+        em = quiet_build(draws(), SampleParams(0.2, 0.05, 0.1))
+        assert em.empirical_reserve() == em.point_mass_value == hull_reserve(em)
+        assert em.envelope[np.argmax(em.envelope[:, 1])].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [4 * _FINE_BLOCK - 1, 8 * _PRUNE_BLOCK - 1])
+    def test_convex_grids(self, n):
+        # U**2 puts a convex revenue curve under the last third of the
+        # quantiles, and U - 0.75 most of it below zero; a single positive
+        # value on a negative grid puts the argmax at the first retained row
+        rng = np.random.Generator(np.random.Philox(key=[41, n]))
+        m = retained_count_m(n, 0.05)
+        p = SampleParams(0.2, 0.05, 0.1)
+        tail = -rng.random(m)
+        tail[0] = 2.0
+        for samples in (rng.random(m) ** 2, rng.random(m) - 0.75, tail):
+            em = quiet_build(samples, p)
+            assert em.empirical_reserve() == hull_reserve(em)
+
+    @pytest.mark.parametrize("scale", [2.0**-30, 1.0, 3.0, 2.0**30])
+    def test_two_exactly_equal_maxima_pick_the_smaller_quantile(self, scale):
+        # m = 1,024 puts every t_j = (2j - 1)/2048 on a dyadic float, so
+        # v_1 = 5c and v_3 = c give R_1 = R_3 = 5c/2048 exactly; v_2 = 1.5c
+        # and v_j = 4c/(2j - 1) for j >= 4 stay below it
+        m, c = 1024, scale
+        j = np.arange(1, m + 1)
+        v = 4 * c / (2 * j - 1)
+        v[:3] = 5 * c, 1.5 * c, c
+        em = quiet_build(np.random.default_rng(0).permutation(v), SampleParams(0.2, 1e-4, 0.1))
+        rp = em.revenue_points
+        assert em.kept_from == 1 and rp[1, 1] == rp[3, 1] == rp[:, 1].max()
+        assert em.empirical_reserve() == 5 * c == hull_reserve(em)
 
 
 class TestXiBar:
@@ -491,9 +582,8 @@ class TestEnvelope:
             d = make_falpha(0.5, 1.0)
             builds = [quiet_build(d.sample(rng, 20000), SampleParams(0.2, 0.01, 0.1)) for _ in range(4)]
         for em in builds:
-            full = full_point_hull(em)
-            assert em.envelope.tobytes() == full.envelope.tobytes()
-            assert em.empirical_reserve() == full.empirical_reserve()
+            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            assert em.empirical_reserve() == hull_reserve(em)
 
     @pytest.mark.parametrize("scale", [1e3, 1e6])
     def test_no_hull_vertex_inside_a_tie_run(self, scale):
@@ -509,7 +599,7 @@ class TestEnvelope:
             rows = np.searchsorted(t, em.envelope[1:-1, 0])
             assert np.array_equal(t[rows], em.envelope[1:-1, 0])
             assert not inside[rows].any()
-            assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
+            assert em.empirical_reserve() == hull_reserve(em)
 
     @given(
         st.lists(
@@ -748,6 +838,8 @@ class TestHullPrune:
         monkeypatch.setattr(empirical, "_blocks_below", spy_blocks)
         monkeypatch.setattr(empirical, "_hull_prune", spy_level)
         em = build_empirical(samples, p)
+        assert not dropped and not survivors
+        em.envelope
         assert len(dropped) == 2 and dropped[0] >= 0.5 and dropped[1] >= 0.25
         assert 4 * survivors[1] <= survivors[0]
         monkeypatch.undo()
@@ -780,19 +872,18 @@ class TestHullPrune:
 
 
 class GridSpy:
-    """Counts, while installed, the builds that hulled their revenue grid
-    off the sort (`_grid_rows` returned rows), the prune levels run, and the
-    levels whose far rows include an end row (row 0 or the last), which the
-    small hull's rows then repeat."""
+    """Counts, while installed, the envelopes hulled off a build's sort
+    (`_grid_rows` calls, made on a tie-free model's first envelope read),
+    the prune levels run, and the levels whose far rows include an end row
+    (row 0 or the last), which the small hull's rows then repeat."""
 
     def __init__(self, monkeypatch):
         self.grid_builds, self.levels, self.end_far = 0, 0, 0
         grid_rows, hull_prune_level = empirical._grid_rows, empirical._hull_prune
 
         def spy_grid(*args):
-            out = grid_rows(*args)
-            self.grid_builds += out is not None
-            return out
+            self.grid_builds += 1
+            return grid_rows(*args)
 
         def spy_level(rows, *args):
             self.levels += 1
@@ -840,12 +931,13 @@ class TestGridHull:
         rng = np.random.Generator(np.random.Philox(key=[27, n]))
         m = retained_count_m(n, xi)
         builds = [quiet_build(make_falpha(0.5, 1.0).sample(rng, m), SampleParams(0.2, xi, 0.1)) for _ in range(3)]
-        assert spy.grid_builds == 3
+        assert spy.grid_builds == 0
         for em in builds:
             assert len(em.retained_values()) == n
             full = concave_envelope(em.revenue_points)
             assert em.envelope.tobytes() == full.tobytes()
-            assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
+            assert em.empirical_reserve() == hull_reserve(em)
+        assert spy.grid_builds == 3
 
     @pytest.mark.parametrize("n", [n for n in EDGE_COUNTS if n + 2 <= 4 * _PRUNE_BLOCK])
     @pytest.mark.parametrize("kind", ["uniform-squared", "negative"])
@@ -859,12 +951,12 @@ class TestGridHull:
         m = retained_count_m(n, 0.05)
         draws = {"uniform-squared": lambda: rng.random(m) ** 2, "negative": lambda: rng.random(m) - 0.75}[kind]
         builds = [quiet_build(draws(), SampleParams(0.2, 0.05, 0.1)) for _ in range(3)]
-        assert spy.grid_builds == 3
         for em in builds:
             assert em.tie_free and len(em.retained_values()) == n
             assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
             assert em.envelope.tobytes() == reference_hull(em.revenue_points).tobytes()
-            assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
+            assert em.empirical_reserve() == hull_reserve(em)
+        assert spy.grid_builds == 3
 
     def test_convex_tail_whose_far_row_is_the_end_anchor(self, monkeypatch):
         # on samples U**2 the revenue curve q (1 - q)**2 is convex for
@@ -878,10 +970,11 @@ class TestGridHull:
             for seed in range(4):
                 rng = np.random.Generator(np.random.Philox(key=[31, seed]))
                 builds.append(quiet_build(rng.random(m) ** 2, SampleParams(0.2, 0.05, 0.1)))
+        envelopes = [em.envelope for em in builds]
         assert spy.grid_builds == len(builds) and spy.end_far >= 1
-        for em in builds:
-            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
-            assert em.envelope[-1].tolist() == [1.0, 0.0]
+        for em, envelope in zip(builds, envelopes):
+            assert envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            assert envelope[-1].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("where", ["first", "chunk-edge", "last"])
     def test_one_tie_among_a_million_values_takes_the_run_end_path(self, where, monkeypatch):
@@ -896,16 +989,18 @@ class TestGridHull:
         i = {"first": 0, "chunk-edge": _GRID_CHUNK * _PRUNE_BLOCK - 2, "last": n - 2}[where]
         values[kept_from + i] = values[kept_from - 1 + i]
         em = quiet_build(rng.permutation(values), p)
-        assert spy.grid_builds == 0 and not em.tie_free
+        assert not em.tie_free
         assert len(em._distinct_retained()[0]) == n - 1
         assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+        assert em.empirical_reserve() == hull_reserve(em)
+        assert spy.grid_builds == 0
 
     def test_all_values_equal(self, monkeypatch):
         spy = GridSpy(monkeypatch)
         em = quiet_build(np.full(20_000, 2.5), SampleParams(0.2, 0.05, 0.1))
-        assert spy.grid_builds == 0
         assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
-        assert em.empirical_reserve() == 2.5
+        assert em.empirical_reserve() == 2.5 == hull_reserve(em)
+        assert spy.grid_builds == 0
 
     @pytest.mark.parametrize("kind", ["mixed", "negative", "on-curve"])
     def test_negative_values(self, kind, monkeypatch):
@@ -925,11 +1020,11 @@ class TestGridHull:
             draws = [make_falpha(0.5, 1.0).sample(rng, 200_000) for _ in range(3)]
             samples = [v - 100.0 if kind == "mixed" else -v for v in draws]
         builds = [quiet_build(rng.permutation(v), SampleParams(0.2, 0.01, 0.1)) for v in samples]
-        assert spy.grid_builds == len(builds)
         for em in builds:
             assert pop_slack(em.envelope) < pop_slack(em.revenue_points)
             assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
-            assert em.empirical_reserve() == full_point_hull(em).empirical_reserve()
+            assert em.empirical_reserve() == hull_reserve(em)
+        assert spy.grid_builds == len(builds)
 
     @pytest.mark.parametrize("kind", ["tie-free", "ties"])
     @given(e=st.integers(-40, 30), seed=st.integers(0, 2**32 - 1))
@@ -950,6 +1045,7 @@ class TestGridHull:
         try:
             empirical._hull_prune = lambda *args: levels.append(1) or hull_prune_level(*args)
             base = quiet_build(samples, p)
+            base.envelope
         finally:
             empirical._hull_prune = hull_prune_level
         assert len(levels) == (2 if kind == "tie-free" else 0)
@@ -1001,6 +1097,7 @@ class TestPresortedBuild:
             assert o.tie_free == em.tie_free == (kind == "tie-free")
         assert spy.grid_builds == (1 + len(others) if kind == "tie-free" else 0)
         assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+        assert em.empirical_reserve() == hull_reserve(em)
 
     @pytest.mark.parametrize("n", EDGE_COUNTS)
     def test_edge_shapes_of_a_drawn_sort(self, n, monkeypatch):
@@ -1011,11 +1108,14 @@ class TestPresortedBuild:
         m = retained_count_m(n, 0.05)
         p = SampleParams(0.2, 0.05, 0.1)
         builds = [quiet_build(make_falpha(0.5, 1.0).sorted_sample(rng, m), p) for _ in range(3)]
-        assert spy.grid_builds == 3
+        assert spy.grid_builds == 0
         for em in builds:
             assert len(em.retained_values()) == n and em.sorted_samples.flags.c_contiguous
             assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
-            assert em.envelope.tobytes() == quiet_build(rng.permutation(em.sorted_samples), p).envelope.tobytes()
+            shuffled = quiet_build(rng.permutation(em.sorted_samples), p)
+            assert em.envelope.tobytes() == shuffled.envelope.tobytes()
+            assert em.empirical_reserve() == shuffled.empirical_reserve() == hull_reserve(em)
+        assert spy.grid_builds == 6
 
     def test_a_presorted_build_makes_no_second_copy(self):
         # at lottery-samp's theorem-grade m the build's peak above its

@@ -831,6 +831,24 @@ class TestReportBytes:
         assert hashlib.sha256(render_csv(report).encode()).hexdigest() == digest
 
 
+class TestSampledReservesSkipTheHull:
+    """lottery-samp and vcgl-samp read only each build's reserve and
+    coverage, which the build computes without a hull: a run passes with
+    the hull's entry points made to raise."""
+
+    @pytest.mark.parametrize("experiment_id, trials", [("lottery-samp", 200), ("vcgl-samp", 100)])
+    def test_no_build_is_hulled(self, experiment_id, trials, monkeypatch):
+        from srauctions import empirical
+
+        def no_hull(*args, **kwargs):
+            raise AssertionError("an empirical build was hulled")
+
+        monkeypatch.setattr(empirical, "_grid_rows", no_hull)
+        monkeypatch.setattr(empirical, "concave_envelope", no_hull)
+        report = run_experiment(experiment_id, ExperimentConfig(experiment_id=experiment_id, trials=trials))
+        assert report.verdict
+
+
 class TestExperimentsOnTheEngine:
     @pytest.mark.parametrize("experiment_id", ["vcg-duplicates", "vcgl"])
     def test_factor_margins_carry_the_revenue_stderr(self, experiment_id):
@@ -1025,8 +1043,11 @@ class TestCli:
             (["1.5", "1.0", "0.5"], ["--gamma", "2"], "gamma must lie in (0,1)"),
             (["1.5", "1.0", "0.5"], ["--m", "0"], "m must be a positive integer"),
             (None, [], "No such file or directory"),
+            (["1.5", "1,5", "0.5"], [], "line 3: expected one number, got '1,5'"),
+            (["1.5", "abc", "0.5", "2.0"], [], "line 3: expected one number, got 'abc'"),
+            (["value", "1.5", "1.0", "0.5"], [], "line 2: expected one number, got 'value'"),
         ],
-        ids=["inf", "nan", "minus-inf", "gamma-2", "m-0", "missing-file"],
+        ids=["inf", "nan", "minus-inf", "gamma-2", "m-0", "missing-file", "decimal-comma", "stray-text", "second-header"],
     )
     def test_bad_build_input_exits_2_with_one_line(self, tmp_path, capsys, rows, flags, message):
         csv_path = tmp_path / "values.csv"
@@ -1042,6 +1063,28 @@ class TestCli:
         assert captured.err.startswith("srauctions empirical build: ") and message in captured.err
         assert captured.err.count("\n") == 1
         assert not report.exists()
+
+    def test_report_in_a_missing_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "values.csv"
+        csv_path.write_text("value\n1.5\n1.0\n0.5\n")
+        report = tmp_path / "nodir" / "r.json"
+        argv = ["empirical", "build", "--in", str(csv_path), "--m", "3", "--gamma", "0.3",
+                "--xi", "0.15", "--delta", "0.1", "--report", str(report)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("srauctions empirical build: ") and "No such file or directory" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("header", [[], ["value"]], ids=["no-header", "header"])
+    def test_a_one_column_csv_builds_with_or_without_a_header(self, tmp_path, header):
+        csv_path = tmp_path / "values.csv"
+        csv_path.write_text("\n".join([*header, "1.5", "", "1.0", "0.5"]) + "\n")
+        report = tmp_path / "r.json"
+        argv = ["empirical", "build", "--in", str(csv_path), "--m", "3", "--gamma", "0.3",
+                "--xi", "0.15", "--delta", "0.1", "--report", str(report)]
+        assert cli_main(argv) == 0
+        assert json.loads(report.read_text())["model"]["values"] == [1.5, 1.0, 0.5]
 
     @pytest.mark.parametrize(
         "spec, message",
