@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "ValuationDistribution",
@@ -46,10 +45,6 @@ __all__ = [
     "dist_to_spec",
     "make_random_alpha_sr_discrete",
 ]
-
-#: Relative tolerance for adaptive quadrature fallbacks.
-QUAD_REL_TOL = 1e-8
-
 
 class UndefinedVirtualValueError(ValueError):
     """Raised when the virtual valuation is requested at a zero-density point."""
@@ -597,7 +592,9 @@ class DiscreteTabular(ValuationDistribution):
         return _scalarize(out, scalar)
 
     def posted_price_welfare(self, t: float) -> float:
-        mask = self.support >= float(t) - 1e-12
+        # an exact comparison, as in `sale_probability`: no slack in the
+        # unit of value
+        mask = self.support >= float(t)
         return float(np.sum(self.support[mask] * self.pmf[mask]))
 
     def survival_power_integral(self, p: int) -> float:
@@ -657,7 +654,7 @@ class DiscreteTabular(ValuationDistribution):
             raise ValueError(f"truncation point {B} lies below the support minimum")
         if B >= self.support[-1]:
             return self
-        below = self.support < B - 1e-12
+        below = self.support < B
         new_support = np.concatenate((self.support[below], [float(B)]))
         new_pmf = np.concatenate((self.pmf[below], [float(np.sum(self.pmf[~below]))]))
         return DiscreteTabular(new_support, new_pmf)
@@ -753,9 +750,9 @@ def truncate_at(
     pts = sorted(float(g) for g in grid)
     if not pts:
         raise ValueError("grid must be nonempty")
-    if pts[-1] > B + 1e-12:
+    if pts[-1] > B:
         raise ValueError("grid points must not exceed the truncation point")
-    if pts[-1] < B - 1e-12:
+    if pts[-1] < B:
         pts.append(float(B))
     pts_arr = np.asarray(pts)
     cdf_vals = np.asarray(d.cdf(pts_arr), dtype=float)
@@ -814,14 +811,6 @@ def expected_positive_part_of_virtual(d: ValuationDistribution) -> float:
     # E[(phi)^+] = integral over t >= 0 of Pr[phi(v) > t]; for these kinds the
     # revenue of posting the reserve equals it: r * q(r).
     return float(r * d.quantile_of_value(r))
-
-
-def survival_integral(d: ValuationDistribution, lo: float, hi: float) -> float:
-    """Integral of 1 - F over [lo, hi] by adaptive quadrature (rel-tol 1e-8)."""
-    val, _ = integrate.quad(
-        lambda v: float(d.quantile_of_value(v)), lo, hi, epsrel=QUAD_REL_TOL, limit=200
-    )
-    return val
 
 
 def make_random_alpha_sr_discrete(

@@ -4,6 +4,11 @@ These deliberately avoid the mechanism implementations: expectations come
 from exhaustive enumeration over discrete profiles (or adaptive quadrature
 for the analytic families), so Monte Carlo means have something independent
 to be checked against.
+
+Quadrature is the one use of scipy in the package.  `_quad` imports
+``scipy.integrate`` on its first call, so a run that never integrates
+(the sampled mechanisms, the CLI, enumeration over discrete profiles) never
+loads scipy.
 """
 
 from __future__ import annotations
@@ -13,12 +18,21 @@ import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from ..dists import DiscreteTabular, ValuationDistribution
 from ..mechanisms import Environment
 
 _MAX_PROFILES = 2_000_000
+
+
+def _quad(integrand: Callable[[float], float], lo: float) -> float:
+    """Integral of ``integrand`` over [lo, inf) by adaptive quadrature
+    (``scipy.integrate.quad``, relative tolerance 1e-10, at most 400
+    subintervals)."""
+    from scipy import integrate
+
+    val, _ = integrate.quad(integrand, lo, np.inf, epsrel=1e-10, limit=400)
+    return float(val)
 
 
 def enumerate_profiles(
@@ -106,8 +120,7 @@ def myerson_optimal_revenue_iid(d: ValuationDistribution, n: int) -> float:
             * float(d.density(v))
         )
 
-    val, _ = integrate.quad(integrand, r, np.inf, epsrel=1e-10, limit=400)
-    return float(val)
+    return _quad(integrand, r)
 
 
 def expected_order_statistic_iid(
@@ -128,5 +141,4 @@ def expected_order_statistic_iid(
         )
 
     lo = float(d.support_min())
-    val, _ = integrate.quad(survival, lo, np.inf, epsrel=1e-10, limit=400)
-    return float(lo + val)
+    return lo + _quad(survival, lo)

@@ -167,11 +167,14 @@ class EmpiricalAtoms:
 
 def discretize_model(em: EmpiricalModel) -> EmpiricalAtoms:
     distinct, grid = em._distinct_retained()  # descending values
-    leftmost = np.maximum(grid(np.arange(len(distinct))), em.xi_bar)
-    pmv = em.point_mass_value
-    below = distinct < pmv - 1e-12
-    atom_values = np.concatenate(([pmv], distinct[below]))
-    boundaries = np.concatenate(([0.0], leftmost[below], [1.0]))
+    # the point mass value is R/q at xi_bar, which lies between the grid
+    # rows of the top two retained values, so it stands for the top distinct
+    # value and every other one lies below it.  Picking them by position
+    # rather than by a value comparison leaves no slack in the unit of value
+    below = distinct[1:]
+    leftmost = np.maximum(grid(np.arange(1, len(distinct))), em.xi_bar)
+    atom_values = np.concatenate(([em.point_mass_value], below))
+    boundaries = np.concatenate(([0.0], leftmost, [1.0]))
     masses = np.diff(boundaries)
     if np.any(masses <= 0):
         raise ValueError("degenerate atom widths; empirical model malformed")

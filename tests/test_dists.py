@@ -204,6 +204,47 @@ class TestTruncation:
         assert t.pmf[1] == pytest.approx(1.0 - d.cdf(1.0))
 
 
+class TestUnitOfValue:
+    """Scaling values by c = 2**e scales the welfare of a posted price and
+    the atoms of a truncation by c.  Multiplying by a power of two is exact,
+    so the scaled results must be equal bit for bit: the comparisons of
+    values against a price or a truncation point carry no slack in the unit
+    of value (an absolute 1e-12 used to merge atoms closer than that)."""
+
+    SUPPORT, PMF = np.array([1.0, 2.0, 3.0, 4.0]), [0.4, 0.3, 0.2, 0.1]
+
+    def test_posted_price_welfare_scales(self):
+        d = make_discrete(self.SUPPORT, self.PMF)
+        for e in range(-45, 31):
+            c = 2.0**e
+            scaled = make_discrete(c * self.SUPPORT, self.PMF)
+            for t in (0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
+                assert scaled.posted_price_welfare(c * t) == c * d.posted_price_welfare(t)
+
+    def test_discrete_truncation_scales(self):
+        d = make_discrete(self.SUPPORT, self.PMF)
+        for e in range(-45, 31):
+            c = 2.0**e
+            scaled = make_discrete(c * self.SUPPORT, self.PMF)
+            for B in (1.0, 2.0, 2.5, 3.0):
+                unit, t = truncate_at(d, B), truncate_at(scaled, c * B)
+                assert t.support.tolist() == (c * unit.support).tolist()
+                assert t.pmf.tolist() == unit.pmf.tolist()
+
+    def test_continuous_truncation_scales(self):
+        d = make_falpha(0.5)
+        for e in range(-45, 31):
+            c = 2.0**e
+            scaled = make_falpha(0.5, c)
+            for grid in ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]):
+                unit = truncate_at(d, 4.0, grid=grid)
+                t = truncate_at(scaled, c * 4.0, grid=[c * g for g in grid])
+                assert t.support.tolist() == [c * v for v in (1.0, 2.0, 3.0, 4.0)]
+                assert t.pmf.tolist() == unit.pmf.tolist()
+            with pytest.raises(ValueError, match="must not exceed"):
+                truncate_at(scaled, c * 4.0, grid=[c, c * 5.0])
+
+
 class TestRegularityChecker:
     def test_family_member_margin_is_zero(self):
         rep = check_alpha_sr(make_falpha(0.5), 0.5)

@@ -10,12 +10,15 @@ mechanism functions on shared draws.
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srauctions
 from srauctions.dists import (
     DiscreteTabular,
     make_falpha,
@@ -847,6 +850,46 @@ class TestSampledReservesSkipTheHull:
         monkeypatch.setattr(empirical, "concave_envelope", no_hull)
         report = run_experiment(experiment_id, ExperimentConfig(experiment_id=experiment_id, trials=trials))
         assert report.verdict
+
+
+#: run in a fresh interpreter: prints the scipy modules loaded after the
+#: imports, after six experiments that do not integrate, and after vcgl
+SCIPY_PROBE = """
+import json, sys
+import srauctions, srauctions.harness, srauctions.harness.cli
+from srauctions.harness import ExperimentConfig, run_experiment
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = [scipy_modules()]
+for eid in ("lottery-samp", "two-mech", "lottery", "posted-lp", "posted-lp-samp", "lemma-square"):
+    assert run_experiment(eid, ExperimentConfig(experiment_id=eid, trials=200)).verdict
+loaded.append(scipy_modules())
+assert run_experiment("vcgl", ExperimentConfig(experiment_id="vcgl", trials=200)).verdict
+loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+class TestScipyOnlyForQuadrature:
+    """scipy is imported by the first quadrature call (`oracles._quad`),
+    not by importing the package: the library, the CLI and every
+    experiment whose exact values need no quadrature run without it."""
+
+    def test_scipy_is_loaded_by_the_first_quadrature(self):
+        src = str(Path(srauctions.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_six, after_vcgl = json.loads(proc.stdout)
+        assert after_import == []
+        assert after_six == []
+        assert "scipy.integrate" in after_vcgl
 
 
 class TestExperimentsOnTheEngine:

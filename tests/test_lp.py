@@ -487,6 +487,24 @@ class TestDiscretize:
                 inner += 1
         assert inner > 0
 
+    def test_atoms_scale_with_the_unit_of_value(self):
+        # the point mass used to be told from the atoms below it by an
+        # absolute 1e-12, which dropped the atom 2 at a scale of 2**-40 and
+        # both inner atoms at 2**-45.  Multiplying by a power of two is
+        # exact, so the scaled atoms must be equal bit for bit
+        rng = np.random.default_rng(np.random.Philox(key=[35, 0]))
+        draws = _truncated_prior().sorted_sample(rng, 9888)
+        p = _criterion_params()
+        unit = discretize_model(quiet_build(draws, p))
+        assert len(unit.values) == 3  # the point mass and two inner atoms
+        for e in range(-45, 31):
+            c = 2.0**e
+            scaled = discretize_model(quiet_build(c * draws, p))
+            assert scaled.values.tolist() == (c * unit.values).tolist()
+            assert scaled.virtuals.tolist() == (c * unit.virtuals).tolist()
+            assert scaled.masses.tolist() == unit.masses.tolist()
+            assert scaled.boundaries.tolist() == unit.boundaries.tolist()
+
     def test_implied_curve_matches_the_envelope_at_boundaries(self):
         rng = np.random.default_rng(np.random.Philox(key=[32, 0]))
         _, models, _ = _criterion_models(rng)
