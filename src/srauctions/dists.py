@@ -660,10 +660,17 @@ class DiscreteTabular(ValuationDistribution):
         return DiscreteTabular(new_support, new_pmf)
 
     def scale_values(self, factor: float) -> "DiscreteTabular":
-        """The distribution of factor * value."""
+        """The distribution of factor * value.
+
+        The pmf and cdf are shared, not renormalized, so they keep their
+        bits: under a power-of-two factor every value-scaled quantity then
+        scales exactly."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return DiscreteTabular(self.support * factor, self.pmf)
+        scaled = object.__new__(DiscreteTabular)
+        scaled.support = self.support * factor
+        scaled.pmf, scaled._cdf, scaled._sale = self.pmf, self._cdf, self._sale
+        return scaled
 
     def to_spec(self) -> dict:
         return {"kind": "discrete", "support": self.support.tolist(), "pmf": self.pmf.tolist()}

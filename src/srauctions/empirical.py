@@ -9,8 +9,10 @@ information: the envelope's slopes are the empirical virtual values and its
 maximizer gives the empirical reserve.  The envelope peaks at one of the
 curve's own points, so the reserve is R/t at the curve's first argmax: a
 build finds it in one pass over the points and stores it, and hulls the
-points only when the envelope itself is read.  A point mass at the top
-(quantile xi_bar) makes the value/quantile maps total.
+points only when the envelope itself is read (`concave_envelope`: all of
+them when the retained values are distinct, else the ends of each run of
+equal ones).  A point mass at the top (quantile xi_bar) makes the
+value/quantile maps total.
 
 The accuracy guarantee tracked throughout is the multiplicative bracketing
 event: for every retained sample value v, the true quantile q(v) lies
@@ -155,10 +157,18 @@ def _max_abs(a: np.ndarray) -> float:
 def _upper_chain(pts: np.ndarray, slack: float) -> np.ndarray:
     """Andrew's monotone-chain scan (1979) for the upper hull of x-sorted
     points; a middle point stays only if it turns down by more than
-    ``slack``."""
+    ``slack``.  Of points with equal x only the highest can be a vertex, so
+    a point is settled against the chain's last one before the pop test,
+    which would pop the higher of the two whenever their y gap times the
+    step before them is within ``slack``."""
     hull_x: list[float] = []
     hull_y: list[float] = []
     for x, y in pts.tolist():
+        if hull_x and x == hull_x[-1]:
+            if y <= hull_y[-1]:
+                continue
+            hull_x.pop()
+            hull_y.pop()
         while len(hull_x) >= 2:
             x1, y1 = hull_x[-2], hull_y[-2]
             x2, y2 = hull_x[-1], hull_y[-1]
@@ -167,102 +177,61 @@ def _upper_chain(pts: np.ndarray, slack: float) -> np.ndarray:
                 break
             hull_x.pop()
             hull_y.pop()
-        if hull_x and x == hull_x[-1]:
-            # duplicate abscissa: keep only the higher point
-            if y > hull_y[-1]:
-                hull_y[-1] = y
-            continue
-        hull_x.append(float(x))
-        hull_y.append(float(y))
+        hull_x.append(x)
+        hull_y.append(y)
     return np.column_stack((hull_x, hull_y))
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """``n`` x-sorted (x, y) rows in blocks of ``block``, as `_hull_prune`
-    reads them.
+def _hull_prune(pts: np.ndarray, block: int, slack: float) -> np.ndarray:
+    """Drop the x-sorted points of an (n, 2) array that lie strictly below
+    the upper hull of a few of them: the throw-away step of Akl & Toussaint
+    (1978).  Returns the points kept, in order.
 
-    For each of the ``n // block`` full blocks: its first and last x (``x0``,
-    ``x1``), its rise ``dy`` from first point to last, the row ``far`` of its
-    point farthest above that chord and the point's score ``s_far``
-    (`_far_points`).  ``take(rows)`` returns the x and the y column at
-    ascending row indices; rows past the last full block are the tail.
-    """
-
-    n: int
-    block: int
-    x0: np.ndarray
-    x1: np.ndarray
-    dy: np.ndarray
-    far: np.ndarray
-    s_far: np.ndarray
-    take: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def _point_rows(pts: np.ndarray, block: int) -> _Rows:
-    """The rows of an (n, 2) x-sorted points array, scored in blocks of
-    ``block``; ``take`` slices the array."""
-    nb = len(pts) // block
-    x, y = pts[:, 0], pts[:, 1]
-    bx = x[: nb * block].reshape(nb, block)
-    by = y[: nb * block].reshape(nb, block)
-    best, s_far = _far_points(bx, by)
-    far = best + np.arange(0, nb * block, block)
-    dy = by[:, -1] - by[:, 0]
-    return _Rows(len(pts), block, bx[:, 0], bx[:, -1], dy, far, s_far, lambda r: (x[r], y[r]))
-
-
-def _hull_prune(rows: _Rows, slack: float) -> np.ndarray:
-    """Drop the x-sorted rows that lie strictly below the upper hull of a
-    few of them: the throw-away step of Akl & Toussaint (1978).  Returns the
-    rows kept, as an (k, 2) points array in row order.
-
-    The rows come from a `_Rows` source: a points array (`_point_rows`) or
-    a build's revenue grid, computed from the sort (`_grid_rows`), so the
-    grid is never written out whole.  Each full block of ``rows.block`` rows
-    lends the row farthest above the chord from the block's first row to
-    its last; with the two end rows these are scanned, with the pop slack
-    ``slack``, into a small hull.  Its vertices are input rows, so it lies
-    under the true hull, and a row strictly below it can never be a vertex.
+    Each full block of ``block`` points lends the point farthest above the
+    chord from the block's first point to its last (`_far_points`); with
+    the two end points these are scanned, with the pop slack ``slack``,
+    into a small hull.  Its vertices are input points, so it lies under the
+    true hull, and a point strictly below it can never be a vertex.
     "Strictly" is guarded relative to the terms `np.interp` combines: each
-    small-hull vertex is lowered by 1e-12 times the largest |y| among it and
-    its two neighbours, which bounds the rounding of the interpolation on
-    both adjacent segments, so rows within rounding of the small hull stay
-    for the scan.
+    small-hull vertex is lowered by 1e-12 times the largest |y| among it
+    and its two neighbours, which bounds the rounding of the interpolation
+    on both adjacent segments, so points within rounding of the small hull
+    stay for the scan.
 
-    A row stays if ``y >= np.interp(x, ...)`` against the lowered small
+    A point stays if ``y >= np.interp(x, ...)`` against the lowered small
     hull.  Most blocks are settled whole from their two ends instead
-    (`_blocks_below`): every row of a block lies on or below the line
-    through its far row parallel to its chord, so where the lowered hull
+    (`_blocks_below`): every point of a block lies on or below the line
+    through its far point parallel to its chord, so where the lowered hull
     is one segment over the block and that line passes below it at both of
-    the block's ends, no row of the block can pass the test, and the block
-    is dropped without reading it.  The other blocks and the tail are read
-    in one ``take`` and tested row by row.  The rows kept are exactly those
-    the per-row test keeps.
+    the block's ends, no point of the block can pass the test, and the
+    block is dropped without reading it.  The other blocks, copied whole,
+    and the tail past the last full block are tested point by point.  The
+    points kept are exactly those the per-point test keeps.
     """
-    block, nb = rows.block, len(rows.far)
-    ends = np.concatenate(([0], rows.far, [rows.n - 1]))
-    small = _upper_chain(np.column_stack(rows.take(ends)), slack)
+    n = len(pts)
+    nb = n // block
+    bx = pts[: nb * block, 0].reshape(nb, block)
+    by = pts[: nb * block, 1].reshape(nb, block)
+    best, s_far = _far_points(bx, by)
+    ends = np.concatenate(([0], best + np.arange(0, nb * block, block), [n - 1]))
+    small = _upper_chain(pts[ends], slack)
     mag = np.pad(np.abs(small[:, 1]), 1)
     lowered = small[:, 1] - 1e-12 * np.maximum(np.maximum(mag[:-2], mag[1:-1]), mag[2:])
-    drop = _blocks_below(rows.x0, rows.x1, rows.dy, rows.s_far, small[:, 0], lowered)
-    starts = np.flatnonzero(~drop) * block
-    x, y = rows.take(
-        np.concatenate(((starts[:, None] + np.arange(block)).ravel(), np.arange(nb * block, rows.n)))
-    )
-    keep = y >= np.interp(x, small[:, 0], lowered)
-    return np.column_stack((x[keep], y[keep]))
+    drop = _blocks_below(bx[:, 0], bx[:, -1], by[:, -1] - by[:, 0], s_far, small[:, 0], lowered)
+    rest = np.concatenate((pts[: nb * block].reshape(nb, block, 2)[~drop].reshape(-1, 2), pts[nb * block :]))
+    return rest[rest[:, 1] >= np.interp(rest[:, 0], small[:, 0], lowered)]
 
 
-def _pruned(rows: _Rows, slack: float) -> np.ndarray:
-    """The rows that survive both prune levels: `_hull_prune` on ``rows``,
-    then, when more than four `_FINE_BLOCK` blocks survive, `_hull_prune`
-    again on the survivors in blocks of `_FINE_BLOCK`.  Each level keeps
-    every row that can be a vertex of the scan with pop slack ``slack``, so
-    the scan of the survivors is the scan of all rows."""
-    pts = _hull_prune(rows, slack)
+def _pruned(pts: np.ndarray, slack: float) -> np.ndarray:
+    """The x-sorted points that survive both prune levels: `_hull_prune`
+    in blocks of `_PRUNE_BLOCK`, then, when more than four `_FINE_BLOCK`
+    blocks survive, `_hull_prune` again on the survivors in blocks of
+    `_FINE_BLOCK`.  Each level keeps every point that can be a vertex of
+    the scan with pop slack ``slack``, so the scan of the survivors is the
+    scan of all points."""
+    pts = _hull_prune(pts, _PRUNE_BLOCK, slack)
     if len(pts) > 4 * _FINE_BLOCK:
-        pts = _hull_prune(_point_rows(pts, _FINE_BLOCK), slack)
+        pts = _hull_prune(pts, _FINE_BLOCK, slack)
     return pts
 
 
@@ -271,29 +240,24 @@ def _pruned(rows: _Rows, slack: float) -> np.ndarray:
 _SCORE_CHUNK = 64
 
 #: Blocks of the revenue grid `_grid_chunks` computes at a time: 32 blocks
-#: of 1,024 floats are 256 KiB, so the six such arrays a chunk works on fit
+#: of 1,024 floats are 256 KiB, so the arrays a chunk of `_scan_grid`
+#: works on (its x and y, the ramp and the retained values it reads) fit
 #: in a 2 MiB L2 cache.
 _GRID_CHUNK = 32
 
 
-def _far_points(
-    bx: np.ndarray, by: np.ndarray, work: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _far_points(bx: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row (block) of the (nb, B) coordinates: the column of the
     point farthest above the chord from the row's first point to its last,
     and its score ``y*dx - x*dy``, the height above the chord times the
     chord's x extent (no division).
 
-    Rows are scored `_SCORE_CHUNK` at a time with the element-wise
-    operations of a one-shot pass over all of them, so ``best`` and
-    ``s_far`` are bit-identical to that pass's.  The two score terms go
-    into ``work``, a (2, k, B) float array with k at least the rows scored
-    at a time, which a caller that scores many chunks passes to allocate it
-    once.
+    Rows are scored `_SCORE_CHUNK` at a time, into one (2, k, B) work array,
+    with the element-wise operations of a one-shot pass over all of them,
+    so ``best`` and ``s_far`` are bit-identical to that pass's.
     """
     nb, width = bx.shape
-    if work is None:
-        work = np.empty((2, min(nb, _SCORE_CHUNK), width))
+    work = np.empty((2, min(nb, _SCORE_CHUNK), width))
     dx = bx[:, -1:] - bx[:, :1]
     dy = by[:, -1:] - by[:, :1]
     best = np.empty(nb, dtype=np.intp)
@@ -373,9 +337,7 @@ def _bracketed(d: ValuationDistribution, values, t, xi_bar: float, factor: float
     return bool(np.all(q_lo <= qbar * factor + 1e-15) and np.all(q_hi >= qbar / factor - 1e-15))
 
 
-def concave_envelope(
-    points: Sequence[tuple[float, float]], *, _slack: float | None = None
-) -> np.ndarray:
+def concave_envelope(points: Sequence[tuple[float, float]]) -> np.ndarray:
     """Upper concave hull of the points, by the monotone-chain scan.
 
     Points are sorted by x (stably) only when the x column is not already
@@ -395,11 +357,6 @@ def concave_envelope(
     slack of 1e-15 pops on the points normalized by powers of two.  So no
     unit of value is too small or too large for the slack, and scaling an
     axis by a power of two scales the hull by the same factor exactly.
-
-    ``_slack`` is for `EmpiricalModel.envelope`, which prunes a build's
-    revenue grid itself and passes only the survivors: they are scanned as
-    given, with the pop slack of the whole grid, so the hull is the whole
-    grid's.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
@@ -407,32 +364,25 @@ def concave_envelope(
     x = pts[:, 0]
     if not np.all(x[1:] >= x[:-1]):
         pts = pts[np.argsort(x, kind="stable")]
-    if _slack is not None:
-        return _upper_chain(pts, _slack)
     slack = _pop_slack(max(abs(pts[0, 0]), abs(pts[-1, 0])), _max_abs(pts[:, 1]))
     if len(pts) > 4 * _PRUNE_BLOCK:
-        pts = _pruned(_point_rows(pts, _PRUNE_BLOCK), slack)
+        pts = _pruned(pts, slack)
     return _upper_chain(pts, slack)
 
 
-def _fill_grid(
-    x: np.ndarray, y: np.ndarray, values: Callable[[int, int], np.ndarray], kept_from: int, m: int, size: int
-) -> None:
-    """Fill rows of a build's anchored revenue grid in place.
+def _fill_grid(x: np.ndarray, y: np.ndarray, kept_vals: np.ndarray, r0: int, kept_from: int, m: int) -> None:
+    """Fill, in place, the rows r0, r0 + 1, ... of a build's anchored
+    revenue grid, as many as ``x`` holds.
 
-    The grid has ``size`` rows: row 0 is the anchor (0, 0), row r the
-    retained value v at t = (2(kept_from + r - 1) - 1)/(2m), R = t * v, and
-    row ``size - 1`` the anchor (1, 0).  On entry ``x`` holds 2r for
-    ascending row indices r, exact in floats; the non-anchor rows among
-    them sit at positions lo:hi, and ``values(lo, hi)`` returns their
-    retained values.  Anchor rows are found by index value, so an index
-    may repeat.
+    The grid has ``len(kept_vals) + 2`` rows: row 0 is the anchor (0, 0),
+    row r the retained value v = ``kept_vals[r - 1]`` at
+    t = (2(kept_from + r - 1) - 1)/(2m), R = t * v, and the last row the
+    anchor (1, 0).  On entry ``x`` holds 2r for these rows, exact in floats.
     """
-    lo = int(np.searchsorted(x, 0.0, side="right"))
-    hi = int(np.searchsorted(x, 2.0 * (size - 1), side="left"))
+    lo, hi = int(r0 == 0), min(len(x), len(kept_vals) + 1 - r0)
     x += 2 * kept_from - 3
     x /= 2 * m
-    np.multiply(x[lo:hi], values(lo, hi), out=y[lo:hi])
+    np.multiply(x[lo:hi], kept_vals[r0 + lo - 1 : r0 + hi - 1], out=y[lo:hi])
     x[:lo] = y[:lo] = 0.0
     x[hi:], y[hi:] = 1.0, 0.0
 
@@ -444,7 +394,7 @@ def _revenue_points(kept_vals: np.ndarray, kept_from: int, m: int) -> np.ndarray
     size = len(kept_vals) + 2
     rp = np.empty((size, 2))
     x = np.arange(0, 2 * size, 2, dtype=float)
-    _fill_grid(x, rp[:, 1], lambda lo, hi: kept_vals, kept_from, m, size)
+    _fill_grid(x, rp[:, 1], kept_vals, 0, kept_from, m)
     rp[:, 0] = x
     return rp
 
@@ -467,7 +417,7 @@ def _grid_chunks(kept_vals: np.ndarray, kept_from: int, m: int):
     for r0 in range(0, size, chunk):
         x, y = xs[: size - r0], ys[: size - r0]
         np.add(ramp[: len(x)], 2 * r0, out=x)
-        _fill_grid(x, y, lambda lo, hi: kept_vals[r0 + lo - 1 : r0 + hi - 1], kept_from, m, size)
+        _fill_grid(x, y, kept_vals, r0, kept_from, m)
         yield r0, x, y
 
 
@@ -496,46 +446,6 @@ def _scan_grid(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[bool, flo
     return tie_free, t, r
 
 
-def _grid_rows(kept_vals: np.ndarray, kept_from: int, m: int) -> tuple[_Rows, float]:
-    """A tie-free build's anchored revenue grid as `_Rows` in blocks of
-    `_PRUNE_BLOCK`, and the grid's pop slack.
-
-    One pass over the grid's chunks (`_grid_chunks`) scores their blocks
-    (`_far_points`) and takes max|R|, which with max|x| = 1 sets the slack.
-    ``take`` computes the rows it is asked for from the sort.  A grid of
-    fewer than one block has no blocks to score; its rows are all tail.
-    """
-    n = len(kept_vals)
-    size, block = n + 2, _PRUNE_BLOCK
-    nb = size // block
-
-    def take(r):
-        # each row's retained value, gathered into y itself; an anchor row
-        # reads an end value, which `_fill_grid` does not use
-        j = r - 1
-        np.clip(j, 0, n - 1, out=j)
-        y = kept_vals.take(j)
-        del j
-        x = r * 2.0
-        _fill_grid(x, y, lambda lo, hi: y[lo:hi], kept_from, m, size)
-        return x, y
-
-    x0, x1, dy, s_far = (np.empty(nb) for _ in range(4))
-    far = np.empty(nb, dtype=np.intp)
-    top = 0.0
-    work = np.empty((2, min(_GRID_CHUNK, nb), block))
-    for r0, x, y in _grid_chunks(kept_vals, kept_from, m):
-        top = max(top, _max_abs(y))
-        k = (min(r0 + len(x), nb * block) - r0) // block
-        if k:
-            bx, by = x[: k * block].reshape(k, block), y[: k * block].reshape(k, block)
-            blocks = slice(r0 // block, r0 // block + k)
-            best, s_far[blocks] = _far_points(bx, by, work)
-            far[blocks] = best + np.arange(r0, r0 + k * block, block)
-            x0[blocks], x1[blocks], dy[blocks] = bx[:, 0], bx[:, -1], by[:, -1] - by[:, 0]
-    return _Rows(size, block, x0, x1, dy, far, s_far, take), _pop_slack(1.0, top)
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalModel:
     """Immutable result of one empirical build; see the module docstring.
@@ -555,7 +465,8 @@ class EmpiricalModel:
     coverage check compute none of them, so a model keeps about 8*m bytes;
     the envelope lookups (`envelope_at`, `empirical_virtual`) and the curve
     lookups (`revenue_at`, `value_at_quantile`, `quantile_of_value`) compute
-    them once.
+    them once.  A tie-free build's envelope is the hull of its revenue
+    points, so its first read caches those too (16 bytes a row).
     """
 
     sorted_samples: np.ndarray  # descending
@@ -572,10 +483,8 @@ class EmpiricalModel:
     def envelope(self) -> np.ndarray:
         """Hull vertices (q, CR) of the anchored revenue points.
 
-        - Without ties, the rows are scored off the sort in one pass
-          (`_grid_rows`), the two prune levels (`_pruned`) read only the
-          rows of blocks that do not drop whole, and `concave_envelope`
-          scans the survivors with the whole grid's pop slack.
+        - Without ties, `concave_envelope` hulls ``revenue_points``, which
+          this read computes and caches if no curve lookup has yet.
         - With ties, the revenue points are written out and the two
           anchors and the first and last point of each run of equal
           retained values are hulled: a run's points (t_j, t_j * v) lie on
@@ -586,10 +495,9 @@ class EmpiricalModel:
         Either way the hull is the hull of every revenue point, byte for
         byte.
         """
-        kept = self.retained_values()
         if self.tie_free:
-            rows, slack = _grid_rows(kept, self.kept_from, self.m)
-            return concave_envelope(_pruned(rows, slack), _slack=slack)
+            return concave_envelope(self.revenue_points)
+        kept = self.retained_values()
         first, last = _run_ends(kept)
         run_ends = np.concatenate(([True], first | last, [True]))
         return concave_envelope(_revenue_points(kept, self.kept_from, self.m)[run_ends])
@@ -778,8 +686,9 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     point mass value at the anchor q = 0).  The build neither hulls nor
     writes out the revenue points: the envelope is computed on its first
     read (`EmpiricalModel.envelope`), and the revenue points only if a
-    curve lookup asks for them.  The point mass value interpolates the raw
-    curve on the one pair of grid rows that brackets xi_bar.
+    curve lookup or a tie-free build's envelope asks for them.  The point
+    mass value interpolates the raw curve on the one pair of grid rows that
+    brackets xi_bar.
 
     A sub-lemma-grade sample count is allowed (with a warning); only an
     empty retained set is an error.

@@ -221,6 +221,18 @@ class TestUnitOfValue:
             for t in (0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
                 assert scaled.posted_price_welfare(c * t) == c * d.posted_price_welfare(t)
 
+    def test_scale_values_keeps_the_pmf(self):
+        # renormalizing the pmf would move its last bits, and with them the
+        # welfare of posting 0
+        d = make_discrete(self.SUPPORT, self.PMF)
+        for e in range(-45, 31):
+            c = 2.0**e
+            scaled = d.scale_values(c)
+            assert scaled.pmf.tobytes() == d.pmf.tobytes()
+            assert scaled.support.tobytes() == (c * d.support).tobytes()
+            for t in (0.0, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
+                assert scaled.posted_price_welfare(c * t) == c * d.posted_price_welfare(t)
+
     def test_discrete_truncation_scales(self):
         d = make_discrete(self.SUPPORT, self.PMF)
         for e in range(-45, 31):

@@ -29,7 +29,6 @@ from srauctions.empirical import (
     _bracketed,
     _far_points,
     _hull_prune,
-    _point_rows,
     _pop_slack,
     _run_ends,
     EmpiricalModel,
@@ -582,7 +581,8 @@ class TestEnvelope:
             d = make_falpha(0.5, 1.0)
             builds = [quiet_build(d.sample(rng, 20000), SampleParams(0.2, 0.01, 0.1)) for _ in range(4)]
         for em in builds:
-            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            full = reference_hull if em.tie_free else concave_envelope
+            assert em.envelope.tobytes() == full(em.revenue_points).tobytes()
             assert em.empirical_reserve() == hull_reserve(em)
 
     @pytest.mark.parametrize("scale", [1e3, 1e6])
@@ -634,14 +634,17 @@ def reference_hull(points, slack=None):
         slack = math.ldexp(1e-15, ex + ey)
     hx, hy = [], []
     for x, y in pts.tolist():
+        if hx and x == hx[-1]:
+            # of two points at one x only the higher can be a vertex
+            if y <= hy[-1]:
+                continue
+            hx.pop()
+            hy.pop()
         while len(hx) >= 2 and not (
             (hy[-1] - hy[-2]) * (x - hx[-1]) > (y - hy[-1]) * (hx[-1] - hx[-2]) + slack
         ):
             hx.pop()
             hy.pop()
-        if hx and x == hx[-1]:
-            hy[-1] = max(hy[-1], y)
-            continue
         hx.append(x)
         hy.append(y)
     return np.column_stack((hx, hy))
@@ -679,8 +682,8 @@ def pop_slack(pts):
 
 
 def hull_prune(pts, slack):
-    """The first prune level, `_PRUNE_BLOCK` points a block, over a points array."""
-    return _hull_prune(_point_rows(pts, _PRUNE_BLOCK), slack)
+    """The first prune level, `_PRUNE_BLOCK` points a block."""
+    return _hull_prune(pts, _PRUNE_BLOCK, slack)
 
 
 def per_point_prune(pts, slack):
@@ -842,8 +845,6 @@ class TestHullPrune:
         em.envelope
         assert len(dropped) == 2 and dropped[0] >= 0.5 and dropped[1] >= 0.25
         assert 4 * survivors[1] <= survivors[0]
-        monkeypatch.undo()
-        assert concave_envelope(em.revenue_points).tobytes() == em.envelope.tobytes()
 
     @pytest.mark.parametrize("nb", [1, _SCORE_CHUNK - 1, _SCORE_CHUNK, 2 * _SCORE_CHUNK + 5, 5 * _SCORE_CHUNK + 37])
     def test_blocked_score_pass_equals_one_shot(self, nb):
@@ -861,6 +862,19 @@ class TestHullPrune:
         assert got_best.tobytes() == best.astype(np.intp).tobytes()
         assert got_s_far.tobytes() == s_far.tobytes()
 
+    def test_the_highest_of_equal_abscissae_stays(self):
+        # four blocks, so the scan takes them whole.  Seven points share
+        # x = 0.977, the highest first; the sixth lies 6e-13 below it, a gap
+        # that times the step from the chain's previous point is within the
+        # pop slack, so a pop test run before the equal-x check pops the
+        # highest point and keeps the sixth
+        pts = hull_family("duplicate_x", 2134095)[2832 : 2832 + 4 * _PRUNE_BLOCK]
+        at = pts[pts[:, 0] == 0.977, 1]
+        assert len(at) == 7 and at[0] == at.max()
+        hull = concave_envelope(pts)
+        assert hull[hull[:, 0] == 0.977, 1].tolist() == [at[0]]
+        assert hull.tobytes() == reference_hull(pts).tobytes()
+
     def test_all_zero_y(self):
         # max|y| = 0 has binary exponent 0: the slack stays finite and the
         # flat line keeps only its two ends
@@ -871,35 +885,12 @@ class TestHullPrune:
         assert hull.tobytes() == reference_hull(pts).tobytes()
 
 
-class GridSpy:
-    """Counts, while installed, the envelopes hulled off a build's sort
-    (`_grid_rows` calls, made on a tie-free model's first envelope read),
-    the prune levels run, and the levels whose far rows include an end row
-    (row 0 or the last), which the small hull's rows then repeat."""
-
-    def __init__(self, monkeypatch):
-        self.grid_builds, self.levels, self.end_far = 0, 0, 0
-        grid_rows, hull_prune_level = empirical._grid_rows, empirical._hull_prune
-
-        def spy_grid(*args):
-            self.grid_builds += 1
-            return grid_rows(*args)
-
-        def spy_level(rows, *args):
-            self.levels += 1
-            self.end_far += bool(len(rows.far)) and (rows.far[0] == 0 or rows.far[-1] == rows.n - 1)
-            return hull_prune_level(rows, *args)
-
-        monkeypatch.setattr(empirical, "_grid_rows", spy_grid)
-        monkeypatch.setattr(empirical, "_hull_prune", spy_level)
-
-
 #: Retained counts n (n + 2 anchored rows) at the edges of the block
 #: layout: grids of less than one block (all rows tail), at and one row over
 #: the size above which the second prune level runs, four blocks exactly and
 #: one row over, a retained count that is a multiple of a block, tails of 0,
-#: 1 and 1,023 rows, and a grid of several `_grid_rows` chunks ending one row
-#: into a chunk.
+#: 1 and 1,023 rows, and a grid of several `_scan_grid` chunks ending one
+#: row into a chunk.
 EDGE_COUNTS = [
     1,
     2,
@@ -919,66 +910,56 @@ EDGE_COUNTS = [
 
 
 class TestGridHull:
-    """A tie-free build, whatever its size, hulls its revenue grid straight
-    off the sort, in two prune levels; a build with ties hulls the ends of
-    its tie runs.  Either way the envelope is the hull of every revenue
-    point, byte for byte, and the model is the same."""
+    """A tie-free build, whatever its size, hulls its revenue points, in two
+    prune levels when there are more than four blocks of them; a build with
+    ties hulls the ends of its tie runs.  Either way the envelope is the
+    unpruned scan of every revenue point (`reference_hull`), byte for byte,
+    and the model is the same."""
 
     @pytest.mark.parametrize("n", EDGE_COUNTS)
     @pytest.mark.parametrize("xi", [1e-5, 0.05])
-    def test_edge_shapes_match_the_full_point_hull(self, n, xi, monkeypatch):
-        spy = GridSpy(monkeypatch)
+    def test_edge_shapes_match_the_full_point_hull(self, n, xi):
         rng = np.random.Generator(np.random.Philox(key=[27, n]))
         m = retained_count_m(n, xi)
         builds = [quiet_build(make_falpha(0.5, 1.0).sample(rng, m), SampleParams(0.2, xi, 0.1)) for _ in range(3)]
-        assert spy.grid_builds == 0
         for em in builds:
             assert len(em.retained_values()) == n
-            full = concave_envelope(em.revenue_points)
-            assert em.envelope.tobytes() == full.tobytes()
+            assert em.envelope.tobytes() == reference_hull(em.revenue_points).tobytes()
             assert em.empirical_reserve() == hull_reserve(em)
-        assert spy.grid_builds == 3
 
     @pytest.mark.parametrize("n", [n for n in EDGE_COUNTS if n + 2 <= 4 * _PRUNE_BLOCK])
     @pytest.mark.parametrize("kind", ["uniform-squared", "negative"])
-    def test_small_convex_and_negative_builds_match_the_full_point_hull(self, n, kind, monkeypatch):
-        # builds of at most four blocks take the grid path too, and
-        # `concave_envelope` scans their revenue points whole, without a
-        # prune: on a convex tail, and on values whose R = t * v falls
-        # below the anchors' line, where the prune drops rows
-        spy = GridSpy(monkeypatch)
+    def test_small_convex_and_negative_builds_match_the_full_point_hull(self, n, kind):
+        # `concave_envelope` scans the revenue points of a build of at most
+        # four blocks whole, without a prune: on a convex tail, and on
+        # values whose R = t * v falls below the anchors' line, where the
+        # prune drops rows
         rng = np.random.Generator(np.random.Philox(key=[36, n]))
         m = retained_count_m(n, 0.05)
         draws = {"uniform-squared": lambda: rng.random(m) ** 2, "negative": lambda: rng.random(m) - 0.75}[kind]
         builds = [quiet_build(draws(), SampleParams(0.2, 0.05, 0.1)) for _ in range(3)]
         for em in builds:
             assert em.tie_free and len(em.retained_values()) == n
-            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
             assert em.envelope.tobytes() == reference_hull(em.revenue_points).tobytes()
             assert em.empirical_reserve() == hull_reserve(em)
-        assert spy.grid_builds == 3
 
-    def test_convex_tail_whose_far_row_is_the_end_anchor(self, monkeypatch):
+    def test_convex_tail_whose_far_row_is_the_end_anchor(self):
         # on samples U**2 the revenue curve q (1 - q)**2 is convex for
         # q > 2/3, so the last block's far row is one of its ends; when the
         # block ends at the (1, 0) anchor, rounding can pick that anchor,
         # and the small hull reads the anchor row twice
-        spy = GridSpy(monkeypatch)
         builds = []
         for n in (5 * _PRUNE_BLOCK - 2, 8 * _PRUNE_BLOCK - 2):
             m = retained_count_m(n, 0.05)
             for seed in range(4):
                 rng = np.random.Generator(np.random.Philox(key=[31, seed]))
                 builds.append(quiet_build(rng.random(m) ** 2, SampleParams(0.2, 0.05, 0.1)))
-        envelopes = [em.envelope for em in builds]
-        assert spy.grid_builds == len(builds) and spy.end_far >= 1
-        for em, envelope in zip(builds, envelopes):
-            assert envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
-            assert envelope[-1].tolist() == [1.0, 0.0]
+        for em in builds:
+            assert em.envelope.tobytes() == reference_hull(em.revenue_points).tobytes()
+            assert em.envelope[-1].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("where", ["first", "chunk-edge", "last"])
-    def test_one_tie_among_a_million_values_takes_the_run_end_path(self, where, monkeypatch):
-        spy = GridSpy(monkeypatch)
+    def test_one_tie_among_a_million_values_takes_the_run_end_path(self, where):
         p = SampleParams(0.1, 0.05, 0.1)
         rng = np.random.Generator(np.random.Philox(key=[28, 0]))
         values = np.sort(make_falpha(0.5, 1.0).sample(rng, 1_000_000))[::-1].copy()
@@ -993,17 +974,14 @@ class TestGridHull:
         assert len(em._distinct_retained()[0]) == n - 1
         assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
         assert em.empirical_reserve() == hull_reserve(em)
-        assert spy.grid_builds == 0
 
-    def test_all_values_equal(self, monkeypatch):
-        spy = GridSpy(monkeypatch)
+    def test_all_values_equal(self):
         em = quiet_build(np.full(20_000, 2.5), SampleParams(0.2, 0.05, 0.1))
         assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
         assert em.empirical_reserve() == 2.5 == hull_reserve(em)
-        assert spy.grid_builds == 0
 
     @pytest.mark.parametrize("kind", ["mixed", "negative", "on-curve"])
-    def test_negative_values(self, kind, monkeypatch):
+    def test_negative_values(self, kind):
         # R = t * v is most negative where no hull vertex lies, so the
         # survivors' max|R| is not the grid's, and the scan must pop with
         # the grid's slack.  The on-curve values v = 1/2 - t put the grid
@@ -1011,7 +989,6 @@ class TestGridHull:
         # neighbours by 2/m**3: at m = 150,000 that lies between the pop
         # slack of the survivors and that of the grid, so the survivors' own
         # slack would keep about twice as many vertices
-        spy = GridSpy(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=[29, 0]))
         if kind == "on-curve":
             m = 150_000
@@ -1022,9 +999,8 @@ class TestGridHull:
         builds = [quiet_build(rng.permutation(v), SampleParams(0.2, 0.01, 0.1)) for v in samples]
         for em in builds:
             assert pop_slack(em.envelope) < pop_slack(em.revenue_points)
-            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            assert em.envelope.tobytes() == reference_hull(em.revenue_points).tobytes()
             assert em.empirical_reserve() == hull_reserve(em)
-        assert spy.grid_builds == len(builds)
 
     @pytest.mark.parametrize("kind", ["tie-free", "ties"])
     @given(e=st.integers(-40, 30), seed=st.integers(0, 2**32 - 1))
@@ -1066,12 +1042,11 @@ class TestPresortedBuild:
     array, whatever the input's layout in memory."""
 
     @pytest.mark.parametrize("kind", ["tie-free", "ties"])
-    def test_a_presorted_input_and_its_shuffle_give_the_same_model(self, kind, monkeypatch):
-        spy = GridSpy(monkeypatch)
+    def test_a_presorted_input_and_its_shuffle_give_the_same_model(self, kind):
         rng = np.random.Generator(np.random.Philox(key=[33, 0]))
         p = SampleParams(0.2, 0.05, 0.1)
         if kind == "tie-free":
-            # more than four blocks, over several `_grid_rows` chunks
+            # more than four blocks, over several `_scan_grid` chunks
             d, m = make_falpha(0.5, 1.0), 5 * _GRID_CHUNK * _PRUNE_BLOCK
         else:
             d, m = random_tabular(rng, 40), 20_000
@@ -1095,27 +1070,24 @@ class TestPresortedBuild:
             assert o.empirical_reserve() == em.empirical_reserve()
             assert o.xi_bar == em.xi_bar and o.point_mass_value == em.point_mass_value
             assert o.tie_free == em.tie_free == (kind == "tie-free")
-        assert spy.grid_builds == (1 + len(others) if kind == "tie-free" else 0)
-        assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+        full = reference_hull if em.tie_free else concave_envelope
+        assert em.envelope.tobytes() == full(em.revenue_points).tobytes()
         assert em.empirical_reserve() == hull_reserve(em)
 
     @pytest.mark.parametrize("n", EDGE_COUNTS)
-    def test_edge_shapes_of_a_drawn_sort(self, n, monkeypatch):
+    def test_edge_shapes_of_a_drawn_sort(self, n):
         # a drawn sort's tie check and reads at the block and chunk edges,
         # against the full-point hull and a shuffle's build
-        spy = GridSpy(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=[35, n]))
         m = retained_count_m(n, 0.05)
         p = SampleParams(0.2, 0.05, 0.1)
         builds = [quiet_build(make_falpha(0.5, 1.0).sorted_sample(rng, m), p) for _ in range(3)]
-        assert spy.grid_builds == 0
         for em in builds:
             assert len(em.retained_values()) == n and em.sorted_samples.flags.c_contiguous
-            assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
+            assert em.envelope.tobytes() == reference_hull(em.revenue_points).tobytes()
             shuffled = quiet_build(rng.permutation(em.sorted_samples), p)
             assert em.envelope.tobytes() == shuffled.envelope.tobytes()
             assert em.empirical_reserve() == shuffled.empirical_reserve() == hull_reserve(em)
-        assert spy.grid_builds == 6
 
     def test_a_presorted_build_makes_no_second_copy(self):
         # at lottery-samp's theorem-grade m the build's peak above its

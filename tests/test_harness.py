@@ -837,7 +837,7 @@ class TestReportBytes:
 class TestSampledReservesSkipTheHull:
     """lottery-samp and vcgl-samp read only each build's reserve and
     coverage, which the build computes without a hull: a run passes with
-    the hull's entry points made to raise."""
+    `concave_envelope`, the hull's one entry point, made to raise."""
 
     @pytest.mark.parametrize("experiment_id, trials", [("lottery-samp", 200), ("vcgl-samp", 100)])
     def test_no_build_is_hulled(self, experiment_id, trials, monkeypatch):
@@ -846,7 +846,6 @@ class TestSampledReservesSkipTheHull:
         def no_hull(*args, **kwargs):
             raise AssertionError("an empirical build was hulled")
 
-        monkeypatch.setattr(empirical, "_grid_rows", no_hull)
         monkeypatch.setattr(empirical, "concave_envelope", no_hull)
         report = run_experiment(experiment_id, ExperimentConfig(experiment_id=experiment_id, trials=trials))
         assert report.verdict

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from srauctions.dists import DiscreteTabular, Exponential, make_falpha, truncate_at
 from srauctions.empirical import SampleCountWarning, SampleParams, build_empirical
+from srauctions.harness import lazy_vcg_k_uniform, lottery_k_uniform, two_mech_k_uniform
 from srauctions.lp import (
     MultiItemInstance,
     QuantileSolution,
@@ -698,9 +699,10 @@ class TestTruthfulness:
 
 
 class TestUnitOfValue:
-    """Scaling values, budgets and the priors' scale by c = 2**e scales
-    every payment by c.  Multiplying by a power of two is exact, so the
-    scaled payments must be equal bit for bit."""
+    """Scaling values, budgets, reserves and the priors' scale by c = 2**e
+    scales every payment by c, in the scalar mechanisms and in the
+    vectorized runners.  Multiplying by a power of two is exact, so the
+    scaled payments and revenue must be equal bit for bit."""
 
     ENVS = (KUniformMatroid(2, 3), ExplicitFeasibleSets(3, [{0}, {1}, {2}, {0, 1}, {1, 2}]))
 
@@ -734,10 +736,13 @@ class TestUnitOfValue:
         budgets = np.where(rng.random(3) < 0.25, math.inf, rng.uniform(0.5, 4.0, 3))
         for kind in unit:
             v = atoms if kind == "discrete" else continuous
+            reserves = np.array([d.reserve_price for d in unit[kind]])
             self._assert_scaled(
                 myerson_single_item(unit[kind], v), myerson_single_item(scaled[kind], c * v), c
             )
             for env in self.ENVS:
+                self._assert_scaled(vcg(env, v), vcg(env, c * v), c)
+                self._assert_scaled(vcg_lazy(env, v, reserves), vcg_lazy(env, c * v, c * reserves), c)
                 self._assert_scaled(
                     two_mech_budget(env, unit[kind], v, budgets, coin=2),
                     two_mech_budget(env, scaled[kind], c * v, c * budgets, coin=2),
@@ -748,3 +753,34 @@ class TestUnitOfValue:
                 lottery_mechanism(self.ENVS[1], scaled[kind], c * v, c * budgets, rng_of(seed)),
                 c,
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(e=st.integers(-40, 30), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+    def test_vectorized_runners_scale_with_the_unit_of_value(self, e, seed, k):
+        # every output column of a runner scales by c bit for bit: revenue
+        # and welfare, and lazy VCG's realized welfare
+        c = 2.0**e
+        rng = rng_of(seed)
+        T, n = 200, 3
+        support = np.sort(rng.uniform(0.1, 5.0, 4))
+        priors = [DiscreteTabular(support, rng.dirichlet(np.ones(4))) for _ in range(n)]
+        atoms = np.column_stack([rng.choice(support, T) for _ in range(n)])
+        continuous = make_falpha(0.5, 1.0).sample(rng, T * n).reshape(T, n)
+        budgets = np.where(rng.random((T, n)) < 0.25, math.inf, rng.uniform(0.5, 4.0, (T, n)))
+        reserves = rng.uniform(0.1, 3.0, n)
+        coins = rng.integers(1, 3, T)
+        uniforms = rng.random((T, n))
+
+        def assert_scaled(unit, scaled):
+            for u, s in zip(unit, scaled, strict=True):
+                assert s.tobytes() == (c * u).tobytes()
+
+        assert_scaled(lazy_vcg_k_uniform(continuous, k, reserves), lazy_vcg_k_uniform(c * continuous, k, c * reserves))
+        assert_scaled(
+            two_mech_k_uniform(atoms, budgets, coins, priors, k),
+            two_mech_k_uniform(c * atoms, c * budgets, coins, [d.scale_values(c) for d in priors], k),
+        )
+        assert_scaled(
+            lottery_k_uniform(continuous, budgets, uniforms, reserves, k),
+            lottery_k_uniform(c * continuous, c * budgets, uniforms, c * reserves, k),
+        )
