@@ -356,8 +356,10 @@ def posted_price_runs(
     n_i, n_j = inst.n_bidders, inst.n_items
     if values.shape != (T, n_i, n_j):
         raise ValueError("values must have shape (T, n_bidders, n_items)")
-    price_mix = rng.random((T, n_i, n_j))
-    offered = rng.random((T, n_i, n_j)) < plan.p_offer
+    u = rng.random((T, n_i, n_j))
+    high = u >= plan.w_bar  # posts r + 1, else r
+    offered = rng.random(out=u) < plan.p_offer
+    del u  # the pair loop reads only the two masks
 
     sold = [np.zeros(T, dtype=bool) for _ in range(n_j)]
     alloc = np.zeros((T, n_i, n_j), dtype=bool)
@@ -368,7 +370,7 @@ def posted_price_runs(
         budget_left = np.full(T, float(inst.budgets[i]))
         for j in range(n_j):
             r = plan.r_bar[i, j]
-            p = np.where(price_mix[:, i, j] < plan.w_bar[i, j], float(r), float(r + 1))
+            p = np.where(high[:, i, j], float(r + 1), float(r))
             v = values[:, i, j]
             buy = (
                 (held < inst.item_limits[i])

@@ -1,10 +1,11 @@
 """Deterministic RNG stream derivation.
 
-Every randomized routine in the harness draws from a counter-based Philox
-generator keyed by ``(master_seed, stream_index)``.  Streams with distinct
-indices are statistically independent, and the mapping is pure: the same
-pair always yields the same generator state, which is what makes reports
-byte-for-byte reproducible.
+Every randomized routine in the harness draws from numpy's PCG64DXSM bit
+generator, seeded by ``SeedSequence(master_seed, spawn_key=(stream_index,))``.
+Spawn keys are numpy's documented way of making independent parallel
+streams, and PCG64DXSM is the generator it recommends for them.  The mapping
+is pure: the same pair always yields the same generator state, which is
+what makes reports byte-for-byte reproducible.
 
 The stream layout of every experiment and of ``srauctions mech run``:
 
@@ -29,9 +30,19 @@ META_STREAM_BASE = 1 << 62
 
 
 def stream(master_seed: int, index: int) -> np.random.Generator:
-    """Generator for stream ``index`` under ``master_seed``."""
-    return np.random.default_rng(
-        np.random.Philox(key=[master_seed & _MASK64, index & _MASK64])
+    """PCG64DXSM generator for stream ``index`` under ``master_seed``.
+
+    Both are taken modulo 2**64.  Stream ``index`` is the child ``index``
+    that ``SeedSequence(master_seed).spawn`` hands out.  Distinct pairs get
+    distinct seed material: with a spawn key present, ``SeedSequence`` pads
+    the seed's 32-bit words to its full 128-bit pool before it appends the
+    key's, so no split of the same words between seed and index, such as
+    (1 + 5 * 2**32, 7) against (1, 5 + 7 * 2**32), gives the same stream.
+    """
+    return np.random.Generator(
+        np.random.PCG64DXSM(
+            np.random.SeedSequence(master_seed & _MASK64, spawn_key=(index & _MASK64,))
+        )
     )
 
 

@@ -100,6 +100,32 @@ class TestRngStreams:
         a = stream(5, 3).random(4)
         b = stream(5, 3).random(4)
         assert np.array_equal(a, b)
+        assert stream(5, 3).bit_generator.state == stream(5, 3).bit_generator.state
+
+    def test_first_doubles_are_pinned(self):
+        # Every report digest rests on these bits.  If this fails, numpy's
+        # SeedSequence or PCG64DXSM changed, not the stream layout.
+        assert stream(1, 0).random(3).tolist() == [
+            0.025065769332332066,
+            0.7533664606775434,
+            0.7917972681977082,
+        ]
+
+    def test_stream_is_the_seed_sequence_child(self):
+        child = np.random.SeedSequence(7).spawn(4)[3]
+        expected = np.random.Generator(np.random.PCG64DXSM(child)).random(4)
+        assert np.array_equal(stream(7, 3).random(4), expected)
+
+    def test_word_boundary_pairs_diverge(self):
+        # the same 32-bit words split differently between seed and index
+        a = stream(1 + 5 * 2**32, 7).random(4)
+        b = stream(1, 5 + 7 * 2**32).random(4)
+        assert not np.array_equal(a, b)
+
+    def test_block_and_meta_streams_diverge(self):
+        a = rng_module.block_stream(9, 0, 0).random(4)
+        b = meta_stream(9, 0).random(4)
+        assert not np.array_equal(a, b)
 
     def test_distinct_indices_diverge(self):
         assert not np.array_equal(stream(5, 0).random(4), stream(5, 1).random(4))
@@ -789,29 +815,29 @@ class TestExperimentRegistry:
 
 #: sha256 of ``srauctions sample`` of the criterion prior on {1, 2, 3, 4},
 #: 200,000 draws at seed 1
-CRITERION_SAMPLE_SHA256 = "95a3dd2285da391d89c56b2381f81e6946f18a847c256ce0934c3a9744854f5e"
+CRITERION_SAMPLE_SHA256 = "c6b8894092aa8ae206e39d5160cbd2b76f4f97ee977a228130b9ede4794066c8"
 
 
 #: sha256 of ``render_csv`` per registered experiment at the default seed
 #: and these trial counts, which span two ``_CHUNK`` blocks of every Monte
-#: Carlo case.  Every experiment but lemma-square draws its trials from
-#: ``run_batched``'s block streams (``rng.block_stream``), and a run with
-#: one case is case 0, so two-mech and lottery keep the bytes they had when
-#: they alone ran on the engine.  lottery-samp, posted-lp-samp and
-#: vcgl-samp draw each build's samples as order statistics
-#: (``sorted_sample``); vcgl-samp makes 100 resamples of two builds at
-#: m = 725,085 whatever its trial count.
+#: Carlo case.  Every draw comes from an ``rng.stream`` (PCG64DXSM, spawn
+#: key = stream index; ``TestRngStreams`` pins its first doubles).  Every
+#: experiment but lemma-square draws its trials from ``run_batched``'s
+#: block streams (``rng.block_stream``), and a run with one case is case 0.
+#: lottery-samp, posted-lp-samp and vcgl-samp draw each build's samples as
+#: order statistics (``sorted_sample``) from meta streams; vcgl-samp makes
+#: 100 resamples of two builds at m = 725,085 whatever its trial count.
 REPORT_SHA256 = {
-    "vcg-duplicates": (300_000, "2cee0b813fc87557e63103c9a6d089890da8883faa437ab5bd1a42d8609fd642"),
-    "vcgl": (300_000, "bf2341d7a16414c2f86ee66dbdab60ab1cc4f5582396a4e6a4f78c7f8ef04010"),
-    "posted-lp": (300_000, "3cdea10337b8bb0d2f1f978f9a79f867e32f8f7f58187299ccc2b5ca83336b6f"),
-    "two-mech": (260_000, "72c4785435f0c3d2ddc68b2f79c323a822fe5ebb99b640c88d019128cdec9d8b"),
-    "lottery": (260_000, "4b17a93ffad25594db947634ce74b742f150162a7b7f75724963efad02c4bee5"),
-    "lottery-samp": (260_000, "8450bb388eb48bb63f3c22eec64fd10943d5f9c0eb27474f680d412a67364ca3"),
-    "posted-lp-samp": (260_000, "195b842862186b09a1ebb539cd794818b6ffd438a7b40291e6b6d64605114122"),
-    "lemma-square": (20, "42a4d711d04209805d4beb188f668c1ab6d8cc40d93159cb67c0c0e27a0d4756"),
+    "vcg-duplicates": (300_000, "b01264c258ea88eb66370b893e681a71667e28eb94beb29a0434586dcb3a249e"),
+    "vcgl": (300_000, "239afc4277c5cb05e5efcf67ddcea6ea7b7a13df437a27554925fdef9aedab40"),
+    "posted-lp": (300_000, "b97b5e166706b40b7b5b9788e18bbf4beab55840fd219df45bb60691d01cb2b8"),
+    "two-mech": (260_000, "c77049a3a34a0e848a10692bcf471e84afbc57a39ec5ff75b08f362a3aac797e"),
+    "lottery": (260_000, "7723718621a00d841049f4186ccbb1776c7e661b2475a68817538a6f73e272ab"),
+    "lottery-samp": (260_000, "e48068ee2c56e673818380970f75a7434288e2c6254eec9bc85321143b402467"),
+    "posted-lp-samp": (260_000, "91286fb41b99284c450ad270c2bb998401183977c9d4fcfa3b8117e661a9a2ef"),
+    "lemma-square": (20, "7052e82cb3f76bd3288d618d0b3cfec6a1866d2037726eb0f89f417915d117ae"),
     # 200 theorem-grade builds (m = 725,085) and 1,000 auctions per resample
-    "vcgl-samp": (1_000, "383cd5f6801f7e5addcfd26cc172050679375ceaabd00cb2218ec6f783ef965a"),
+    "vcgl-samp": (1_000, "48f16c272b845f267a9767f90d516d2480b162815cfc38c38d458ec95a765c11"),
 }
 
 
