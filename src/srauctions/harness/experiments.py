@@ -61,7 +61,7 @@ from ..mechanisms import (  # noqa: F401
     lottery_mechanism,
     two_mech_budget,
 )
-from .montecarlo import Accumulator, MetricSummary, Report, run_batched
+from .montecarlo import Accumulator, MetricSummary, Report, map_independent, run_batched
 from .oracles import (
     expected_order_statistic_iid,
     myerson_optimal_revenue_iid,
@@ -512,6 +512,8 @@ def run_vcgl_samp(cfg: ExperimentConfig) -> Report:
     times alpha^(1/(1-alpha)) and the (1 - xi(1+gamma)^2)(1 - k*delta) /
     (1+gamma)^4 haircut.  The resamples are the independent replicates, so
     the bound's stderr is that of the 100 per-resample mean revenues.
+    Resample t builds from meta stream t and runs case t, so resamples run
+    on threads (``map_independent``) and are merged in t order.
     """
     started = time.perf_counter()
     block = cfg.trials or 100_000
@@ -528,12 +530,15 @@ def run_vcgl_samp(cfg: ExperimentConfig) -> Report:
     )
     threshold = ratio * haircut
     welfare = expected_order_statistic_iid(d, n, 1)
-    per_resample = Accumulator()
-    rev_all, welf_all = Accumulator(), Accumulator()
-    for t in range(resamples):
+
+    def resample(t: int) -> dict[str, Accumulator]:
         build_rng = meta_stream(cfg.master_seed, t)
         reserves = [build_empirical(d.sorted_sample(build_rng, p.m), p).empirical_reserve() for _ in range(n)]
-        accs = run_batched(_lazy_vcg_batch(d, n, 1, reserves), block, cfg.master_seed, t)
+        return run_batched(_lazy_vcg_batch(d, n, 1, reserves), block, cfg.master_seed, t)
+
+    per_resample = Accumulator()
+    rev_all, welf_all = Accumulator(), Accumulator()
+    for accs in map_independent(resample, range(resamples)):
         per_resample.add(accs["revenue"].mean)
         rev_all = rev_all.merge(accs["revenue"])
         welf_all = welf_all.merge(accs["welfare"])
@@ -658,7 +663,9 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
     """Threshold lottery with sample-estimated reserves.
 
     Factor: 3/(1-k*delta) * (1 + 1/(alpha^(1/(1-alpha)) *
-    (1 - max(sqrt(8*gamma/alpha), 4*gamma + xi*gamma)))).
+    (1 - max(sqrt(8*gamma/alpha), 4*gamma + xi*gamma)))).  Model ``slot``
+    builds from meta stream ``slot`` alone, so the k builds run on threads
+    (``map_independent``).
     """
     started = time.perf_counter()
     trials = cfg.trials or 100_000
@@ -672,12 +679,13 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
         * (1.0 + 1.0 / (alpha ** (1.0 / (1.0 - alpha)) * (1.0 - erosion)))
     )
     d = make_falpha(alpha, 1.0)
-    models = [
-        build_empirical(d.sorted_sample(meta_stream(cfg.master_seed, slot), p.m), p)
-        for slot in range(k)
-    ]
-    reserves = [m.empirical_reserve() for m in models]
-    covered = sum(m.coverage_event_holds(d) for m in models)
+
+    def build(slot: int) -> tuple[float, bool]:
+        model = build_empirical(d.sorted_sample(meta_stream(cfg.master_seed, slot), p.m), p)
+        return model.empirical_reserve(), model.coverage_event_holds(d)
+
+    reserves, holds = zip(*map_independent(build, range(k)))
+    covered = sum(holds)
     revenue, upper, margin = _lottery_metrics(
         cfg.master_seed, trials, d, reserves, factor
     )

@@ -4,10 +4,17 @@
 it: it hands a batch function blocks of at most ``_CHUNK`` rows, block
 ``c`` of case ``s`` drawing from ``rng.block_stream(master_seed, s, c)``,
 so a run is a pure function of its seed, its case and its trial count.
-Aggregation is the commutative monoid (count, sum, sum-of-squares), and
-reports carry a 95% normal confidence interval per metric.  Experiments
+Aggregation is the monoid (count, sum, sum-of-squares); float addition is
+not associative, so accumulators are always merged in stream order.
+Reports carry a 95% normal confidence interval per metric.  Experiments
 attach a target and a verdict to the metrics that encode a theorem bound;
 purely informational metrics leave both blank.
+
+``map_independent`` runs work that shares no data and no stream, such as
+the model builds of ``lottery-samp`` and the resamples of ``vcgl-samp``,
+on one thread per usable CPU (numpy's array loops release the GIL), and
+hands the results back in item order, so the thread count never changes a
+report byte.  A run's blocks stay sequential.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -27,6 +34,9 @@ Z95 = 1.959963984540054
 
 #: Most rows one block of a batched run holds.
 _CHUNK = 250_000
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 
 class Accumulator:
@@ -187,9 +197,12 @@ def run_batched(
     ``batch_fn(rng, rows)`` returns a mapping from metric name to a
     ``(rows,)`` array.  Block ``c``, rows ``c * _CHUNK`` on, gets the
     generator of ``rng.block_stream(master_seed, case, c)``, so runs are
-    reproducible, never depend on scheduling, and an experiment's cases
-    draw from distinct streams.  Returns one accumulator per metric, in the
-    order the first block named them.
+    reproducible and an experiment's cases draw from distinct streams.
+    Blocks run one after another on the calling thread and are added in
+    block order; a caller may run whole cases on threads
+    (``map_independent``) and merge their accumulators in case order.
+    Returns one accumulator per metric, in the order the first block named
+    them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -202,6 +215,62 @@ def run_batched(
         for name, xs in out.items():
             accs.setdefault(name, Accumulator()).add_batch(xs)
     return accs
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` and container limits count), else the
+    machine's count."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_independent(
+    fn: Callable[[_Item], _Result], items: Iterable[_Item]
+) -> list[_Result]:
+    """``[fn(x) for x in items]``, on up to one thread per usable CPU.
+
+    Each call must draw from its own streams and share no mutable state
+    with the others; then the results, returned in item order, are the
+    loop's whatever the thread count or the order the calls finish in.
+    With w = min(len(items), usable CPUs) threads, the calling thread runs
+    items 0, w, 2w, ... and thread j items j, j + w, ..., since the items
+    cost about the same.  A thread stops at its first failing item.  Every
+    thread is joined before this returns or raises, and the error raised is
+    that of the earliest failing item, the one the loop would raise.  With
+    one usable CPU, or one item, the loop runs inline.
+    """
+    items = list(items)
+    workers = min(len(items), _usable_cpus())
+    if workers <= 1:
+        return [fn(x) for x in items]
+    import threading
+
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+
+    def share(j: int) -> None:
+        for i in range(j, len(items), workers):
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised by the calling thread
+                errors[i] = exc
+                return
+
+    threads = [threading.Thread(target=share, args=(j,), daemon=True) for j in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        share(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:

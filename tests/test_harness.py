@@ -13,6 +13,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from srauctions.dists import (
     make_falpha,
     make_random_alpha_sr_discrete,
 )
-from srauctions.empirical import SampleParams
+from srauctions.empirical import SampleCountWarning, SampleParams
 from srauctions.harness import (
     CSV_COLUMNS,
     EXPERIMENTS,
@@ -39,6 +42,7 @@ from srauctions.harness import (
     expected_order_statistic_iid,
     lazy_vcg_k_uniform,
     lottery_k_uniform,
+    map_independent,
     meta_stream,
     myerson_optimal_revenue_iid,
     oracle_exact_expectation,
@@ -53,6 +57,7 @@ from srauctions.harness import (
     two_mech_k_uniform,
     wilson_interval,
 )
+from srauctions.harness import experiments, montecarlo
 from srauctions.harness import rng as rng_module
 from srauctions.harness.cli import MECH_CHOICES, mech_rows
 from srauctions.harness.cli import main as cli_main
@@ -272,6 +277,118 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="case must lie in"):
             run_batched(lambda rng, rows: {"value": np.zeros(rows)}, 3, 9, case=case)
         assert ((((1 << 30) - 1) << 32) | ((1 << 32) - 1)) < META_STREAM_BASE
+
+
+class TestMapIndependent:
+    """``map_independent`` returns the loop's results, in item order, on any
+    number of threads, and joins them all before it returns or raises."""
+
+    def test_results_follow_item_order_not_finish_order(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        delays = [0.06, 0.0, 0.03, 0.0, 0.05, 0.01, 0.0]
+        threads = set()
+
+        def slow_square(i):
+            time.sleep(delays[i])
+            threads.add(threading.get_ident())
+            return i * i
+
+        assert map_independent(slow_square, range(len(delays))) == [i * i for i in range(len(delays))]
+        assert len(threads) == 3
+
+    def test_earliest_failing_item_is_raised_after_every_join(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        ran = []
+
+        def fail_at_4_and_5(i):
+            # item 5 fails first in time, item 4 first in item order; both
+            # run on worker threads (the calling thread takes 0, 3, 6, ...)
+            time.sleep(0.05 if i == 4 else 0.0)
+            ran.append(i)
+            if i in (4, 5):
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 4"):
+            map_independent(fail_at_4_and_5, range(9))
+        assert threading.active_count() == before
+        # a thread stops at its first failing item: 7 and 8 never run
+        assert sorted(ran) == [0, 1, 2, 3, 4, 5, 6]
+
+    def test_one_cpu_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        before = threading.active_count()
+
+        def where(i):
+            assert threading.active_count() == before
+            return threading.get_ident()
+
+        assert map_independent(where, range(4)) == [threading.get_ident()] * 4
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # every thread writes its own result slots and error keys; with the
+        # interpreter switching threads every microsecond, no slot is lost
+        # and the earliest failure still wins
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            items = range(400)
+            assert map_independent(lambda i: sum(range(i)), items) == [sum(range(i)) for i in items]
+
+            def fail_from_101(i):
+                if i >= 101 and i % 3 == 2:
+                    raise ValueError(f"item {i}")
+                return sum(range(i))
+
+            with pytest.raises(ValueError, match="item 101"):
+                map_independent(fail_from_101, items)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_usable_cpus_is_a_positive_count(self):
+        assert montecarlo._usable_cpus() >= 1
+
+
+#: the small sampled configs of test_criterion_11_determinism
+SAMPLED_SMALL = {
+    "vcgl-samp": dict(trials=2_000, sample_params=SampleParams(gamma=0.1, xi=0.01, delta=0.01, m=20_000)),
+    "lottery-samp": dict(trials=2_000, sample_params=SampleParams(gamma=0.05, xi=0.05, delta=0.05, m=40_000)),
+}
+
+
+@pytest.mark.parametrize("experiment_id", sorted(SAMPLED_SMALL))
+def test_thread_count_changes_no_byte(experiment_id, monkeypatch):
+    """The sampled experiments give the same report on one thread, on the
+    machine's usable CPUs and on three threads whose builds end in a
+    scrambled order: builds and resamples are merged in stream order,
+    never in the order they end.  Metrics are compared as floats too,
+    since the CSV's 12 digits would hide a last-bit change in a sum."""
+    cfg = ExperimentConfig(experiment_id=experiment_id, master_seed=4242, **SAMPLED_SMALL[experiment_id])
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleCountWarning)
+            report = run_experiment(experiment_id, cfg)
+        return render_csv(report), report.metrics, report.notes
+
+    unpatched = run()
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    one = run()
+    build = experiments.build_empirical
+
+    def jittered(samples, params):
+        # 0 to 12 ms, set by the top sample's bits
+        time.sleep(samples[:1].view(np.uint64)[0] % 7 * 0.002)
+        return build(samples, params)
+
+    monkeypatch.setattr(experiments, "build_empirical", jittered)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    three = run()
+    assert one == unpatched == three
 
 
 class TestConfidenceIntervals:

@@ -784,3 +784,45 @@ class TestUnitOfValue:
             lottery_k_uniform(continuous, budgets, uniforms, reserves, k),
             lottery_k_uniform(c * continuous, c * budgets, uniforms, c * reserves, k),
         )
+
+
+class TestBidderPermutation:
+    """Permuting the bidders permutes the outcome, so no row's revenue or
+    welfare moves.  Each permutation moves a bidder's value column together
+    with its reserve, budget and uniform.  Values are FAlpha draws and
+    budgets continuous, so no two bids or capped weights of a row tie and
+    the index tie rule never acts.
+
+    At n = 2 every output is equal bit for bit, since adding two terms is
+    commutative.  At n = 3, ``lazy_vcg_k_uniform`` sums its winners place
+    by place, largest value first, so its outputs stay bit for bit too.
+    ``lottery_k_uniform`` sums the bidder axis in bidder order, and each
+    order of a three-term sum of nonnegative terms is within 2 * 2**-53 of
+    the exact total, to first order; so two orders differ by at most 2 eps
+    of it, and the test allows 4 eps of the larger sum."""
+
+    T = 2_000
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permuting_bidders_moves_no_row(self, n, seed):
+        rng = rng_of(seed)
+        values = make_falpha(0.5, 1.0).sample(rng, self.T * n).reshape(self.T, n)
+        budgets = np.where(rng.random((self.T, n)) < 0.25, math.inf, rng.uniform(0.5, 4.0, (self.T, n)))
+        uniforms = rng.random((self.T, n))
+        reserves = rng.uniform(0.1, 3.0, n)
+        for bids in (values, np.minimum(values, budgets)):
+            ranked = np.sort(bids, axis=1)
+            assert (ranked[:, 1:] > ranked[:, :-1]).all()
+        tolerance = 0.0 if n == 2 else 4.0 * np.finfo(float).eps
+        for k in range(1, n + 1):
+            lazy = lazy_vcg_k_uniform(values, k, reserves)
+            lottery = lottery_k_uniform(values, budgets, uniforms, reserves, k)
+            for perm in itertools.permutations(range(n)):
+                p = list(perm)
+                moved = lazy_vcg_k_uniform(values[:, p], k, reserves[p])
+                for before, after in zip(lazy, moved, strict=True):
+                    assert after.tobytes() == before.tobytes()
+                moved = lottery_k_uniform(values[:, p], budgets[:, p], uniforms[:, p], reserves[p], k)
+                for before, after in zip(lottery, moved, strict=True):
+                    assert (np.abs(after - before) <= tolerance * np.maximum(after, before)).all()
