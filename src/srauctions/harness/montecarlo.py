@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, TypeVar
 
@@ -221,8 +223,6 @@ def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one (so ``taskset`` and container limits count), else the
     machine's count."""
-    import os
-
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -238,38 +238,54 @@ def map_independent(
     loop's whatever the thread count or the order the calls finish in.
     With w = min(len(items), usable CPUs) threads, the calling thread runs
     items 0, w, 2w, ... and thread j items j, j + w, ..., since the items
-    cost about the same.  A thread stops at its first failing item.  Every
-    thread is joined before this returns or raises, and the error raised is
-    that of the earliest failing item, the one the loop would raise.  With
-    one usable CPU, or one item, the loop runs inline.
+    cost about the same; with one usable CPU the calling thread runs them
+    all, in order, and no thread is started.  Once item f has failed, no
+    thread starts an item after f, so the run stops promptly, while every
+    item before f still runs: the error raised is that of the earliest
+    failing item, the one the loop would raise.  An interrupt that is not
+    an ``Exception``, such as ``KeyboardInterrupt``, stops every thread at
+    its next item and is raised in preference.  Every thread is joined
+    before this returns or raises.
     """
     items = list(items)
-    workers = min(len(items), _usable_cpus())
-    if workers <= 1:
-        return [fn(x) for x in items]
-    import threading
-
+    workers = max(1, min(len(items), _usable_cpus()))
     results: list = [None] * len(items)
     errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    last = len(items)  # no thread starts an item after this one
+
+    def stop_after(i: int) -> None:
+        nonlocal last
+        with lock:
+            last = min(last, i)
 
     def share(j: int) -> None:
         for i in range(j, len(items), workers):
+            if i > last:
+                return
             try:
                 results[i] = fn(items[i])
             except BaseException as exc:  # re-raised by the calling thread
                 errors[i] = exc
+                stop_after(i if isinstance(exc, Exception) else -1)
                 return
 
     threads = [threading.Thread(target=share, args=(j,), daemon=True) for j in range(1, workers)]
-    for t in threads:
-        t.start()
     try:
+        for t in threads:
+            t.start()
         share(0)
-    finally:
         for t in threads:
             t.join()
+    except BaseException:
+        # an interrupt outside fn: stop the others, join those started
+        stop_after(-1)
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+        raise
     if errors:
-        raise errors[min(errors)]
+        raise errors[min(errors, key=lambda i: (isinstance(errors[i], Exception), i))]
     return results
 
 

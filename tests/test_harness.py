@@ -313,8 +313,48 @@ class TestMapIndependent:
         with pytest.raises(ValueError, match="item 4"):
             map_independent(fail_at_4_and_5, range(9))
         assert threading.active_count() == before
-        # a thread stops at its first failing item: 7 and 8 never run
-        assert sorted(ran) == [0, 1, 2, 3, 4, 5, 6]
+        # every item before the earliest failure runs; no thread starts an
+        # item after the failure it has seen (6 may run before 5 fails)
+        assert {0, 1, 2, 3, 4, 5} <= set(ran) <= {0, 1, 2, 3, 4, 5, 6}
+
+    def test_an_early_failure_stops_every_thread(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        ran = []
+
+        def fail_at_1(i):
+            ran.append(i)
+            if i == 1:
+                raise ValueError("item 1")
+            time.sleep(0.01)
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            map_independent(fail_at_1, range(60))
+        assert threading.active_count() == before
+        # item 0 still runs; 2 only if its thread started it before 1 failed
+        assert {0, 1} <= set(ran) <= {0, 1, 2}
+
+    def test_an_interrupt_wins_over_an_earlier_failure(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        ran = []
+
+        def interrupt_at_2(i):
+            # the calling thread runs 0, 2, 4, ...; the worker 1, 3, 5, ...
+            # item 1 fails after the interrupt at item 2
+            ran.append(i)
+            if i == 1:
+                time.sleep(0.05)
+                raise ValueError("item 1")
+            if i == 2:
+                raise KeyboardInterrupt
+            return i
+
+        with pytest.raises(KeyboardInterrupt):
+            map_independent(interrupt_at_2, range(40))
+        assert threading.active_count() == before
+        assert sorted(ran) == [0, 1, 2]
 
     def test_one_cpu_runs_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
