@@ -12,7 +12,6 @@ from .dists import (
     ValuationDistribution,
     check_alpha_sr,
     dist_from_spec,
-    dist_to_spec,
     expected_positive_part_of_virtual,
     make_discrete,
     make_exponential,

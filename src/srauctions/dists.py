@@ -42,7 +42,6 @@ __all__ = [
     "make_exponential",
     "make_discrete",
     "dist_from_spec",
-    "dist_to_spec",
     "make_random_alpha_sr_discrete",
 ]
 
@@ -734,10 +733,6 @@ def dist_from_spec(spec: dict | str) -> ValuationDistribution:
     if kind == "exponential":
         return Exponential(float(spec.get("rate", 1.0)))
     return DiscreteTabular(spec["support"], spec["pmf"])
-
-
-def dist_to_spec(d: ValuationDistribution) -> dict:
-    return d.to_spec()
 
 
 def truncate_at(

@@ -547,9 +547,7 @@ class EmpiricalModel:
 
     def value_at_quantile(self, q: float) -> float:
         """v(q) = R(q)/q, clipped to the top point mass below xi_bar."""
-        if q < self.xi_bar:
-            return self.point_mass_value
-        if q <= 0.0:
+        if q < self.xi_bar:  # xi_bar > 0, the first grid point at least
             return self.point_mass_value
         return float(self.revenue_at(q)) / float(q)
 

@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..dists import (
-    DiscreteTabular,
     dist_from_spec,
     json_object,
     reject_unknown_keys,
@@ -249,13 +248,26 @@ def env_from_spec(spec: dict) -> Environment:
 
 def _budget_draw(config: dict, n: int) -> Callable:
     """Row budgets: two-point draws under ``budget_dist``, else the fixed
-    ``budgets`` on every row."""
+    ``budgets`` on every row.  A budget is a number >= 0, inf for none; a
+    negative or NaN budget, a ``budgets`` that is not one per bidder, or a
+    ``p_hi`` outside [0, 1] is a ValueError that says so."""
+
+    def checked(budgets: np.ndarray) -> np.ndarray:
+        if not (budgets >= 0.0).all():
+            raise ValueError(f"budgets must be numbers >= 0 or inf, got {budgets.tolist()}")
+        return budgets
+
     if "budget_dist" in config:
         b = config["budget_dist"]
         reject_unknown_keys(b, BUDGET_DIST_KEYS, "budget_dist")
-        p_hi, hi, lo = float(b["p_hi"]), float(b["hi"]), float(b["lo"])
+        p_hi = float(b["p_hi"])
+        hi, lo = checked(np.array([b["hi"], b["lo"]], dtype=float))
+        if not 0.0 <= p_hi <= 1.0:
+            raise ValueError(f"budget_dist p_hi must lie in [0, 1], got {p_hi}")
         return lambda rng, rows: np.where(rng.random((rows, n)) < p_hi, hi, lo)
-    fixed = np.asarray(config["budgets"], dtype=float)
+    fixed = checked(np.asarray(config["budgets"], dtype=float))
+    if fixed.shape != (n,):
+        raise ValueError(f"budgets must hold one number per bidder, {n} in all, got {fixed.tolist()}")
     return lambda rng, rows: np.broadcast_to(fixed, (rows, n))
 
 
@@ -263,10 +275,11 @@ class MechRows(NamedTuple):
     """How ``mech run`` draws and prices a block of rows.
 
     ``draw(rng, rows)`` returns the block's row arrays.  ``scalar(rng,
-    *row)`` prices one row with the per-auction mechanism; ``vector(rng,
-    *arrays)``, set where a vectorized runner applies, prices the whole
-    block and returns (revenue, welfare).  Either consumes ``rng`` after
-    ``draw`` has.  Welfare is that of the winners (``MechanismOutcome``'s).
+    *row)`` prices one row with the per-auction mechanism, the reference
+    oracle; ``vector(rng, *arrays)``, set where a vectorized runner applies
+    (see `mech_rows`), prices the whole block and returns (revenue,
+    welfare).  Either consumes ``rng`` after ``draw`` has.  Welfare is that
+    of the winners (``MechanismOutcome``'s).
     """
 
     draw: Callable
@@ -293,10 +306,10 @@ MECH_CONFIG_KEYS = frozenset(
 def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
     """Parse a ``mech run`` config into the mechanism's rows.
 
-    On k-uniform environments the VCG family, ``lottery``, and ``two-mech``
-    over discrete priors get the experiments' vectorized runners, and the
-    posted-price mechanisms always do.  Everything else (``explicit``
-    environments, ``myerson``, ``vcg-dup``) runs row by row.  Model training
+    On k-uniform environments the VCG family, ``lottery`` and ``two-mech``
+    (over priors of every kind) get the experiments' vectorized runners,
+    and the posted-price mechanisms always do.  Everything else
+    (``explicit`` environments, ``myerson``, ``vcg-dup``) runs row by row.  Model training
     samples come from meta stream 0, apart from the block streams.  A key
     outside ``MECH_CONFIG_KEYS`` is a ValueError that names it.
     """
@@ -355,14 +368,13 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
 
     budgets = _budget_draw(config, n)
     if mech == "two-mech":
-        discrete = all(isinstance(d, DiscreteTabular) for d in dists)
         return MechRows(
             lambda rng, rows: (
                 values(rng, rows), budgets(rng, rows), np.where(rng.random(rows) < 0.5, 1, 2)
             ),
             lambda rng, v, b, coin: two_mech_budget(env, dists, v, b, int(coin)),
             (lambda rng, v, b, coins: two_mech_k_uniform(v, b, coins, dists, k))
-            if k is not None and discrete else None,
+            if k is not None else None,
         )
     if mech == "lottery":
         return MechRows(

@@ -58,6 +58,7 @@ from ..lp import (
 # module because bench/tracer.py wraps them here.
 from ..mechanisms import (  # noqa: F401
     KUniformMatroid,
+    _virtual_step,
     lottery_mechanism,
     two_mech_budget,
 )
@@ -244,13 +245,6 @@ def _beats(weight, index, bar: np.ndarray, rival: np.ndarray) -> np.ndarray:
     return (weight > 0.0) & ((weight > bar) | ((weight == bar) & (index < rival)))
 
 
-def _step_virtual_values(prior: DiscreteTabular, x: np.ndarray) -> np.ndarray:
-    """Virtual value of the largest atom at or below each x; -inf below the
-    least atom (the step extension of ``mechanisms._virtual_step``)."""
-    idx = np.searchsorted(prior.support, x, side="right") - 1
-    return np.where(idx >= 0, prior.virtual_values()[np.maximum(idx, 0)], -np.inf)
-
-
 def two_mech_k_uniform(
     values: np.ndarray,
     budgets,
@@ -261,32 +255,36 @@ def two_mech_k_uniform(
     """The coin-flip budgeted mechanism on a k-winner cap, vectorized.
 
     ``values`` is (T, n), ``budgets`` broadcasts against it, ``coins`` holds
-    1 or 2 per row and ``priors`` one DiscreteTabular per bidder.  Coin 1
+    1 or 2 per row and ``priors`` one prior of any kind per bidder.  Coin 1
     gives the k largest reserve prices away for free; coin 2 runs the
-    virtual-surplus auction on the budget-capped profile, where a winner
-    pays the least support atom whose virtual value is positive and beats
-    the k-th competitor (ties to the smaller index).  Returns (revenue,
-    welfare) per row, matching ``two_mech_budget`` row by row.
+    virtual-surplus auction on the budget-capped profile, ranking the step
+    virtual values (``mechanisms._virtual_step``) floored at 0.  A winner
+    pays the least report that still beats the k-th competitor (ties to
+    the smaller index): under a discrete prior the least support atom
+    whose virtual value does, under a continuous one the value whose
+    virtual valuation is that competitor's, capped at its own capped value.
+    Returns (revenue, welfare) per row, matching ``two_mech_budget`` row by
+    row.
     """
     T, n = values.shape
-    if len(priors) != n or not all(isinstance(d, DiscreteTabular) for d in priors):
-        raise TypeError("need one DiscreteTabular prior per bidder")
+    if len(priors) != n:
+        raise ValueError("need one prior per bidder")
     if not np.isin(coins, (1, 2)).all():
         raise ValueError("coins must be 1 or 2")
     capped = np.minimum(values, budgets)
-    eligible = np.column_stack(
-        [_step_virtual_values(d, capped[:, i]) for i, d in enumerate(priors)]
-    )
+    eligible = np.column_stack([_virtual_step(d, capped[:, i]) for i, d in enumerate(priors)])
     eligible = np.maximum(eligible, 0.0)
     bar, rival = _first_loser(eligible, k)
     won = _beats(eligible, np.arange(n), bar, rival)
-    # a winner's own atom beats the bar, so the least atom that does lies
-    # at or below its capped value
     payments = np.zeros((T, n))
     for i, d in enumerate(priors):
-        beats = _beats(d.virtual_values(), i, bar, rival)
-        least = d.support[np.argmax(beats, axis=1)]
-        payments[:, i] = np.where(won[:, i], least, 0.0)
+        if isinstance(d, DiscreteTabular):
+            # a winner's own atom beats the bar, so the least atom that
+            # does lies at or below its capped value
+            pay = d.support[np.argmax(_beats(d.virtual_values(), i, bar, rival), axis=1)]
+        else:
+            pay = np.minimum(capped[:, i], d.value_of_virtual(bar[:, 0]))
+        payments[:, i] = np.where(won[:, i], pay, 0.0)
     reserves = np.array([[float(d.reserve_price) for d in priors]])
     free = _beats(reserves, np.arange(n), *_first_loser(reserves, k))
     coin_one = (coins == 1)[:, None]

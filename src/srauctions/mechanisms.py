@@ -308,20 +308,19 @@ def _min_winning_report(
     return min(v_won, float(dist.value_of_virtual(threshold)))
 
 
-def _virtual_step(dist: ValuationDistribution, u: float) -> float:
-    """Virtual valuation extended off-support by the quantile step.
+def _virtual_step(dist: ValuationDistribution, u):
+    """Virtual valuation extended off-support by the quantile step, for a
+    scalar or an array of reports.
 
     A budget-capped report can land between the atoms of a discrete prior,
     where the quantile (and hence the virtual valuation) is the one of the
     largest atom at or below the report; below the least atom there is no
-    quantile to speak of and the report can never be served.
+    quantile to speak of and the report can never be served (-inf).
     """
     if isinstance(dist, DiscreteTabular):
-        idx = int(np.searchsorted(dist.support, u, side="right")) - 1
-        if idx < 0:
-            return -np.inf
-        return float(dist.virtual_valuation(float(dist.support[idx])))
-    return float(dist.virtual_valuation(u))
+        idx = np.searchsorted(dist.support, u, side="right") - 1
+        return np.where(idx >= 0, dist.virtual_values()[np.maximum(idx, 0)], -np.inf)[()]
+    return dist.virtual_valuation(u)
 
 
 def myerson_single_item(
@@ -386,9 +385,7 @@ def two_mech_budget(
         winners, _ = env.best_set(reserves)
         return _outcome(winners, {i: 0.0 for i in winners}, lambda i: v[i])
     capped = np.minimum(v, b)
-    phis = np.array(
-        [_virtual_step(d, x) for d, x in zip(dists, capped)]
-    )
+    phis = np.array([_virtual_step(d, x) for d, x in zip(dists, capped)])
     eligible = np.where(phis >= 0.0, phis, 0.0)
     winners, _ = env.best_set(eligible)
     payments = {}

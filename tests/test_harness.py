@@ -24,6 +24,7 @@ import pytest
 import srauctions
 from srauctions.dists import (
     DiscreteTabular,
+    Exponential,
     make_falpha,
     make_random_alpha_sr_discrete,
 )
@@ -714,26 +715,33 @@ class TestVectorizedRunners:
                 assert (revenue[t], realized[t]) == (out.revenue, out.welfare)
 
     def test_two_mech_matches_mechanism(self):
+        # bit for bit, on discrete, continuous and mixed prior sets
         rng = stream(37, 0)
         coin = DiscreteTabular((1.0, 2.0), (0.5, 0.5))  # phi(1) is exactly 0
         rand = [make_random_alpha_sr_discrete(rng, 0.5) for _ in range(2)]
+        falpha, expo = make_falpha(0.5, 1.5), Exponential(0.8)
         cases = (
             ([coin, coin, rand[0]], (1.5, 2.5, 2.5)),
             ([rand[0], rand[1], rand[0]], (1.5, 2.5, 4.0)),  # same-prior ties
             ([rand[1], coin, rand[1], coin], (2.5, 1.5, 9.0, 9.0)),
+            ([falpha, falpha, expo], (2.0, 3.0, math.inf)),
+            ([expo, falpha, coin, rand[0]], (1.5, 2.5, 1.5, 2.5)),
+            ([falpha], (2.5,)),
+            ([expo], (1.5,)),
         )
         for priors, budgets in cases:
             n = len(priors)
             values = np.column_stack([d.sample(rng, 300) for d in priors])
             values[:20] = values[:20, :1]  # equal values, so equal virtual values
+            assert (values > budgets).any()
             coins = rng.integers(1, 3, 300)
-            for k in (0, 1, 2, n):
+            for k in sorted({0, 1, 2, n}):
                 env = KUniformMatroid(k, n)
                 revenue, welfare = two_mech_k_uniform(values, budgets, coins, priors, k)
-                for t in range(300):
-                    out = two_mech_budget(env, priors, values[t], budgets, int(coins[t]))
-                    assert revenue[t] == pytest.approx(out.revenue, abs=1e-12)
-                    assert welfare[t] == pytest.approx(out.welfare, abs=1e-12)
+                outs = [two_mech_budget(env, priors, values[t], budgets, int(coins[t])) for t in range(300)]
+                assert revenue.tobytes() == np.array([out.revenue for out in outs]).tobytes()
+                assert welfare.tobytes() == np.array([out.welfare for out in outs]).tobytes()
+                assert (revenue > 0.0).any() == (k > 0)
 
     def test_two_mech_steps_to_exact_atoms(self):
         # atoms 1e-13 apart, the 1e-13 image of (1, 2, 3): phi is -1e-13,
@@ -753,14 +761,24 @@ class TestVectorizedRunners:
             out = two_mech_budget(env, [prior], values[t], budgets[t], 2)
             assert (out.revenue, out.welfare) == (expected_revenue[t], expected_welfare[t])
 
+    def test_two_mech_tie_pays_at_most_the_capped_value(self):
+        # two equal capped values tie, and the first bidder wins at the
+        # other's virtual value; inverting it rounds 1.72 up by one ulp, so
+        # only the cap keeps the payment within the budget
+        d = make_falpha(0.7, 1.0)
+        assert d.value_of_virtual(d.virtual_valuation(1.72)) > 1.72
+        values = np.array([[1.72, 1.72], [9.0, 1.72]])
+        revenue, _ = two_mech_k_uniform(values, (1.72, 1.72), np.full(2, 2), [d, d], 1)
+        assert revenue.tolist() == [1.72, 1.72]
+        out = two_mech_budget(KUniformMatroid(1, 2), [d, d], values[0], (1.72, 1.72), 2)
+        assert out.payments == {0: 1.72}
+
     def test_two_mech_rejects_bad_input(self):
         values = np.ones((2, 2))
         with pytest.raises(ValueError, match="coins"):
             two_mech_k_uniform(values, (1.0, 1.0), np.array([1, 3]), [COIN, COIN], 1)
-        with pytest.raises(TypeError):
-            two_mech_k_uniform(
-                values, (1.0, 1.0), np.array([1, 2]), [COIN, make_falpha(0.5, 1.0)], 1
-            )
+        with pytest.raises(ValueError, match="one prior per bidder"):
+            two_mech_k_uniform(values, (1.0, 1.0), np.array([1, 2]), [COIN], 1)
 
     def test_lottery_matches_mechanism(self):
         rng = stream(38, 0)
@@ -1167,12 +1185,27 @@ MECH_CONFIG = {
     },
 }
 
+#: ``MECH_CONFIG``'s bidders, without budgets
+MECH_BIDDERS = {"env": MECH_CONFIG["env"], "dists": MECH_CONFIG["dists"]}
+
 #: single item over three bidders, listed set by set
 EXPLICIT_ENV = {"kind": "explicit", "n": 3, "sets": [[0], [1], [2]]}
 
 #: the mechanisms that ``mech run`` prices with a vectorized runner on
 #: ``MECH_CONFIG``
 RUNNER_MECHS = ("vcg", "vcgl", "vcgl-emp", "two-mech", "lottery", "posted", "posted-emp")
+
+#: two FAlpha bidders and an exponential one at the scale of 1e8 under a
+#: two-winner cap, with budgets that cap about half the values
+CONTINUOUS_CONFIG = {
+    "env": {"kind": "k-uniform", "k": 2, "n": 3},
+    "dists": [
+        {"kind": "falpha", "alpha": 0.5, "scale": 1e8},
+        {"kind": "falpha", "alpha": 0.5, "scale": 1e8},
+        {"kind": "exponential", "rate": 1e-8},
+    ],
+    "budget_dist": {"p_hi": 0.5, "hi": 3e8, "lo": 1.5e8},
+}
 
 
 class BlockUniforms:
@@ -1393,9 +1426,13 @@ class TestCli:
         assert self._mech_run(tmp_path, mech, config, seed=5) == (0, first)
         assert self._mech_run(tmp_path, mech, config, seed=6)[1] != first
 
-    @pytest.mark.parametrize("mech", RUNNER_MECHS)
-    def test_mech_runner_matches_row_adapter(self, mech):
-        rows = mech_rows(mech, MECH_CONFIG, seed=5)
+    @pytest.mark.parametrize(
+        "mech, config",
+        [pytest.param(mech, MECH_CONFIG, id=mech) for mech in RUNNER_MECHS]
+        + [pytest.param("two-mech", CONTINUOUS_CONFIG, id="two-mech-continuous")],
+    )
+    def test_mech_runner_matches_row_adapter(self, mech, config):
+        rows = mech_rows(mech, config, seed=5)
         assert rows.vector is not None
         n_rows = 400
         arrays = rows.draw(stream(40, 0), n_rows)
@@ -1459,6 +1496,20 @@ class TestCli:
             ("mech", dict(MECH_CONFIG, dists=[1, 1]), "distribution spec must be a JSON object, got int"),
             ("mech", dict(MECH_CONFIG, env=[3, 1]), "env must be a JSON object, got list"),
             ("experiment", {"instance": [[1, 1]]}, "instance must be a JSON object, got list"),
+            ("mech two-mech", {"dists": [json.loads(FALPHA_SPEC)] * 2, "budgets": [-1, 2]},
+             "budgets must be numbers >= 0 or inf, got [-1.0, 2.0]"),
+            ("mech two-mech", MECH_BIDDERS | {"budgets": [-1, 2, 2]}, "budgets must be numbers >= 0"),
+            ("mech lottery", MECH_BIDDERS | {"budgets": [-1, 2, 2]}, "budgets must be numbers >= 0"),
+            ("mech lottery", MECH_BIDDERS | {"budgets": [math.nan, 2, 2]}, "got [nan, 2.0, 2.0]"),
+            ("mech two-mech", MECH_BIDDERS | {"budget_dist": {"p_hi": 7, "hi": -3, "lo": "nan"}},
+             "budgets must be numbers >= 0 or inf, got [-3.0, nan]"),
+            ("mech lottery", MECH_BIDDERS | {"budget_dist": {"p_hi": 7, "hi": 3, "lo": 1}},
+             "budget_dist p_hi must lie in [0, 1], got 7.0"),
+            ("mech two-mech", MECH_BIDDERS | {"budget_dist": {"p_hi": math.nan, "hi": 3, "lo": 1}},
+             "budget_dist p_hi must lie in [0, 1], got nan"),
+            ("mech two-mech", MECH_BIDDERS | {"budgets": [2, 2]},
+             "budgets must hold one number per bidder, 3 in all, got [2.0, 2.0]"),
+            ("mech lottery", MECH_BIDDERS | {"budgets": 2}, "budgets must hold one number per bidder"),
         ],
         ids=[
             "trials-0", "env-size", "env-kind", "dist-kind", "missing-key", "experiment-trials-0",
@@ -1467,15 +1518,18 @@ class TestCli:
             "experiment-seed-string", "env-misspelt-key", "dist-misspelt-key", "instance-misspelt-key",
             "experiment-trials-float", "experiment-trials-bool", "experiment-trials-string",
             "experiment-trials-null", "dist-not-an-object", "env-not-an-object",
-            "instance-not-an-object",
+            "instance-not-an-object", "negative-budget-falpha", "negative-budget-discrete",
+            "negative-budget-lottery", "nan-budget", "budget-dist-negative-and-nan", "budget-dist-p-hi",
+            "budget-dist-p-hi-nan", "budgets-one-short", "budgets-scalar",
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, command, config, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
+        command, _, mech = command.partition(" ")
         if command == "mech":
             trials = "0" if message.startswith("--trials") else "10"
-            argv = ["mech", "run", "--mech", "vcg", "--config", str(cfg_path),
+            argv = ["mech", "run", "--mech", mech or "vcg", "--config", str(cfg_path),
                     "--trials", trials, "--seed", "1", "--out", str(tmp_path / "x.csv")]
         else:
             argv = ["experiment", "vcgl", "--config", str(cfg_path)]
@@ -1485,6 +1539,13 @@ class TestCli:
         assert message in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("mech", ["two-mech", "lottery"])
+    def test_inf_budget_means_unbudgeted(self, tmp_path, mech):
+        # fixed budgets draw nothing, so only the cap could tell them apart
+        inf = self._mech_run(tmp_path, mech, MECH_BIDDERS | {"budgets": [math.inf] * 3}, seed=5)
+        assert inf == self._mech_run(tmp_path, mech, MECH_BIDDERS | {"budgets": [1e300] * 3}, seed=5)
+        assert inf[0] == 0
 
     def test_lottery_samp_large_gamma_exits_2_before_it_runs(self, tmp_path, capsys):
         # this config used to exit 1, the code of a failed verdict, with a traceback

@@ -38,6 +38,7 @@ from srauctions.mechanisms import (
     vcg,
     vcg_lazy,
     vcg_with_duplicates,
+    _virtual_step,
 )
 
 
@@ -290,6 +291,30 @@ class TestTwoMech:
         d = make_falpha(0.5, 1.0)
         with pytest.raises(ValueError, match="coin"):
             two_mech_budget(single_item(1), [d], [1.0], [1.0], coin=3)
+
+
+class TestVirtualStep:
+    """The step virtual value that ``two_mech_budget`` and
+    ``two_mech_k_uniform`` share, on scalars and arrays alike."""
+
+    def test_discrete_takes_the_atom_at_or_below(self):
+        d = DiscreteTabular((1.0, 2.0, 4.0), (0.5, 0.3, 0.2))
+        phi = d.virtual_values()
+        # below the least atom, on each atom, and between and above them
+        reports = np.array([0.0, 0.999, 1.0, 1.5, 2.0, 3.999, 4.0, 7.0])
+        expected = [-math.inf, -math.inf, phi[0], phi[0], phi[1], phi[1], phi[2], phi[2]]
+        assert _virtual_step(d, reports).tolist() == expected
+        assert _virtual_step(d, reports.reshape(2, 4)).tolist() == [expected[:4], expected[4:]]
+        for u, want in zip(reports, expected):
+            got = _virtual_step(d, float(u))
+            assert np.ndim(got) == 0 and got == want
+
+    def test_continuous_is_the_virtual_valuation(self):
+        u = np.array([0.0, 0.3, 1.5, 10.0])
+        for d in (make_falpha(0.5, 1.5), Exponential(0.8)):
+            assert _virtual_step(d, u).tobytes() == d.virtual_valuation(u).tobytes()
+            for x in u:
+                assert _virtual_step(d, float(x)) == d.virtual_valuation(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +795,10 @@ class TestUnitOfValue:
         reserves = rng.uniform(0.1, 3.0, n)
         coins = rng.integers(1, 3, T)
         uniforms = rng.random((T, n))
+        scale, rate = rng.uniform(0.5, 2.0, 2)
+
+        def continuous_priors(u):
+            return [make_falpha(0.5, scale * u), Exponential(rate / u), make_falpha(0.7, scale * u)]
 
         def assert_scaled(unit, scaled):
             for u, s in zip(unit, scaled, strict=True):
@@ -779,6 +808,10 @@ class TestUnitOfValue:
         assert_scaled(
             two_mech_k_uniform(atoms, budgets, coins, priors, k),
             two_mech_k_uniform(c * atoms, c * budgets, coins, [d.scale_values(c) for d in priors], k),
+        )
+        assert_scaled(
+            two_mech_k_uniform(continuous, budgets, coins, continuous_priors(1.0), k),
+            two_mech_k_uniform(c * continuous, c * budgets, coins, continuous_priors(c), k),
         )
         assert_scaled(
             lottery_k_uniform(continuous, budgets, uniforms, reserves, k),
