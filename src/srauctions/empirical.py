@@ -723,7 +723,8 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     head = _revenue_points(kept_vals[:2], kept_from, m)
     xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(head[1, 0]))
     raw_at_xi_bar = float(np.interp(xi_bar, head[1:3, 0], head[1:3, 1]))
-    point_mass_value = float(raw_at_xi_bar / xi_bar if xi_bar > 0 else kept_vals[0])
+    # xi_bar >= head[1, 0] = (2 * kept_from - 1) / (2m) > 0, so this divides
+    point_mass_value = raw_at_xi_bar / xi_bar
     return EmpiricalModel(
         sorted_samples=desc,
         kept_from=kept_from,

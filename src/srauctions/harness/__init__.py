@@ -16,6 +16,7 @@ from .experiments import (
 from .montecarlo import (
     Accumulator,
     CSV_COLUMNS,
+    Draws,
     MetricSummary,
     Report,
     Z95,

@@ -246,17 +246,23 @@ def env_from_spec(spec: dict) -> Environment:
     return ExplicitFeasibleSets(int(spec["n"]), spec["sets"])
 
 
-def _budget_draw(config: dict, n: int) -> Callable:
-    """Row budgets: two-point draws under ``budget_dist``, else the fixed
-    ``budgets`` on every row.  A budget is a number >= 0, inf for none; a
-    negative or NaN budget, a ``budgets`` that is not one per bidder, or a
-    ``p_hi`` outside [0, 1] is a ValueError that says so."""
+def _budget_draw(config: dict, n: int) -> Callable | None:
+    """Row budgets of ``n`` bidders: two-point draws under ``budget_dist``
+    (one section of ``n`` doubles a row), else the fixed ``budgets`` on
+    every row; None if the config sets neither.  Both keys are checked when
+    present.  A budget is a number >= 0, inf for none; a negative or NaN
+    budget, a ``budgets`` that is not one per bidder, or a ``p_hi`` outside
+    [0, 1] is a ValueError that says so."""
 
     def checked(budgets: np.ndarray) -> np.ndarray:
         if not (budgets >= 0.0).all():
             raise ValueError(f"budgets must be numbers >= 0 or inf, got {budgets.tolist()}")
         return budgets
 
+    if "budgets" in config:
+        fixed = checked(np.asarray(config["budgets"], dtype=float))
+        if fixed.shape != (n,):
+            raise ValueError(f"budgets must hold one number per bidder, {n} in all, got {fixed.tolist()}")
     if "budget_dist" in config:
         b = config["budget_dist"]
         reject_unknown_keys(b, BUDGET_DIST_KEYS, "budget_dist")
@@ -264,33 +270,35 @@ def _budget_draw(config: dict, n: int) -> Callable:
         hi, lo = checked(np.array([b["hi"], b["lo"]], dtype=float))
         if not 0.0 <= p_hi <= 1.0:
             raise ValueError(f"budget_dist p_hi must lie in [0, 1], got {p_hi}")
-        return lambda rng, rows: np.where(rng.random((rows, n)) < p_hi, hi, lo)
-    fixed = checked(np.asarray(config["budgets"], dtype=float))
-    if fixed.shape != (n,):
-        raise ValueError(f"budgets must hold one number per bidder, {n} in all, got {fixed.tolist()}")
-    return lambda rng, rows: np.broadcast_to(fixed, (rows, n))
+        return lambda draws, rows: np.where(draws.section(n).random((rows, n)) < p_hi, hi, lo)
+    if "budgets" not in config:
+        return None
+    return lambda draws, rows: np.broadcast_to(fixed, (rows, n))
 
 
 class MechRows(NamedTuple):
-    """How ``mech run`` draws and prices a block of rows.
+    """How ``mech run`` draws and prices a sub-block of rows.
 
-    ``draw(rng, rows)`` returns the block's row arrays.  ``scalar(rng,
-    *row)`` prices one row with the per-auction mechanism, the reference
-    oracle; ``vector(rng, *arrays)``, set where a vectorized runner applies
-    (see `mech_rows`), prices the whole block and returns (revenue,
-    welfare).  Either consumes ``rng`` after ``draw`` has.  Welfare is that
-    of the winners (``MechanismOutcome``'s).
+    ``draw(draws, rows)`` returns the sub-block's row arrays from sections
+    of its ``montecarlo.Draws``.  ``scalar(rng, *row)`` prices one row with
+    the per-auction mechanism, the reference oracle, reading ``rng`` (the
+    draws' ``rest()``) for draws of variable count; ``vector(draws,
+    *arrays)``, set where a vectorized runner applies (see `mech_rows`),
+    prices the sub-block from sections after ``draw``'s and returns
+    (revenue, welfare).  Welfare is that of the winners
+    (``MechanismOutcome``'s).
     """
 
     draw: Callable
     scalar: Callable
     vector: Callable | None = None
 
-    def batch(self, rng, rows: int) -> dict:
-        arrays = self.draw(rng, rows)
+    def batch(self, draws, rows: int) -> dict:
+        arrays = self.draw(draws, rows)
         if self.vector is not None:
-            revenue, welfare = self.vector(rng, *arrays)
+            revenue, welfare = self.vector(draws, *arrays)
         else:
+            rng = draws.rest()
             outs = [self.scalar(rng, *row) for row in zip(*arrays)]
             revenue = np.array([out.revenue for out in outs])
             welfare = np.array([out.welfare for out in outs])
@@ -311,11 +319,14 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
     and the posted-price mechanisms always do.  Everything else
     (``explicit`` environments, ``myerson``, ``vcg-dup``) runs row by row.  Model training
     samples come from meta stream 0, apart from the block streams.  A key
-    outside ``MECH_CONFIG_KEYS`` is a ValueError that names it.
+    outside ``MECH_CONFIG_KEYS`` is a ValueError that names it, and so is a
+    bad ``budgets`` or ``budget_dist`` (see `_budget_draw`), whether or not
+    the mechanism reads it.
     """
     reject_unknown_keys(config, MECH_CONFIG_KEYS)
     if mech in ("posted", "posted-emp"):
         inst = MultiItemInstance.from_spec(config["instance"])
+        _budget_draw(config, inst.n_bidders)  # checked; the instance holds the budgets
         if mech == "posted":
             plan, _ = exact_pricing_plan(inst)
         else:
@@ -325,9 +336,9 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
             lp3 = build_lp3(inst, models, sp)
             plan = make_pricing_plan(aggregate(solve(lp3), lp3, inst), inst, models, sp)
         return MechRows(
-            lambda rng, rows: (_sample_value_grid(inst, rng, rows),),
+            lambda draws, rows: (_sample_value_grid(inst, draws, rows),),
             lambda rng, v: posted_price_mechanism(inst, plan, v, rng),
-            lambda rng, values: posted_price_runs(inst, plan, values, rng)[:2],
+            lambda draws, values: posted_price_runs(inst, plan, values, draws)[:2],
         )
 
     dists = [dist_from_spec(s) for s in config["dists"]]
@@ -336,18 +347,19 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
     if env.n_bidders != n:
         raise ValueError("environment size does not match the number of dists")
     k = env.k if isinstance(env, KUniformMatroid) else None
+    budgets = _budget_draw(config, n)
 
-    def values(rng, rows):
-        return np.column_stack([d.sample(rng, rows) for d in dists])
+    def values(draws, rows):
+        return np.column_stack([d.sample(draws.section(1), rows) for d in dists])
 
     if mech == "vcg-dup":
         return MechRows(
-            lambda rng, rows: (values(rng, rows), values(rng, rows)),
+            lambda draws, rows: (values(draws, rows), values(draws, rows)),
             lambda rng, v, dup: vcg_with_duplicates(env, v, dup),
         )
     if mech == "myerson":
         return MechRows(
-            lambda rng, rows: (values(rng, rows),),
+            lambda draws, rows: (values(draws, rows),),
             lambda rng, v: myerson_single_item(dists, v),
         )
     if mech == "vcg":  # VCG is the lazy auction at zero reserves
@@ -360,27 +372,30 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
         reserves = config.get("reserves") or [d.reserve_price for d in dists]
     if mech in ("vcg", "vcgl", "vcgl-emp"):
         return MechRows(
-            lambda rng, rows: (values(rng, rows),),
+            lambda draws, rows: (values(draws, rows),),
             lambda rng, v: vcg_lazy(env, v, reserves),
             # revenue and realized welfare
-            (lambda rng, v: lazy_vcg_k_uniform(v, k, reserves)[::2]) if k is not None else None,
+            (lambda draws, v: lazy_vcg_k_uniform(v, k, reserves)[::2]) if k is not None else None,
         )
 
-    budgets = _budget_draw(config, n)
+    if budgets is None:
+        raise KeyError("budgets")
     if mech == "two-mech":
         return MechRows(
-            lambda rng, rows: (
-                values(rng, rows), budgets(rng, rows), np.where(rng.random(rows) < 0.5, 1, 2)
+            lambda draws, rows: (
+                values(draws, rows),
+                budgets(draws, rows),
+                np.where(draws.section(1).random(rows) < 0.5, 1, 2),
             ),
             lambda rng, v, b, coin: two_mech_budget(env, dists, v, b, int(coin)),
-            (lambda rng, v, b, coins: two_mech_k_uniform(v, b, coins, dists, k))
+            (lambda draws, v, b, coins: two_mech_k_uniform(v, b, coins, dists, k))
             if k is not None else None,
         )
     if mech == "lottery":
         return MechRows(
-            lambda rng, rows: (values(rng, rows), budgets(rng, rows)),
+            lambda draws, rows: (values(draws, rows), budgets(draws, rows)),
             lambda rng, v, b: lottery_mechanism(env, dists, v, b, rng, reserves=reserves),
-            (lambda rng, v, b: lottery_k_uniform(v, b, rng.random(v.shape), reserves, k))
+            (lambda draws, v, b: lottery_k_uniform(v, b, draws.section(n).random(v.shape), reserves, k))
             if k is not None else None,
         )
     raise ValueError(f"unknown mechanism: {mech!r}")

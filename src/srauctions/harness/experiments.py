@@ -62,7 +62,7 @@ from ..mechanisms import (  # noqa: F401
     lottery_mechanism,
     two_mech_budget,
 )
-from .montecarlo import Accumulator, MetricSummary, Report, map_independent, run_batched
+from .montecarlo import Accumulator, Draws, MetricSummary, Report, map_independent, run_batched
 from .oracles import (
     expected_order_statistic_iid,
     myerson_optimal_revenue_iid,
@@ -340,24 +340,23 @@ def posted_price_runs(
     inst: MultiItemInstance,
     plan: PricingPlan,
     values: np.ndarray,
-    rng: np.random.Generator,
+    draws: Draws,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sequential posted-price runs.
 
     ``values`` has shape (T, I, J).  Returns (revenue, welfare, alloc) with
-    alloc a boolean (T, I, J) allocation indicator.  Consumes the RNG in the
-    same order as the per-auction function (price mixture first, then offer
-    coins), so a one-row call reproduces it draw for draw.  Pairs are
-    offered bidder by bidder, each on 1-D columns of its rows.
+    alloc a boolean (T, I, J) allocation indicator.  Draws two sections of
+    I * J doubles a row, in the per-auction function's order (price mixture
+    first, then offer coins), so a one-row call on ``Draws.of`` a generator
+    reproduces it draw for draw.  Pairs are offered bidder by bidder, each
+    on 1-D columns of its rows.
     """
     T = values.shape[0]
     n_i, n_j = inst.n_bidders, inst.n_items
     if values.shape != (T, n_i, n_j):
         raise ValueError("values must have shape (T, n_bidders, n_items)")
-    u = rng.random((T, n_i, n_j))
-    high = u >= plan.w_bar  # posts r + 1, else r
-    offered = rng.random(out=u) < plan.p_offer
-    del u  # the pair loop reads only the two masks
+    high = draws.section(n_i * n_j).random((T, n_i, n_j)) >= plan.w_bar  # posts r + 1, else r
+    offered = draws.section(n_i * n_j).random((T, n_i, n_j)) < plan.p_offer
 
     sold = [np.zeros(T, dtype=bool) for _ in range(n_j)]
     alloc = np.zeros((T, n_i, n_j), dtype=bool)
@@ -442,9 +441,9 @@ def run_vcg_duplicates(cfg: ExperimentConfig) -> Report:
     for case, n in enumerate((1, 2)):
         opt = myerson_optimal_revenue_iid(d, n)
 
-        def batch(rng, rows):
-            draws = d.sample(rng, rows * 2 * n).reshape(rows, 2 * n)
-            return {"revenue": second_price_of_pooled(draws)}
+        def batch(draws, rows):
+            pooled = d.sample(draws.section(2 * n), rows * 2 * n).reshape(rows, 2 * n)
+            return {"revenue": second_price_of_pooled(pooled)}
 
         rev = run_batched(batch, trials, cfg.master_seed, case)["revenue"]
         metrics.append(MetricSummary.exact(f"opt[n={n}]", opt))
@@ -457,9 +456,9 @@ def _lazy_vcg_batch(d: ValuationDistribution, n: int, k: int, reserves):
     """Batch function of the reserve-gated auction: ``n`` i.i.d. bidders
     from ``d``, at most ``k`` winners; its revenue and efficient welfare."""
 
-    def batch(rng, rows):
-        draws = d.sample(rng, rows * n).reshape(rows, n)
-        revenue, welfare, _ = lazy_vcg_k_uniform(draws, k, reserves)
+    def batch(draws, rows):
+        values = d.sample(draws.section(n), rows * n).reshape(rows, n)
+        revenue, welfare, _ = lazy_vcg_k_uniform(values, k, reserves)
         return {"revenue": revenue, "welfare": welfare}
 
     return batch
@@ -575,9 +574,9 @@ def run_two_mech(cfg: ExperimentConfig) -> Report:
     )
     upper = oracle_exact_expectation(dists, lambda values: max(values))
 
-    def batch(rng, rows):
-        values = np.column_stack([d.sample(rng, rows) for d in dists])
-        coins = np.where(rng.random(rows) < 0.5, 1, 2)
+    def batch(draws, rows):
+        values = np.column_stack([d.sample(draws.section(1), rows) for d in dists])
+        coins = np.where(draws.section(1).random(rows) < 0.5, 1, 2)
         revenue, welfare = two_mech_k_uniform(values, budgets, coins, dists, env.k)
         return {"welfare": welfare, "revenue": revenue}
 
@@ -604,10 +603,10 @@ def _lottery_metrics(
     benchmark is max(0, max_i capped virtual value).
     """
 
-    def batch(rng, rows):
-        values = d.sample(rng, 2 * rows).reshape(rows, 2)
-        budgets = np.where(rng.random((rows, 2)) < 0.5, _BUDGET_HI, _BUDGET_LO)
-        uniforms = rng.random((rows, 2))
+    def batch(draws, rows):
+        values = d.sample(draws.section(2), 2 * rows).reshape(rows, 2)
+        budgets = np.where(draws.section(2).random((rows, 2)) < 0.5, _BUDGET_HI, _BUDGET_LO)
+        uniforms = draws.section(2).random((rows, 2))
         capped_virtual = np.where(
             values < budgets, d.virtual_valuation(values), budgets
         )
@@ -732,24 +731,24 @@ def exact_pricing_plan(inst: MultiItemInstance) -> tuple[PricingPlan, float]:
     return plan, float(qsol.objective)
 
 
-def _sample_value_grid(
-    inst: MultiItemInstance, rng: np.random.Generator, t: int
-) -> np.ndarray:
+def _sample_value_grid(inst: MultiItemInstance, draws: Draws, t: int) -> np.ndarray:
+    """The (t, I, J) values of ``t`` rows: one section per pair, in
+    ``inst.pairs()`` order."""
     values = np.empty((t, inst.n_bidders, inst.n_items))
     for i, j, d in inst.pairs():
-        values[:, i, j] = d.sample(rng, t)
+        values[:, i, j] = d.sample(draws.section(1), t)
     return values
 
 
 def _posted_batch(inst: MultiItemInstance, plan: PricingPlan):
     """Batch function of sequential posted prices under ``plan``: the
-    block's values, then the mechanism's coins from the same generator, as
-    ``srauctions mech run --mech posted`` draws them.  Its metrics are
-    revenue, welfare and ``alloc[i,j]``, each pair's allocation indicator."""
+    values' sections, then the mechanism's two, as ``srauctions mech run
+    --mech posted`` draws them.  Its metrics are revenue, welfare and
+    ``alloc[i,j]``, each pair's allocation indicator."""
 
-    def batch(rng, rows):
-        values = _sample_value_grid(inst, rng, rows)
-        revenue, welfare, alloc = posted_price_runs(inst, plan, values, rng)
+    def batch(draws, rows):
+        values = _sample_value_grid(inst, draws, rows)
+        revenue, welfare, alloc = posted_price_runs(inst, plan, values, draws)
         out = {"revenue": revenue, "welfare": welfare}
         for i, j, _ in inst.pairs():
             out[f"alloc[{i},{j}]"] = alloc[:, i, j]

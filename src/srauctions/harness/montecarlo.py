@@ -1,20 +1,34 @@
 """Monte Carlo engine and report types.
 
 ``run_batched`` is the one engine, and every experiment's trials run on
-it: it hands a batch function blocks of at most ``_CHUNK`` rows, block
-``c`` of case ``s`` drawing from ``rng.block_stream(master_seed, s, c)``,
-so a run is a pure function of its seed, its case and its trial count.
-Aggregation is the monoid (count, sum, sum-of-squares); float addition is
-not associative, so accumulators are always merged in stream order.
-Reports carry a 95% normal confidence interval per metric.  Experiments
-attach a target and a verdict to the metrics that encode a theorem bound;
-purely informational metrics leave both blank.
+it: it splits a run into blocks of at most ``_CHUNK`` rows, block ``c`` of
+case ``s`` drawing from ``rng.block_stream(master_seed, s, c)``, so a run is
+a pure function of its seed, its case and its trial count.  Aggregation is
+the monoid (count, sum, sum-of-squares); float addition is not
+associative, so accumulators are always merged in stream order.  Reports
+carry a 95% normal confidence interval per metric.  Experiments attach a
+target and a verdict to the metrics that encode a theorem bound; purely
+informational metrics leave both blank.
+
+A block's draws are laid out in sections.  A batch function asks its
+``Draws`` for them in a fixed order: ``section(w)`` for w doubles per row,
+drawn row-major, then, if it needs draws of variable count, ``rest()``.
+Section s starts after the earlier sections' ``rows * w`` words of the
+block stream, and ``rest()`` after them all.  Every trial draw is
+``Generator.random``, one 64-bit word per double, so rows [a, b) of a
+section are words [base + a * w, base + b * w), which a generator reaches
+by ``advance``.  So a block runs as sub-blocks of at most ``_SUB_BLOCK``
+rows, each reading only its own rows of each section: their temporaries
+fit in a core's L2 cache, where a whole block's would take tens of MB.
+The sub-blocks' metric columns fill block-sized arrays, which are added
+once per block, so the sub-block size never changes a byte.
 
 ``map_independent`` runs work that shares no data and no stream, such as
 the model builds of ``lottery-samp`` and the resamples of ``vcgl-samp``,
 on one thread per usable CPU (numpy's array loops release the GIL), and
 hands the results back in item order, so the thread count never changes a
-report byte.  A run's blocks stay sequential.
+report byte.  A run's blocks and sub-blocks stay sequential on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -36,6 +50,9 @@ Z95 = 1.959963984540054
 
 #: Most rows one block of a batched run holds.
 _CHUNK = 250_000
+
+#: Most rows one sub-block of a block holds (see the module docstring).
+_SUB_BLOCK = 32_768
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
@@ -188,20 +205,132 @@ def render_csv(reports, out_path: str | None = None) -> str:
     return text
 
 
+class _Block:
+    """One block's stream and section layout, shared by its sub-blocks.
+
+    Sub-block 0 lays the sections out as it asks for them; ``widths[k]``
+    and ``bases[k]`` are section k's doubles per row and first word.
+    """
+
+    __slots__ = ("gen", "rows", "state", "widths", "bases", "words", "gens", "rest")
+
+    def __init__(self, gen: np.random.Generator, rows: int):
+        self.gen = gen
+        self.rows = rows
+        self.state = gen.bit_generator.state
+        self.widths: list[int] = []
+        self.bases: list[int] = []
+        self.words = 0  # the sections' words so far: where rest() starts
+        self.gens: list[np.random.Generator] = []  # one per section, repositioned
+        self.rest: np.random.Generator | None = None
+
+    def at(self, word: int, gen: np.random.Generator | None = None) -> np.random.Generator:
+        """``gen`` (or a new generator) at ``word`` of the block stream."""
+        if gen is None:
+            gen = np.random.Generator(type(self.gen.bit_generator)(0))
+        bits = gen.bit_generator
+        bits.state = self.state
+        bits.advance(word)
+        return gen
+
+
+class Draws:
+    """The draws of rows [start, stop) of one block (see the module
+    docstring for the layout).
+
+    ``section(w)`` returns a generator at this sub-block's rows of the next
+    section, of which the caller must read exactly ``rows * w`` doubles by
+    ``random`` (or a sampler built on it); it stays valid until the next
+    sub-block asks for the same section.  ``rest()`` returns the block's
+    one generator for draws of variable count, placed after its sections
+    and read in sequence by its sub-blocks; no section may follow it.  A
+    sub-block that asks for other sections than sub-block 0 did, in order
+    and width, raises ValueError.  A sub-block that is its whole block has
+    its sections back to back, so it reads them, and then ``rest()``, from
+    the block stream in sequence: ``Draws.of(gen, rows)`` is such a block.
+    """
+
+    __slots__ = ("rows", "_block", "_start", "_asked", "_rested")
+
+    def __init__(self, block: _Block, start: int, stop: int):
+        self.rows = stop - start
+        self._block = block
+        self._start = start
+        self._asked = 0
+        self._rested = False
+
+    @classmethod
+    def of(cls, gen: np.random.Generator, rows: int) -> "Draws":
+        """The draws of a one-block run of ``rows`` rows from ``gen``."""
+        return cls(_Block(gen, rows), 0, rows)
+
+    @property
+    def _whole(self) -> bool:
+        return self.rows == self._block.rows
+
+    def section(self, width: int) -> np.random.Generator:
+        block, k = self._block, self._asked
+        if self._rested:
+            raise ValueError("a section was asked for after rest()")
+        if k < len(block.widths):
+            if width != block.widths[k]:
+                raise ValueError(f"section {k} has width {block.widths[k]}, asked for {width}")
+        elif self._start == 0:
+            block.widths.append(width)
+            block.bases.append(block.words)
+            block.words += block.rows * width
+        else:
+            raise ValueError(f"sub-block 0 asked for {k} sections, this one for more")
+        self._asked = k + 1
+        if self._whole:
+            return block.gen
+        word = block.bases[k] + self._start * width
+        if k < len(block.gens):
+            return block.at(word, block.gens[k])
+        block.gens.append(block.at(word))
+        return block.gens[k]
+
+    def rest(self) -> np.random.Generator:
+        block = self._block
+        self.check_complete()
+        self._rested = True
+        if self._whole:
+            return block.gen
+        if block.rest is None:
+            block.rest = block.at(block.words)
+        return block.rest
+
+    def check_complete(self) -> None:
+        """Raise unless this sub-block asked for every section sub-block 0 did."""
+        if self._asked != len(self._block.widths):
+            raise ValueError(
+                f"sub-block 0 asked for {len(self._block.widths)} sections, this one for {self._asked}"
+            )
+
+
+def _run_sub_block(batch_fn, block: _Block, start: int, stop: int) -> Mapping[str, np.ndarray]:
+    draws = Draws(block, start, stop)
+    out = batch_fn(draws, stop - start)
+    draws.check_complete()
+    return out
+
+
 def run_batched(
-    batch_fn: Callable[[np.random.Generator, int], Mapping[str, np.ndarray]],
+    batch_fn: Callable[[Draws, int], Mapping[str, np.ndarray]],
     trials: int,
     master_seed: int,
     case: int = 0,
 ) -> dict[str, Accumulator]:
     """Accumulate ``batch_fn`` over ``trials`` rows, block by block.
 
-    ``batch_fn(rng, rows)`` returns a mapping from metric name to a
-    ``(rows,)`` array.  Block ``c``, rows ``c * _CHUNK`` on, gets the
-    generator of ``rng.block_stream(master_seed, case, c)``, so runs are
-    reproducible and an experiment's cases draw from distinct streams.
-    Blocks run one after another on the calling thread and are added in
-    block order; a caller may run whole cases on threads
+    ``batch_fn(draws, rows)`` returns a mapping from metric name to a
+    ``(rows,)`` array.  Block ``c``, rows ``c * _CHUNK`` on, draws from
+    ``rng.block_stream(master_seed, case, c)``, so runs are reproducible
+    and an experiment's cases draw from distinct streams.  Each block runs
+    as sub-blocks of at most ``_SUB_BLOCK`` rows, whose ``Draws`` read
+    their own rows of the block's sections; their arrays fill the block's,
+    and each metric adds a block at once, in block order.  Everything runs
+    on the calling thread; a caller may run whole cases on threads
     (``map_independent``) and merge their accumulators in case order.
     Returns one accumulator per metric, in the order the first block named
     them.
@@ -211,9 +340,20 @@ def run_batched(
     accs: dict[str, Accumulator] = {}
     for c, start in enumerate(range(0, trials, _CHUNK)):
         rows = min(_CHUNK, trials - start)
-        # out keeps the previous block's arrays alive while this one is made,
-        # so the heap reuses their pages rather than trim and fault them again
-        out = batch_fn(rng.block_stream(master_seed, case, c), rows)
+        block = _Block(rng.block_stream(master_seed, case, c), rows)
+        if rows <= _SUB_BLOCK:
+            out = _run_sub_block(batch_fn, block, 0, rows)
+        else:
+            out = {}
+            for a in range(0, rows, _SUB_BLOCK):
+                b = min(a + _SUB_BLOCK, rows)
+                part = _run_sub_block(batch_fn, block, a, b)
+                if not out:
+                    out = {name: np.empty(rows, np.asarray(xs).dtype) for name, xs in part.items()}
+                elif part.keys() != out.keys():
+                    raise ValueError(f"sub-block metrics {list(part)} differ from sub-block 0's {list(out)}")
+                for name, xs in part.items():
+                    out[name][a:b] = xs
         for name, xs in out.items():
             accs.setdefault(name, Accumulator()).add_batch(xs)
     return accs

@@ -18,6 +18,14 @@ The stream layout of every experiment and of ``srauctions mech run``:
   training data of an empirical model (``mech run`` uses slot 0) or an
   instance's setup.  Cases lie below 2**30, and a run holds fewer than
   2**32 blocks (10^15 rows), so no trial stream reaches them.
+
+Within a block of ``rows`` rows, the stream is cut into sections, in the
+order the batch function asks for them: section s holds ``w_s`` doubles a
+row, drawn row-major, and starts after the earlier sections' ``rows * w``
+words; the draws of variable count (``Draws.rest()``) follow the last
+section.  Every trial draw is ``Generator.random``, one 64-bit word per
+double, so rows [a, b) of section s are words [base_s + a * w_s, base_s +
+b * w_s), and ``run_batched``'s sub-blocks reach them by ``advance``.
 """
 
 from __future__ import annotations

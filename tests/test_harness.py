@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -33,6 +34,7 @@ from srauctions.harness import (
     CSV_COLUMNS,
     EXPERIMENTS,
     Accumulator,
+    Draws,
     ExperimentConfig,
     MetricSummary,
     Report,
@@ -68,7 +70,7 @@ from srauctions.harness.experiments import (
     _place_sum,
     _two_mech_setup,
 )
-from srauctions.harness.montecarlo import _CHUNK
+from srauctions.harness.montecarlo import _CHUNK, _SUB_BLOCK
 from srauctions.lp import PricingPlan
 from srauctions.mechanisms import (
     ExplicitFeasibleSets,
@@ -213,7 +215,7 @@ class TestMonteCarlo:
 
     def test_coin_revenue_near_one(self):
         rep = batched_report(
-            lambda rng, rows: {"value": 2.0 * (rng.random(rows) < 0.5)}, 4000, 2
+            lambda draws, rows: {"value": 2.0 * (draws.section(1).random(rows) < 0.5)}, 4000, 2
         )
         m = rep.metric("value")
         assert abs(m.value - 1.0) <= 4 * m.stderr
@@ -231,8 +233,8 @@ class TestMonteCarlo:
             rep.metric("nope")
 
     def test_same_seed_is_bit_identical(self):
-        def batch(rng, rows):
-            return {"x": rng.random(rows), "y": rng.normal(size=rows)}
+        def batch(draws, rows):
+            return {"x": draws.section(1).random(rows), "y": draws.rest().normal(size=rows)}
 
         a = batched_report(batch, 50, 11)
         b = batched_report(batch, 50, 11)
@@ -246,7 +248,8 @@ class TestMonteCarlo:
 
     def test_block_c_draws_from_stream_c(self, monkeypatch):
         # the engine looks stream up on the rng module at call time, so a
-        # wrapper installed there sees every block
+        # wrapper installed there sees every block, once whatever its
+        # sub-blocks; a one-section batch reads its block stream from word 0
         calls = []
 
         def counted(seed, index):
@@ -256,21 +259,23 @@ class TestMonteCarlo:
         monkeypatch.setattr(rng_module, "stream", counted)
         seen = []
 
-        def batch(rng, rows):
-            seen.append((rows, rng.random()))
+        def batch(draws, rows):
+            seen.append(draws.section(1).random(rows))
             return {"value": np.zeros(rows)}
 
         accs = run_batched(batch, 2 * _CHUNK + 3, 9)
         assert accs["value"].count == 2 * _CHUNK + 3
         assert calls == [(9, 0), (9, 1), (9, 2)]
-        expected_rows = (_CHUNK, _CHUNK, 3)
-        assert seen == [(r, stream(9, c).random()) for c, r in enumerate(expected_rows)]
+        assert len(seen) == 2 * -(-_CHUNK // _SUB_BLOCK) + 1
+        expected = [stream(9, c).random(r) for c, r in enumerate((_CHUNK, _CHUNK, 3))]
+        assert np.array_equal(np.concatenate(seen), np.concatenate(expected))
         # block c of case s draws from stream (s << 32) | c
         calls.clear()
         seen.clear()
         run_batched(batch, _CHUNK + 1, 9, case=5)
         assert calls == [(9, 5 << 32), (9, (5 << 32) | 1)]
-        assert seen == [(_CHUNK, stream(9, 5 << 32).random()), (1, stream(9, (5 << 32) | 1).random())]
+        expected = [stream(9, 5 << 32).random(_CHUNK), stream(9, (5 << 32) | 1).random(1)]
+        assert np.array_equal(np.concatenate(seen), np.concatenate(expected))
 
     @pytest.mark.parametrize("case", [-1, 1 << 30, 1 << 40])
     def test_case_outside_its_range_raises(self, case):
@@ -278,6 +283,127 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="case must lie in"):
             run_batched(lambda rng, rows: {"value": np.zeros(rows)}, 3, 9, case=case)
         assert ((((1 << 30) - 1) << 32) | ((1 << 32) - 1)) < META_STREAM_BASE
+
+
+def sub_blocks(trials, chunk, sub):
+    """(block, first row, rows) of every sub-block of a run, in run order."""
+    out = []
+    for c, start in enumerate(range(0, trials, chunk)):
+        rows = min(chunk, trials - start)
+        out += [(c, a, min(sub, rows - a)) for a in range(0, rows, sub)]
+    return out
+
+
+class TestDraws:
+    """A sub-block's ``section(w)`` holds its rows of a section laid out
+    row-major after the earlier sections' ``rows * w`` words of the block
+    stream, and ``rest()`` continues after them all."""
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_sections_are_slices_of_the_block_stream(self, monkeypatch, trial):
+        gen = np.random.default_rng(trial)
+        chunk = int(gen.integers(1, 60))
+        sub = int(gen.integers(1, 2 * chunk))  # some blocks are shorter than a sub-block
+        trials = int(gen.integers(1, 4 * chunk))
+        widths = gen.integers(0, 4, size=gen.integers(1, 5)).tolist()
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(montecarlo, "_SUB_BLOCK", sub)
+        seen = []
+
+        def batch(draws, rows):
+            assert draws.rows == rows
+            sections = [draws.section(w).random((rows, w)) for w in widths]
+            seen.append((rows, sections, draws.rest().random(3)))
+            return {"value": np.zeros(rows)}
+
+        case, seed = trial % 3, 100 + trial
+        assert run_batched(batch, trials, seed, case)["value"].count == trials
+        layout = sub_blocks(trials, chunk, sub)
+        assert [rows for rows, _, _ in seen] == [rows for _, _, rows in layout]
+        for c in range(layout[-1][0] + 1):
+            mine = [(a, got) for (b, a, _), got in zip(layout, seen) if b == c]
+            block_rows = sum(rows for _, (rows, _, _) in mine)
+            words = block_rows * sum(widths)
+            stream_c = rng_module.block_stream(seed, case, c).random(words + 3 * len(mine))
+            for j, (a, (rows, sections, rest)) in enumerate(mine):
+                base = 0
+                for w, got in zip(widths, sections):
+                    want = stream_c[base + a * w : base + (a + rows) * w].reshape(rows, w)
+                    assert np.array_equal(got, want)
+                    base += block_rows * w
+                assert np.array_equal(rest, stream_c[words + 3 * j : words + 3 * j + 3])
+
+    def test_a_whole_block_reads_its_stream_in_sequence(self):
+        gen = stream(3, 0)
+        draws = Draws.of(gen, 5)
+        assert draws.section(2) is gen and draws.section(1) is gen and draws.rest() is gen
+
+    @pytest.mark.parametrize(
+        "asks, message",
+        [
+            ([(1, 2), (2, 1)], "section 0 has width 1, asked for 2"),
+            ([(1, 2), (1,)], "sub-block 0 asked for 2 sections, this one for 1"),
+            ([(1, 2), (1, 2, 3)], "sub-block 0 asked for 2 sections, this one for more"),
+            ([(1,), ()], "sub-block 0 asked for 1 sections, this one for 0"),
+        ],
+        ids=["out-of-order", "fewer", "more", "none"],
+    )
+    def test_a_sub_block_that_asks_otherwise_raises(self, monkeypatch, asks, message):
+        monkeypatch.setattr(montecarlo, "_SUB_BLOCK", 4)
+        calls = iter(asks)
+
+        def batch(draws, rows):
+            for w in next(calls):
+                draws.section(w).random((rows, w))
+            return {"value": np.zeros(rows)}
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_batched(batch, 8, 1)
+
+    @pytest.mark.parametrize("sub", [4, 8])
+    def test_a_section_after_rest_raises(self, monkeypatch, sub):
+        monkeypatch.setattr(montecarlo, "_SUB_BLOCK", sub)
+
+        def batch(draws, rows):
+            draws.rest()
+            return {"value": draws.section(1).random(rows)}
+
+        with pytest.raises(ValueError, match=re.escape("a section was asked for after rest()")):
+            run_batched(batch, 8, 1)
+
+    def test_sub_blocks_with_other_metrics_raise(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_SUB_BLOCK", 4)
+        names = iter(["a", "b"])
+
+        def batch(draws, rows):
+            return {next(names): np.zeros(rows)}
+
+        with pytest.raises(ValueError, match="sub-block metrics"):
+            run_batched(batch, 8, 1)
+
+    @pytest.mark.parametrize("sub", [1, 7, 64, 1000, _CHUNK])
+    def test_the_sub_block_size_changes_no_byte(self, monkeypatch, sub):
+        # every batch kind of the experiments and of mech run, its scalar
+        # rows reading rest() for draws of variable count included
+        inst = criterion_instance()
+        plan, _ = exact_pricing_plan(inst)
+        d = make_falpha(0.5, 1.0)
+        explicit = mech_rows("lottery", dict(MECH_CONFIG, env=EXPLICIT_ENV), seed=1)
+        batches = {
+            "posted": (experiments._posted_batch(inst, plan), 700),
+            "vcgl": (experiments._lazy_vcg_batch(d, 3, 2, np.ones(3)), 700),
+            "two-mech": (mech_rows("two-mech", MECH_CONFIG, seed=1).batch, 700),
+            "lottery-explicit": (explicit.batch, 150),
+        }
+
+        def sums(fn, trials):
+            accs = run_batched(fn, trials, 4, case=2)
+            return {k: (a.count, a.total, a.total_sq) for k, a in accs.items()}
+
+        whole = {name: sums(fn, trials) for name, (fn, trials) in batches.items()}
+        monkeypatch.setattr(montecarlo, "_SUB_BLOCK", sub)
+        for name, (fn, trials) in batches.items():
+            assert sums(fn, trials) == whole[name], name
 
 
 class TestMapIndependent:
@@ -440,7 +566,7 @@ class TestConfidenceIntervals:
         covered = 0
         for i in range(100):
             rep = batched_report(
-                lambda rng, rows: {"value": (rng.random(rows) < 0.3).astype(float)},
+                lambda draws, rows: {"value": (draws.section(1).random(rows) < 0.3).astype(float)},
                 400,
                 1000 + i,
             )
@@ -531,8 +657,8 @@ class TestOracleAgreement:
     """Monte Carlo means must land on the enumeration oracles."""
 
     def _mc_vs_oracle(self, dists, statistic, trials=4000, seed=21):
-        def batch(rng, rows):
-            values = np.column_stack([d.sample(rng, rows) for d in dists])
+        def batch(draws, rows):
+            values = np.column_stack([d.sample(draws.section(1), rows) for d in dists])
             return {"value": np.array([statistic(tuple(v)) for v in values.tolist()])}
 
         acc = run_batched(batch, trials, seed)["value"]
@@ -856,7 +982,7 @@ class TestVectorizedRunners:
                 values[0, i, j] = d.sample(draw_rng, 1)[0]
             out = posted_price_mechanism(inst, plan, values[0], stream(34, t))
             revenue, welfare, alloc = posted_price_runs(
-                inst, plan, values, stream(34, t)
+                inst, plan, values, Draws.of(stream(34, t), 1)
             )
             assert revenue[0] == pytest.approx(out.revenue, abs=1e-12)
             assert welfare[0] == pytest.approx(out.welfare, abs=1e-12)
@@ -879,7 +1005,7 @@ class TestVectorizedRunners:
         )
         values = np.full((1, 2, 2), 4.0)
         out = posted_price_mechanism(inst, plan, values[0], stream(35, 0))
-        revenue, welfare, alloc = posted_price_runs(inst, plan, values, stream(35, 0))
+        revenue, welfare, alloc = posted_price_runs(inst, plan, values, Draws.of(stream(35, 0), 1))
         assert out.revenue == 6.0  # one item each, never two
         assert revenue[0] == pytest.approx(out.revenue, abs=1e-12)
         assert int(alloc[0].sum()) == 2
@@ -888,7 +1014,7 @@ class TestVectorizedRunners:
         inst = criterion_instance()
         plan, _ = exact_pricing_plan(inst)
         with pytest.raises(ValueError, match="shape"):
-            posted_price_runs(inst, plan, np.zeros((3, 1, 2)), stream(36, 0))
+            posted_price_runs(inst, plan, np.zeros((3, 1, 2)), Draws.of(stream(36, 0), 3))
 
 
 class TestExperimentRegistry:
@@ -1208,12 +1334,34 @@ CONTINUOUS_CONFIG = {
 }
 
 
+#: sha256 of the ``mech run`` CSV over ``MECH_CONFIG`` at seed 3, per
+#: mechanism and path: (mech, env kind, trials, digest).  The vectorized
+#: runners run one block and 7 rows of a second; the scalar rows (myerson,
+#: vcg-dup, and lottery on an explicit environment, whose rows draw a
+#: variable number of uniforms from ``rest()``) run one 32,768-row sub-block
+#: and 7 rows of a second.
+MECH_RUN_SHA256 = (
+    ("vcg", "k-uniform", 250_007, "78b0832d7dfa5cc7da54459d0ffa88ab77b188e924a3aaa44ca9b953f077fb75"),
+    ("vcgl", "k-uniform", 250_007, "0a05c142be2151ee1f5171df3b38befe76ed56b3661fc2830d563e4a6dacaa09"),
+    ("two-mech", "k-uniform", 250_007, "2e55606ec694bbc586d05e7f40b30218453c0d23b4ef3f7de82202b13539d8d5"),
+    ("lottery", "k-uniform", 250_007, "dccfa7a63021cfcaa0dfe03dc01b4222c694e256f618fb81d3e7bbe46e31099f"),
+    ("posted", "k-uniform", 250_007, "779f17a2faa8e13492dc7508f61f320d069ce1d662893832cfe2bbd93864ff5a"),
+    ("myerson", "k-uniform", 32_775, "b03d193474051b6d0a869efc9b0ba559f83f1e8d333174a5820beea2e52a3a6f"),
+    ("vcg-dup", "k-uniform", 32_775, "aba77eae26962e2f61418e9052d688aff832b3d0168a309974ee63c3dacb89f8"),
+    ("lottery", "explicit", 32_775, "f0b265196250085f6634225bb16aff5c222a510615e91d5ad7ca64ca100ac9c6"),
+)
+
+
 class BlockUniforms:
-    """Stands in for a Generator whose ``random((rows, n))`` repeats row t's
-    uniform ``u[t]`` across the row."""
+    """Stands in for the Draws of a block, each of whose sections is a
+    Generator whose ``random((rows, n))`` repeats row t's uniform ``u[t]``
+    across the row."""
 
     def __init__(self, u):
         self.u = u
+
+    def section(self, width):
+        return self
 
     def random(self, size):
         return np.repeat(self.u[:, None], size[1], axis=1)
@@ -1435,7 +1583,7 @@ class TestCli:
         rows = mech_rows(mech, config, seed=5)
         assert rows.vector is not None
         n_rows = 400
-        arrays = rows.draw(stream(40, 0), n_rows)
+        arrays = rows.draw(Draws.of(stream(40, 0), n_rows), n_rows)
         if mech == "lottery":
             # one uniform per row, as test_lottery_matches_mechanism feeds it
             u = stream(41, 0).random(n_rows)
@@ -1448,7 +1596,7 @@ class TestCli:
             # the runner reproduces the per-auction sale draw for draw on
             # one row at a time
             pairs = [
-                rows.vector(stream(41, t), *(a[t : t + 1] for a in arrays))
+                rows.vector(Draws.of(stream(41, t), 1), *(a[t : t + 1] for a in arrays))
                 for t in range(n_rows)
             ]
             revenue = np.concatenate([r for r, _ in pairs])
@@ -1510,6 +1658,16 @@ class TestCli:
             ("mech two-mech", MECH_BIDDERS | {"budgets": [2, 2]},
              "budgets must hold one number per bidder, 3 in all, got [2.0, 2.0]"),
             ("mech lottery", MECH_BIDDERS | {"budgets": 2}, "budgets must hold one number per bidder"),
+            # every mechanism checks the budget keys, though only two read them
+            ("mech vcg", MECH_BIDDERS | {"budgets": [-1, "nan", 3]},
+             "budgets must be numbers >= 0 or inf, got [-1.0, nan, 3.0]"),
+            ("mech myerson", MECH_BIDDERS | {"budgets": [2, 2]}, "budgets must hold one number per bidder"),
+            ("mech vcg-dup", MECH_BIDDERS | {"budget_dist": {"p_hi": 2, "hi": 3, "lo": 1}},
+             "budget_dist p_hi must lie in [0, 1], got 2.0"),
+            ("mech posted", {"instance": MECH_CONFIG["instance"], "budgets": [1, math.nan]},
+             "budgets must be numbers >= 0 or inf, got [1.0, nan]"),
+            ("mech two-mech", MECH_BIDDERS | {"budget_dist": MECH_CONFIG["budget_dist"], "budgets": [-1, 2, 2]},
+             "budgets must be numbers >= 0 or inf, got [-1.0, 2.0, 2.0]"),
         ],
         ids=[
             "trials-0", "env-size", "env-kind", "dist-kind", "missing-key", "experiment-trials-0",
@@ -1520,7 +1678,8 @@ class TestCli:
             "experiment-trials-null", "dist-not-an-object", "env-not-an-object",
             "instance-not-an-object", "negative-budget-falpha", "negative-budget-discrete",
             "negative-budget-lottery", "nan-budget", "budget-dist-negative-and-nan", "budget-dist-p-hi",
-            "budget-dist-p-hi-nan", "budgets-one-short", "budgets-scalar",
+            "budget-dist-p-hi-nan", "budgets-one-short", "budgets-scalar", "vcg-budgets",
+            "myerson-budgets-one-short", "vcg-dup-budget-dist", "posted-budgets", "both-budget-keys",
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, command, config, message):
@@ -1539,6 +1698,17 @@ class TestCli:
         assert message in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("mech, env, trials", [(m, e, t) for m, e, t, _ in MECH_RUN_SHA256])
+    def test_mech_run_bytes_are_pinned(self, tmp_path, mech, env, trials):
+        # vectorized rows cross a block boundary, scalar rows a sub-block one
+        assert trials == (_CHUNK + 7 if mech in RUNNER_MECHS and env == "k-uniform" else 32_775)
+        assert trials > _SUB_BLOCK
+        config = dict(MECH_CONFIG, env=EXPLICIT_ENV) if env == "explicit" else MECH_CONFIG
+        rc, text = self._mech_run(tmp_path, mech, config, seed=3, trials=trials)
+        assert rc == 0
+        digest = {(m, e): h for m, e, _, h in MECH_RUN_SHA256}[mech, env]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("mech", ["two-mech", "lottery"])
     def test_inf_budget_means_unbudgeted(self, tmp_path, mech):
