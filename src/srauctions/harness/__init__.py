@@ -16,7 +16,6 @@ from .experiments import (
 from .montecarlo import (
     Accumulator,
     CSV_COLUMNS,
-    Draws,
     MetricSummary,
     Report,
     Z95,

@@ -347,9 +347,9 @@ def posted_price_runs(
     ``values`` has shape (T, I, J).  Returns (revenue, welfare, alloc) with
     alloc a boolean (T, I, J) allocation indicator.  Draws two sections of
     I * J doubles a row, in the per-auction function's order (price mixture
-    first, then offer coins), so a one-row call on ``Draws.of`` a generator
-    reproduces it draw for draw.  Pairs are offered bidder by bidder, each
-    on 1-D columns of its rows.
+    first, then offer coins): a one-row block's sections lie back to back
+    in its stream, so a one-row call reproduces it draw for draw.  Pairs
+    are offered bidder by bidder, each on 1-D columns of its rows.
     """
     T = values.shape[0]
     n_i, n_j = inst.n_bidders, inst.n_items

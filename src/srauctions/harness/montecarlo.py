@@ -209,10 +209,12 @@ class _Block:
     """One block's stream and section layout, shared by its sub-blocks.
 
     Sub-block 0 lays the sections out as it asks for them; ``widths[k]``
-    and ``bases[k]`` are section k's doubles per row and first word.
+    and ``bases[k]`` are section k's doubles per row and first word.  The
+    block stream's own generator serves every section in turn, placed at
+    its words by ``advance``, so a section costs no new generator.
     """
 
-    __slots__ = ("gen", "rows", "state", "widths", "bases", "words", "gens", "rest")
+    __slots__ = ("gen", "rows", "state", "widths", "bases", "words", "rest")
 
     def __init__(self, gen: np.random.Generator, rows: int):
         self.gen = gen
@@ -221,13 +223,10 @@ class _Block:
         self.widths: list[int] = []
         self.bases: list[int] = []
         self.words = 0  # the sections' words so far: where rest() starts
-        self.gens: list[np.random.Generator] = []  # one per section, repositioned
         self.rest: np.random.Generator | None = None
 
-    def at(self, word: int, gen: np.random.Generator | None = None) -> np.random.Generator:
-        """``gen`` (or a new generator) at ``word`` of the block stream."""
-        if gen is None:
-            gen = np.random.Generator(type(self.gen.bit_generator)(0))
+    def at(self, word: int, gen: np.random.Generator) -> np.random.Generator:
+        """``gen`` placed at ``word`` of the block stream."""
         bits = gen.bit_generator
         bits.state = self.state
         bits.advance(word)
@@ -240,14 +239,12 @@ class Draws:
 
     ``section(w)`` returns a generator at this sub-block's rows of the next
     section, of which the caller must read exactly ``rows * w`` doubles by
-    ``random`` (or a sampler built on it); it stays valid until the next
-    sub-block asks for the same section.  ``rest()`` returns the block's
-    one generator for draws of variable count, placed after its sections
-    and read in sequence by its sub-blocks; no section may follow it.  A
-    sub-block that asks for other sections than sub-block 0 did, in order
-    and width, raises ValueError.  A sub-block that is its whole block has
-    its sections back to back, so it reads them, and then ``rest()``, from
-    the block stream in sequence: ``Draws.of(gen, rows)`` is such a block.
+    ``random`` (or a sampler built on it) before it asks for another
+    section: every section is read through the same generator.  ``rest()``
+    returns the block's one generator for draws of variable count, placed
+    after its sections and read in sequence by its sub-blocks; no section
+    may follow it.  A sub-block that asks for other sections than sub-block
+    0 did, in order and width, raises ValueError.
     """
 
     __slots__ = ("rows", "_block", "_start", "_asked", "_rested")
@@ -258,15 +255,6 @@ class Draws:
         self._start = start
         self._asked = 0
         self._rested = False
-
-    @classmethod
-    def of(cls, gen: np.random.Generator, rows: int) -> "Draws":
-        """The draws of a one-block run of ``rows`` rows from ``gen``."""
-        return cls(_Block(gen, rows), 0, rows)
-
-    @property
-    def _whole(self) -> bool:
-        return self.rows == self._block.rows
 
     def section(self, width: int) -> np.random.Generator:
         block, k = self._block, self._asked
@@ -282,22 +270,15 @@ class Draws:
         else:
             raise ValueError(f"sub-block 0 asked for {k} sections, this one for more")
         self._asked = k + 1
-        if self._whole:
-            return block.gen
-        word = block.bases[k] + self._start * width
-        if k < len(block.gens):
-            return block.at(word, block.gens[k])
-        block.gens.append(block.at(word))
-        return block.gens[k]
+        return block.at(block.bases[k] + self._start * width, block.gen)
 
     def rest(self) -> np.random.Generator:
         block = self._block
         self.check_complete()
         self._rested = True
-        if self._whole:
-            return block.gen
         if block.rest is None:
-            block.rest = block.at(block.words)
+            fresh = np.random.Generator(type(block.gen.bit_generator)(0))
+            block.rest = block.at(block.words, fresh)
         return block.rest
 
     def check_complete(self) -> None:
@@ -341,19 +322,15 @@ def run_batched(
     for c, start in enumerate(range(0, trials, _CHUNK)):
         rows = min(_CHUNK, trials - start)
         block = _Block(rng.block_stream(master_seed, case, c), rows)
-        if rows <= _SUB_BLOCK:
-            out = _run_sub_block(batch_fn, block, 0, rows)
-        else:
-            out = {}
-            for a in range(0, rows, _SUB_BLOCK):
-                b = min(a + _SUB_BLOCK, rows)
-                part = _run_sub_block(batch_fn, block, a, b)
-                if not out:
-                    out = {name: np.empty(rows, np.asarray(xs).dtype) for name, xs in part.items()}
-                elif part.keys() != out.keys():
-                    raise ValueError(f"sub-block metrics {list(part)} differ from sub-block 0's {list(out)}")
-                for name, xs in part.items():
-                    out[name][a:b] = xs
+        for a in range(0, rows, _SUB_BLOCK):
+            b = min(a + _SUB_BLOCK, rows)
+            part = _run_sub_block(batch_fn, block, a, b)
+            if a == 0:
+                out = {name: np.empty(rows, np.asarray(xs).dtype) for name, xs in part.items()}
+            elif part.keys() != out.keys():
+                raise ValueError(f"sub-block metrics {list(part)} differ from sub-block 0's {list(out)}")
+            for name, xs in part.items():
+                out[name][a:b] = xs
         for name, xs in out.items():
             accs.setdefault(name, Accumulator()).add_batch(xs)
     return accs

@@ -34,7 +34,6 @@ from srauctions.harness import (
     CSV_COLUMNS,
     EXPERIMENTS,
     Accumulator,
-    Draws,
     ExperimentConfig,
     MetricSummary,
     Report,
@@ -285,6 +284,12 @@ class TestMonteCarlo:
         assert ((((1 << 30) - 1) << 32) | ((1 << 32) - 1)) < META_STREAM_BASE
 
 
+def draws_of(gen, rows):
+    """The draws of a one-block run of ``rows`` rows from ``gen``'s stream,
+    whose sections lie back to back from ``gen``'s position."""
+    return montecarlo.Draws(montecarlo._Block(gen, rows), 0, rows)
+
+
 def sub_blocks(trials, chunk, sub):
     """(block, first row, rows) of every sub-block of a run, in run order."""
     out = []
@@ -332,11 +337,6 @@ class TestDraws:
                     assert np.array_equal(got, want)
                     base += block_rows * w
                 assert np.array_equal(rest, stream_c[words + 3 * j : words + 3 * j + 3])
-
-    def test_a_whole_block_reads_its_stream_in_sequence(self):
-        gen = stream(3, 0)
-        draws = Draws.of(gen, 5)
-        assert draws.section(2) is gen and draws.section(1) is gen and draws.rest() is gen
 
     @pytest.mark.parametrize(
         "asks, message",
@@ -982,7 +982,7 @@ class TestVectorizedRunners:
                 values[0, i, j] = d.sample(draw_rng, 1)[0]
             out = posted_price_mechanism(inst, plan, values[0], stream(34, t))
             revenue, welfare, alloc = posted_price_runs(
-                inst, plan, values, Draws.of(stream(34, t), 1)
+                inst, plan, values, draws_of(stream(34, t), 1)
             )
             assert revenue[0] == pytest.approx(out.revenue, abs=1e-12)
             assert welfare[0] == pytest.approx(out.welfare, abs=1e-12)
@@ -1005,7 +1005,7 @@ class TestVectorizedRunners:
         )
         values = np.full((1, 2, 2), 4.0)
         out = posted_price_mechanism(inst, plan, values[0], stream(35, 0))
-        revenue, welfare, alloc = posted_price_runs(inst, plan, values, Draws.of(stream(35, 0), 1))
+        revenue, welfare, alloc = posted_price_runs(inst, plan, values, draws_of(stream(35, 0), 1))
         assert out.revenue == 6.0  # one item each, never two
         assert revenue[0] == pytest.approx(out.revenue, abs=1e-12)
         assert int(alloc[0].sum()) == 2
@@ -1014,7 +1014,7 @@ class TestVectorizedRunners:
         inst = criterion_instance()
         plan, _ = exact_pricing_plan(inst)
         with pytest.raises(ValueError, match="shape"):
-            posted_price_runs(inst, plan, np.zeros((3, 1, 2)), Draws.of(stream(36, 0), 3))
+            posted_price_runs(inst, plan, np.zeros((3, 1, 2)), draws_of(stream(36, 0), 3))
 
 
 class TestExperimentRegistry:
@@ -1583,7 +1583,7 @@ class TestCli:
         rows = mech_rows(mech, config, seed=5)
         assert rows.vector is not None
         n_rows = 400
-        arrays = rows.draw(Draws.of(stream(40, 0), n_rows), n_rows)
+        arrays = rows.draw(draws_of(stream(40, 0), n_rows), n_rows)
         if mech == "lottery":
             # one uniform per row, as test_lottery_matches_mechanism feeds it
             u = stream(41, 0).random(n_rows)
@@ -1596,7 +1596,7 @@ class TestCli:
             # the runner reproduces the per-auction sale draw for draw on
             # one row at a time
             pairs = [
-                rows.vector(Draws.of(stream(41, t), 1), *(a[t : t + 1] for a in arrays))
+                rows.vector(draws_of(stream(41, t), 1), *(a[t : t + 1] for a in arrays))
                 for t in range(n_rows)
             ]
             revenue = np.concatenate([r for r, _ in pairs])
