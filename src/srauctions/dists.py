@@ -38,6 +38,7 @@ __all__ = [
     "AlphaSrReport",
     "UndefinedVirtualValueError",
     "NoReserveError",
+    "SortedDraw",
     "make_falpha",
     "make_exponential",
     "make_discrete",
@@ -96,25 +97,173 @@ def _uniform_on_half_open(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.subtract(1.0, q, out=q)
 
 
-def _uniform_order_statistics(rng: np.random.Generator, n: int) -> np.ndarray:
+#: Values per block of a drawn sort (`SortedDraw`).
+ORDER_BLOCK = 1024
+
+_TINY = np.finfo(float).tiny
+
+
+class _UniformOrderStatistics:
+    """The order statistics of ``n`` uniforms on (0, 1], ascending, drawn
+    block by block; built by `_uniform_order_statistics`.
+
+    ``ends[k]`` is the quantile at the last position of block k, which
+    covers positions [k * ORDER_BLOCK, (k + 1) * ORDER_BLOCK) of n.
+    ``read(k, out)`` fills ``out`` (block k's length) with its quantiles.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self.n = n = int(n)
+        nb = -(-n // ORDER_BLOCK)
+        # one Gamma(block length) sum per block, then the (n+1)-th
+        # exponential, a Gamma(1)
+        shape = np.full(nb + 1, float(ORDER_BLOCK))
+        shape[nb - 1 : nb] = n - (nb - 1) * ORDER_BLOCK  # the last block; none at n = 0
+        shape[nb] = 1.0
+        self._sums = rng.standard_gamma(shape)
+        self._cum = np.cumsum(self._sums)
+        self.ends = np.maximum(self._cum[:-1] / self._cum[-1], _TINY)
+        bits = rng.bit_generator
+        if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+            # advance counts 64-bit words: a block's uniforms are read at
+            # their offset, by a generator of this draw's own
+            self._u = None
+            self._state = bits.state
+            self._gen = np.random.Generator(type(bits)(0))
+            self._pos = -1  # word the own generator is at; -1: not placed
+            bits.advance(n)
+        else:
+            self._u = rng.random(n)
+
+    def _uniforms(self, word: int, out: np.ndarray) -> None:
+        """``out`` := the uniforms at words [word, word + len(out)) after
+        the block sums."""
+        if self._u is not None:
+            out[:] = self._u[word : word + len(out)]
+            return
+        bits = self._gen.bit_generator
+        if word != self._pos:
+            if not 0 <= self._pos < word:
+                bits.state = self._state
+                self._pos = 0
+            bits.advance(word - self._pos)
+        self._gen.random(out=out)
+        self._pos = word + len(out)
+
+    def read(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Block k's quantiles, written over ``out``: the partial sums of its
+        exponentials, -log1p(-u) of its uniforms, scaled to its drawn sum.
+
+        Only ratios of the partial sums are taken, so they are summed as
+        log1p(-u) <= 0 and the sign cancels.  The ratio at the last position
+        is exactly 1, so the block ends on its drawn end, ``ends[k]``, and
+        the next block starts from it: the quantiles are exactly
+        nondecreasing across blocks.
+        """
+        self._uniforms(k * ORDER_BLOCK, out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.add.accumulate(out, out=out)
+        if out[-1] < 0.0:
+            out /= out[-1]
+        else:  # every uniform 0 (probability 2**-53 a value): no spacing to split
+            out.fill(1.0)
+        out *= self._sums[k]
+        if k:
+            out += self._cum[k - 1]
+        out /= self._cum[-1]
+        return np.maximum(out, _TINY, out=out)
+
+
+def _uniform_order_statistics(rng: np.random.Generator, n: int) -> _UniformOrderStatistics:
     """The order statistics of ``n`` uniforms on (0, 1], ascending, in O(n)
     and without a sort: ``S_i / S_{n+1}`` for the partial sums S_i of n + 1
     standard exponentials (Devroye, *Non-Uniform Random Variate
-    Generation*, 1986, section V.3).
+    Generation*, 1986, chapter V), drawn in blocks of `ORDER_BLOCK` so
+    that a reader pays only for the blocks it reads.
+
+    - First, each block's sum of exponentials is drawn as one Gamma(block
+      length) variate, and the (n+1)-th exponential as a Gamma(1); their
+      cumsum gives S at every block end and S_{n+1}.
+    - A block's own exponentials are drawn when it is read, as
+      -log1p(-u) of the uniforms at its own offset, and their partial sums
+      are scaled to the block's drawn sum.  Given their sum, exponentials'
+      proportions are Dirichlet and independent of it, so the joint law is
+      that of the n + 1 exponentials drawn in sequence.
+
+    The stream holds the block sums, then n uniforms, one 64-bit word each,
+    block k's at words [k * ORDER_BLOCK, ...) after the sums.  On a PCG64
+    or PCG64DXSM stream, whose ``advance`` counts words, a block is read at
+    its offset and ``rng`` is left after the uniforms at once; on any other
+    generator the uniforms are drawn up front.  Either way ``rng`` ends
+    where a read of every block leaves it.
 
     The quantiles are computed directly, not as 1 - u, so the smallest
     ones, which give the largest values, keep their relative precision.
-    Partial sums of nonnegative terms never decrease in floating point, so
-    the quantiles are exactly nondecreasing and at most 1.  A draw that
-    opens with zero exponentials (each of probability about 2**-53) would
-    give q = 0, whose value is infinite on an unbounded support; those
-    quantiles are raised to the least normal double instead.
+    Every operation is a monotone rounding, so the quantiles are exactly
+    nondecreasing and at most 1.  A draw that opens with zero exponentials
+    (each of probability about 2**-53) would give q = 0, whose value is
+    infinite on an unbounded support; quantiles below the least normal
+    double are raised to it.
     """
-    s = rng.standard_exponential(int(n) + 1)
-    np.cumsum(s, out=s)
-    q = np.divide(s[:-1], s[-1], out=s[:-1])
-    q[: np.searchsorted(q, 0.0, side="right")] = np.finfo(float).tiny
-    return q
+    return _UniformOrderStatistics(rng, n)
+
+
+class SortedDraw:
+    """A sort of ``n`` values, largest first, read block by block: ``ends``
+    holds the value at the last position of each block of `ORDER_BLOCK`
+    positions, and ``block(k)`` computes block k's values on its first
+    read.  ``blocks_read`` counts the blocks computed so far.
+
+    A continuous kind's `ValuationDistribution.sorted_draw` draws a block
+    only when it is read; `values()` reads every block, and is
+    `ValuationDistribution.sorted_sample`.  ``SortedDraw.of`` serves the
+    blocks of a sort already in memory.
+    """
+
+    def __init__(self, n: int, ends: np.ndarray, read):
+        self.n = n
+        self.ends = ends
+        self._read = read  # read(k, out): block k's values, written over out
+        self._blocks: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "SortedDraw":
+        """The blocks of ``values``, a nonincreasing array."""
+        last = np.minimum(np.arange(ORDER_BLOCK, len(values) + ORDER_BLOCK, ORDER_BLOCK), len(values)) - 1
+
+        def read(k, out):
+            out[:] = values[k * ORDER_BLOCK :][: len(out)]
+            return out
+
+        return cls(len(values), values[last], read)
+
+    @property
+    def blocks(self) -> int:
+        return len(self.ends)
+
+    @property
+    def blocks_read(self) -> int:
+        return len(self._blocks)
+
+    def block(self, k: int) -> np.ndarray:
+        """The values of block k, largest first."""
+        vals = self._blocks.get(k)
+        if vals is None:
+            vals = self._blocks[k] = self._read(k, np.empty(min(ORDER_BLOCK, self.n - k * ORDER_BLOCK)))
+        return vals
+
+    def values(self) -> np.ndarray:
+        """All n values, as one contiguous array; the blocks are views of it."""
+        out = np.empty(self.n)
+        for k in range(self.blocks):
+            part = out[k * ORDER_BLOCK : (k + 1) * ORDER_BLOCK]
+            if k in self._blocks:
+                part[:] = self._blocks[k]
+            else:
+                self._read(k, part)
+            self._blocks[k] = part
+        return out
 
 
 class ValuationDistribution(ABC):
@@ -206,10 +355,18 @@ class ValuationDistribution(ABC):
         The joint law is that of ``np.sort(sample(rng, n))[::-1]``, but the
         draws are not: a continuous kind maps the order statistics of n
         uniforms (`_uniform_order_statistics`) through
-        ``value_of_quantile``, which is decreasing, and `DiscreteTabular`
-        repeats each atom, from the top, by its multinomial count.  A
-        seeded stream fixes every draw.  `build_empirical` takes the result
-        as its sort after an O(n) check, with no copy."""
+        ``value_of_quantile``, which is decreasing, block by block, and is
+        ``sorted_draw(rng, n).values()``; `DiscreteTabular` repeats each
+        atom, from the top, by its multinomial count.  A seeded stream
+        fixes every draw.  `build_empirical` takes the result as its sort
+        after an O(n) check, with no copy."""
+
+    def sorted_draw(self, rng: np.random.Generator, n: int) -> SortedDraw:
+        """``sorted_sample(rng, n)`` as a `SortedDraw`, whose blocks are read
+        on demand: the same values, and ``rng`` left in the same place.
+        This default draws the whole sort up front; a continuous kind draws
+        only each block's end, and a block's values when it is read."""
+        return SortedDraw.of(self.sorted_sample(rng, n))
 
     # -- derived quantities ------------------------------------------------
 
@@ -241,7 +398,36 @@ class ValuationDistribution(ABC):
     def to_spec(self) -> dict: ...
 
 
-class FAlpha(ValuationDistribution):
+class _ContinuousKind(ValuationDistribution):
+    """A kind with a continuous, unbounded value distribution, whose sorted
+    draws are order statistics of uniforms mapped by ``_values_in_place``."""
+
+    @abstractmethod
+    def _values_in_place(self, q: np.ndarray) -> np.ndarray:
+        """``value_of_quantile`` of quantiles in (0, 1], written over ``q``."""
+
+    def sorted_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.sorted_draw(rng, n).values()
+
+    def sorted_draw(self, rng: np.random.Generator, n: int) -> SortedDraw:
+        """Each block's values go through ``_values_in_place`` on their own,
+        whether one block is read or all of them, so a SIMD loop splits
+        every block the same way.  The last is then set to the block's end
+        value, computed with the other ends, so it is exactly the end that
+        bounds the block and the next one, however numpy splits the two
+        arrays."""
+        q = _uniform_order_statistics(rng, n)
+        ends = self._values_in_place(q.ends.copy())
+
+        def read(k, out):
+            self._values_in_place(q.read(k, out))
+            out[-1] = ends[k]
+            return out
+
+        return SortedDraw(q.n, ends, read)
+
+
+class FAlpha(_ContinuousKind):
     """The extremal alpha-strongly-regular distribution, scaled.
 
     For ``0 < alpha < 1`` and ``scale > 0``::
@@ -344,14 +530,11 @@ class FAlpha(ValuationDistribution):
             return np.empty(0)
         return self._values_in_place(_uniform_on_half_open(rng, n))
 
-    def sorted_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._values_in_place(_uniform_order_statistics(rng, n))
-
     def to_spec(self) -> dict:
         return {"kind": "falpha", "alpha": self.alpha, "scale": self.scale}
 
 
-class Exponential(ValuationDistribution):
+class Exponential(_ContinuousKind):
     """Exponential distribution with the given rate: F(v) = 1 - exp(-rate*v).
 
     Its virtual valuation ``phi(v) = v - 1/rate`` has unit slope, so it is
@@ -425,9 +608,6 @@ class Exponential(ValuationDistribution):
         if n == 0:
             return np.empty(0)
         return self._values_in_place(_uniform_on_half_open(rng, n))
-
-    def sorted_sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self._values_in_place(_uniform_order_statistics(rng, n))
 
     def to_spec(self) -> dict:
         return {"kind": "exponential", "rate": self.rate}

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dists import ValuationDistribution
+from .dists import ORDER_BLOCK, SortedDraw, ValuationDistribution
 
 __all__ = [
     "SampleParams",
@@ -41,6 +41,7 @@ __all__ = [
     "SampleCountWarning",
     "validate_params",
     "build_empirical",
+    "reserve_and_coverage",
     "concave_envelope",
 ]
 
@@ -326,6 +327,23 @@ def _run_ends(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: of `ValuationDistribution.quantile_interval`'s monotonicity contract,
 #: plus the rounding of adding the margin to a quantile in [0, 1].
 _QUANTILE_MARGIN = 2.0**-48
+
+
+def _certified(q_lo, q_hi, qbar_first, qbar_last, factor: float) -> np.ndarray:
+    """Which blocks of values the coverage check certifies from their ends:
+    ``q_lo`` at each block's last value and ``q_hi`` at its first (or at a
+    value above it) must clear the brackets at the opposite end, around the
+    leftmost quantiles ``qbar_last`` and ``qbar_first``, by
+    `_QUANTILE_MARGIN`."""
+    return (q_lo + _QUANTILE_MARGIN <= qbar_first * factor + 1e-15) & (
+        q_hi - _QUANTILE_MARGIN >= qbar_last / factor - 1e-15
+    )
+
+
+def _xi_bar(p: SampleParams, m: int, kept_from: int) -> float:
+    """The top point mass's quantile: the first grid point, or floor(xi*m)/m
+    short of the second, whichever is larger."""
+    return max((math.floor(2 * p.xi * m) - 1) / (2 * m), (2 * kept_from - 1) / (2 * m))
 
 
 def _bracketed(d: ValuationDistribution, values, t, xi_bar: float, factor: float) -> bool:
@@ -643,9 +661,7 @@ class EmpiricalModel:
         q_lo, q_hi = d.quantile_interval(values[ends])
         qbar = np.maximum(grid(ends), self.xi_bar)
         nb = len(first)
-        certified = (q_lo[nb:] + _QUANTILE_MARGIN <= qbar[:nb] * factor + 1e-15) & (
-            q_hi[:nb] - _QUANTILE_MARGIN >= qbar[nb:] / factor - 1e-15
-        )
+        certified = _certified(q_lo[nb:], q_hi[:nb], qbar[:nb], qbar[nb:], factor)
         return all(
             _bracketed(d, values[a:b], grid(np.arange(a, b)), self.xi_bar, factor)
             for a, b in zip(first[~certified].tolist(), (last[~certified] + 1).tolist())
@@ -659,6 +675,26 @@ class EmpiricalModel:
             "reserve": self.empirical_reserve(),
             "xi_bar": self.xi_bar,
         }
+
+
+def _kept_from(m: int, p: SampleParams) -> int:
+    """The 1-based sort position of the first retained sample of m, with
+    a warning below lemma grade (for the build's caller); an
+    InsufficientSamplesError if the discard rule drops all."""
+    report = validate_params(SampleParams(p.gamma, p.xi, p.delta, m))
+    if not report.lemma_grade:
+        warnings.warn(
+            f"sample count m={m} is below lemma grade for {p}; "
+            f"required_m={report.required_m}",
+            SampleCountWarning,
+            stacklevel=3,
+        )
+    kept_from = max(math.floor(p.xi * m), 1)
+    if kept_from > m:
+        raise InsufficientSamplesError(
+            f"discard rule drops all samples (floor(xi*m)={math.floor(p.xi * m)}, m={m})"
+        )
+    return kept_from
 
 
 def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel:
@@ -703,25 +739,12 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     if not (math.isfinite(desc[0]) and math.isfinite(desc[-1])):
         raise ValueError(f"samples must be finite; their sort runs from {desc[0]} to {desc[-1]}")
     m = int(values.size)
-    report = validate_params(SampleParams(p.gamma, p.xi, p.delta, m))
-    if not report.lemma_grade:
-        warnings.warn(
-            f"sample count m={m} is below lemma grade for {p}; "
-            f"required_m={report.required_m}",
-            SampleCountWarning,
-            stacklevel=2,
-        )
-    kept_from = max(math.floor(p.xi * m), 1)
-    if kept_from > m:
-        raise InsufficientSamplesError(
-            f"discard rule drops all samples (floor(xi*m)={math.floor(p.xi * m)}, m={m})"
-        )
+    kept_from = _kept_from(m, p)
     kept_vals = desc[kept_from - 1 :]
     tie_free, t_star, r_star = _scan_grid(kept_vals, kept_from, m)
-    # xi_bar is t[0], or floor(xi*m)/m short of t[1]: rows 1 and 2 of the
-    # revenue curve bracket it
+    # rows 1 and 2 of the revenue curve bracket xi_bar
     head = _revenue_points(kept_vals[:2], kept_from, m)
-    xi_bar = max((math.floor(2 * p.xi * m) - 1) / (2 * m), float(head[1, 0]))
+    xi_bar = _xi_bar(p, m, kept_from)
     raw_at_xi_bar = float(np.interp(xi_bar, head[1:3, 0], head[1:3, 1]))
     # xi_bar >= head[1, 0] = (2 * kept_from - 1) / (2m) > 0, so this divides
     point_mass_value = raw_at_xi_bar / xi_bar
@@ -734,3 +757,91 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
         point_mass_value=point_mass_value,
         tie_free=tie_free,
     )
+
+
+def reserve_and_coverage(
+    draw: SortedDraw, p: SampleParams, d: ValuationDistribution | None = None
+) -> tuple[float, bool | None]:
+    """``build_empirical(draw.values(), p)``'s empirical reserve and, when
+    ``d`` is given, its ``coverage_event_holds(d)``, bit for bit, from the
+    draw's block ends and the few blocks that can change either answer.
+    Without ``d``, coverage is None.
+
+    Block k of the draw holds sort positions [k * ORDER_BLOCK, ...); its
+    retained part runs from its first retained position a to its last
+    position b, whose value ``draw.ends[k]`` and grid point t_b are known
+    without a read, and its values are at most the previous block's end
+    value v' (+inf for block 0).
+
+    - Reserve.  Every end is a row of the revenue grid, so the grid's max
+      R is at least the best end R*.  Values are nonnegative and rounding
+      is monotone, so every row of block k has R = fl(t_j * v_j) <=
+      fl(t_b * v'), and a block whose bound is below R* cannot hold the
+      first argmax.  The other blocks are read in order and scanned as
+      `_scan_grid` scans its chunks: after the anchor (0, 0), a row
+      replaces the best only if its R is strictly larger.  Where no row
+      has R > 0 the reserve is the point mass value, which this takes
+      from the full build of the draw's values.
+    - Coverage.  The certificate of `EmpiricalModel.coverage_event_holds`
+      holds on raw positions too: q_lo(v_b) and q_hi(v') bound the
+      block's quantile-interval ends, and the grid points t_a and t_b its
+      brackets.  A certified block holds at every position, so at the
+      first position of every run of equal values in it, which are the
+      values the full check reads.  A block that does not certify is
+      read and checked value by value at its first-of-run positions: the
+      first retained position opens a run, and another opens one where
+      its value differs from the one before, which for a block's first
+      position is v', the previous block's pinned end.  So a run of equal
+      values that crosses a block boundary is split exactly where the full
+      build splits it, and no tie needs the full build.  The verdict is
+      the per-value check's at every distinct value, as the full check's.
+    """
+    m = draw.n
+    if m == 0:
+        raise InsufficientSamplesError("no samples given")
+    kept_from = _kept_from(m, p)
+    # the blocks from k0 on, which hold the retained values: their first
+    # retained and last positions, grid points at both, and end values
+    k0 = (kept_from - 1) // ORDER_BLOCK
+    start = np.maximum(np.arange(k0, draw.blocks) * ORDER_BLOCK, kept_from - 1)
+    last = np.minimum(start // ORDER_BLOCK * ORDER_BLOCK + ORDER_BLOCK, m) - 1
+    t_first, t_last = (2 * start + 1) / (2 * m), (2 * last + 1) / (2 * m)
+    ends = draw.ends[k0:]
+    prev = np.concatenate(([np.inf], draw.ends))[k0:-1]
+    odd = np.arange(1.0, 2 * ORDER_BLOCK, 2.0)
+
+    def span(i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block k0 + i's retained values and their grid points, the exact
+        odd numbers 2j + 1 over 2m, as the build's grid computes them."""
+        k, a = k0 + i, int(start[i])
+        v = draw.block(k)[a - k * ORDER_BLOCK :]
+        t = np.add(odd[: len(v)], 2 * a)
+        t /= 2 * m
+        return v, t
+
+    t_star, r_star = 0.0, 0.0  # the anchor (0, 0)
+    for i in np.flatnonzero(t_last * prev >= (t_last * ends).max()).tolist():
+        v, t = span(i)
+        y = t * v
+        j = int(y.argmax())
+        if y[j] > r_star:
+            t_star, r_star = t[j], y[j]
+    reserve = float(r_star / t_star) if t_star > 0 else build_empirical(draw.values(), p).reserve
+    if d is None:
+        return reserve, None
+
+    factor = (1.0 + p.gamma) ** 2
+    xi_bar = _xi_bar(p, m, kept_from)
+    q_lo, _ = d.quantile_interval(ends)
+    _, q_hi = d.quantile_interval(prev)
+    certified = _certified(q_lo, q_hi, np.maximum(t_first, xi_bar), np.maximum(t_last, xi_bar), factor)
+    for i in np.flatnonzero(~certified).tolist():
+        v, t = span(i)
+        opens = np.empty(len(v), dtype=bool)
+        opens[0] = start[i] == kept_from - 1 or v[0] != prev[i]
+        np.not_equal(v[1:], v[:-1], out=opens[1:])
+        if not opens.all():
+            v, t = v[opens], t[opens]
+        if not _bracketed(d, v, t, xi_bar, factor):
+            return reserve, False
+    return reserve, True

@@ -31,7 +31,7 @@ from ..dists import (
     reject_unknown_keys,
     revenue_curve_hull,
 )
-from ..empirical import SampleParams, build_empirical, validate_params
+from ..empirical import SampleParams, build_empirical, reserve_and_coverage, validate_params
 from ..lp import MultiItemInstance, make_pricing_plan, aggregate, build_lp3, solve
 from ..mechanisms import (
     Environment,
@@ -367,7 +367,7 @@ def mech_rows(mech: str, config: dict, seed: int) -> MechRows:
     elif mech == "vcgl-emp":
         sp = SampleParams(**config["sample_params"]).with_required_m()
         build_rng = meta_stream(seed, 0)
-        reserves = [build_empirical(d.sorted_sample(build_rng, sp.m), sp).empirical_reserve() for d in dists]
+        reserves = [reserve_and_coverage(d.sorted_draw(build_rng, sp.m), sp)[0] for d in dists]
     else:
         reserves = config.get("reserves") or [d.reserve_price for d in dists]
     if mech in ("vcg", "vcgl", "vcgl-emp"):

@@ -41,6 +41,7 @@ from ..empirical import (
     SampleCountWarning,
     SampleParams,
     build_empirical,
+    reserve_and_coverage,
 )
 from ..lp import (
     MultiItemInstance,
@@ -509,8 +510,12 @@ def run_vcgl_samp(cfg: ExperimentConfig) -> Report:
     times alpha^(1/(1-alpha)) and the (1 - xi(1+gamma)^2)(1 - k*delta) /
     (1+gamma)^4 haircut.  The resamples are the independent replicates, so
     the bound's stderr is that of the 100 per-resample mean revenues.
-    Resample t builds from meta stream t and runs case t, so resamples run
-    on threads (``map_independent``) and are merged in t order.
+    Resample t builds from meta stream t and runs case t.  A build's
+    reserve reads only the blocks of its drawn sort that can hold it
+    (`reserve_and_coverage`), a few ms of block-sized numpy calls that
+    threads slow down by contending for the GIL, so the builds run in turn
+    on the calling thread; the resamples' auctions then run on threads
+    (``map_independent``) and are merged in t order.
     """
     started = time.perf_counter()
     block = cfg.trials or 100_000
@@ -528,14 +533,21 @@ def run_vcgl_samp(cfg: ExperimentConfig) -> Report:
     threshold = ratio * haircut
     welfare = expected_order_statistic_iid(d, n, 1)
 
-    def resample(t: int) -> dict[str, Accumulator]:
+    reserves = []
+    read = total = 0
+    for t in range(resamples):
         build_rng = meta_stream(cfg.master_seed, t)
-        reserves = [build_empirical(d.sorted_sample(build_rng, p.m), p).empirical_reserve() for _ in range(n)]
-        return run_batched(_lazy_vcg_batch(d, n, 1, reserves), block, cfg.master_seed, t)
+        draws = [d.sorted_draw(build_rng, p.m) for _ in range(n)]
+        reserves.append([reserve_and_coverage(draw, p)[0] for draw in draws])
+        read += sum(draw.blocks_read for draw in draws)
+        total += sum(draw.blocks for draw in draws)
+
+    def auctions(t: int) -> dict[str, Accumulator]:
+        return run_batched(_lazy_vcg_batch(d, n, 1, reserves[t]), block, cfg.master_seed, t)
 
     per_resample = Accumulator()
     rev_all, welf_all = Accumulator(), Accumulator()
-    for accs in map_independent(resample, range(resamples)):
+    for accs in map_independent(auctions, range(resamples)):
         per_resample.add(accs["revenue"].mean)
         rev_all = rev_all.merge(accs["revenue"])
         welf_all = welf_all.merge(accs["welfare"])
@@ -546,7 +558,7 @@ def run_vcgl_samp(cfg: ExperimentConfig) -> Report:
         MetricSummary.exact("haircut_factor", threshold),
         _bound_metric("factor_margin", per_resample, threshold * welfare, threshold),
     ]
-    notes = (f"m={p.m}", f"resamples={resamples}", f"block={block}")
+    notes = (f"m={p.m}", f"resamples={resamples}", f"block={block}", f"blocks_read={read}/{total}")
     return _finish("vcgl-samp", metrics, cfg, resamples * block, started, notes)
 
 
@@ -661,8 +673,11 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
 
     Factor: 3/(1-k*delta) * (1 + 1/(alpha^(1/(1-alpha)) *
     (1 - max(sqrt(8*gamma/alpha), 4*gamma + xi*gamma)))).  Model ``slot``
-    builds from meta stream ``slot`` alone, so the k builds run on threads
-    (``map_independent``).
+    builds from meta stream ``slot`` alone, reading only the blocks of its
+    drawn sort that its reserve and coverage need (`reserve_and_coverage`).
+    The k builds run in turn on the calling thread: each is a few ms of
+    block-sized numpy calls, which threads slow down by contending for the
+    GIL.
     """
     started = time.perf_counter()
     trials = cfg.trials or 100_000
@@ -677,11 +692,11 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
     )
     d = make_falpha(alpha, 1.0)
 
-    def build(slot: int) -> tuple[float, bool]:
-        model = build_empirical(d.sorted_sample(meta_stream(cfg.master_seed, slot), p.m), p)
-        return model.empirical_reserve(), model.coverage_event_holds(d)
+    def build(slot: int) -> tuple[float, bool, int, int]:
+        draw = d.sorted_draw(meta_stream(cfg.master_seed, slot), p.m)
+        return *reserve_and_coverage(draw, p, d), draw.blocks_read, draw.blocks
 
-    reserves, holds = zip(*map_independent(build, range(k)))
+    reserves, holds, read, blocks = zip(*(build(slot) for slot in range(k)))
     covered = sum(holds)
     revenue, upper, margin = _lottery_metrics(
         cfg.master_seed, trials, d, reserves, factor
@@ -693,7 +708,7 @@ def run_lottery_samp(cfg: ExperimentConfig) -> Report:
         MetricSummary.exact("empirical_reserve[1]", reserves[1]),
         margin,
     ]
-    notes = (f"m={p.m}", f"models_covered={covered}/{k}")
+    notes = (f"m={p.m}", f"models_covered={covered}/{k}", f"blocks_read={sum(read)}/{sum(blocks)}")
     return _finish("lottery-samp", metrics, cfg, trials, started, notes)
 
 

@@ -19,6 +19,16 @@ The stream layout of every experiment and of ``srauctions mech run``:
   instance's setup.  Cases lie below 2**30, and a run holds fewer than
   2**32 blocks (10^15 rows), so no trial stream reaches them.
 
+A build's drawn sort of m values from a continuous kind
+(``dists._uniform_order_statistics``) takes, from its meta stream, one
+Gamma variate per block of ``dists.ORDER_BLOCK`` values and one more, then
+m uniforms, one 64-bit word each: block k's start at word
+``k * ORDER_BLOCK`` after the Gamma variates, and a build that reads only
+some blocks reaches them by ``advance``.  Builds that share a meta stream
+(the two of a ``vcgl-samp`` resample, one per prior in ``mech run``) take
+it in turn, each after the last one's m uniforms, whether or not that one
+read them.
+
 Within a block of ``rows`` rows, the stream is cut into sections, in the
 order the batch function asks for them: section s holds ``w_s`` doubles a
 row, drawn row-major, and starts after the earlier sections' ``rows * w``

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from srauctions.dists import (
+    ORDER_BLOCK,
     DiscreteTabular,
     Exponential,
     FAlpha,
@@ -607,16 +608,28 @@ def _sorted_draws(d, n, reps, seed):
 
 
 class _ZeroLeadingExponentials:
-    """A generator stub whose ``standard_exponential(n)`` returns seeded
-    draws whose first ``zeros`` are 0."""
+    """A generator stub for the block-wise draw: seeded block sums, and
+    seeded uniforms whose first ``zeros`` are 0, each of which gives an
+    exponential -log1p(-u) of 0 at the head of block 0.  It has no
+    word-addressed bit generator, so the uniforms are drawn up front."""
+
+    bit_generator = None
 
     def __init__(self, zeros):
         self.zeros = zeros
+        self._rng = np.random.Generator(np.random.Philox(key=[44, zeros]))
 
-    def standard_exponential(self, n):
-        e = np.random.Generator(np.random.Philox(key=[44, n])).standard_exponential(n)
-        e[: self.zeros] = 0.0
-        return e
+    def standard_gamma(self, shape):
+        return self._rng.standard_gamma(shape)
+
+    def random(self, n):
+        u = self._rng.random(n)
+        u[: self.zeros] = 0.0
+        return u
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64DXSM(seed))
 
 
 class TestSortedSample:
@@ -661,7 +674,63 @@ class TestSortedSample:
         top = d.value_of_quantile(np.finfo(float).tiny)
         assert math.isfinite(top)
         assert a[:zeros].tolist() == [top] * zeros
+        assert a[zeros] < top
         assert np.all(np.isfinite(a)) and np.all(a[:-1] >= a[1:])
+
+    @pytest.mark.parametrize("d", CONTINUOUS_KINDS + DISCRETE_KINDS, ids=repr)
+    def test_a_lazy_draw_reads_the_same_values(self, d):
+        # sorted_sample reads every block of sorted_draw; a draw that reads
+        # a few blocks, in any order, gets the same bytes, and leaves its
+        # stream where sorted_sample does
+        for n in (0, 1, 1023, 1024, 1025, 5_000):
+            full_rng, lazy_rng = _pcg(n), _pcg(n)
+            full = d.sorted_sample(full_rng, n)
+            draw = d.sorted_draw(lazy_rng, n)
+            assert draw.n == n and draw.blocks == -(-n // ORDER_BLOCK)
+            last = np.minimum(np.arange(1, draw.blocks + 1) * ORDER_BLOCK, n) - 1
+            assert draw.ends.tobytes() == full[last].tobytes()
+            for k in sorted(range(draw.blocks), key=lambda k: (k * 7) % 3):
+                assert draw.block(k).tobytes() == full[k * ORDER_BLOCK : (k + 1) * ORDER_BLOCK].tobytes()
+            assert draw.blocks_read == draw.blocks
+            assert draw.values().tobytes() == full.tobytes()
+            assert full_rng.random(3).tobytes() == lazy_rng.random(3).tobytes()
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 5_000])
+    @pytest.mark.parametrize("d", [make_falpha(0.5), make_exponential(2.0)], ids=repr)
+    def test_ranks_at_block_boundaries_have_the_beta_law(self, d, n):
+        # the k-th largest value sits at the k-th smallest of n uniform
+        # quantiles, Beta(k, n + 1 - k), on both sides of every block end:
+        # ranks are read from the lazy draw's blocks, and from its ends
+        reps = 2_000
+        ranks = sorted({1, 2, n - 1, n} | {r for b in range(ORDER_BLOCK, n, ORDER_BLOCK) for r in (b - 1, b, b + 1)})
+        rng = _pcg(46)
+        ends = [i for i, r in enumerate(ranks) if r % ORDER_BLOCK == 0 or r == n]
+        rows = []
+        for _ in range(reps):
+            draw = d.sorted_draw(rng, n)
+            rows.append([draw.block((r - 1) // ORDER_BLOCK)[(r - 1) % ORDER_BLOCK] for r in ranks])
+            assert [rows[-1][i] for i in ends] == [draw.ends[(ranks[i] - 1) // ORDER_BLOCK] for i in ends]
+        q = d.quantile_of_value(np.array(rows))
+        pvalues = [stats.kstest(q[:, i], stats.beta(r, n + 1 - r).cdf).pvalue for i, r in enumerate(ranks)]
+        assert min(pvalues) > 1e-4 / len(ranks), dict(zip(ranks, pvalues))
+
+    @pytest.mark.parametrize("n", [1025, 3_000, 5_000])
+    @pytest.mark.parametrize("d", [make_falpha(0.3, 7.0), make_exponential(2.0)], ids=repr)
+    def test_sorted_draws_match_sorted_samples(self, d, n):
+        # two-sample KS of the drawn sort against np.sort(sample): each
+        # rank's value, and the gap across the first block boundary, whose
+        # two sides come from different blocks
+        reps = 1_500
+        rng = _pcg(47)
+        drawn = np.array([d.sorted_sample(rng, n) for _ in range(reps)])
+        sorted_iid = -np.sort(-np.array([d.sample(rng, n) for _ in range(reps)]), axis=1)
+        ranks = [1, 2, n // 3, ORDER_BLOCK - 1, ORDER_BLOCK, ORDER_BLOCK + 1, n]
+
+        def statistics(a):
+            return [a[:, r - 1] for r in ranks] + [a[:, ORDER_BLOCK - 1] - a[:, ORDER_BLOCK]]
+
+        pvalues = [stats.ks_2samp(x, y).pvalue for x, y in zip(statistics(drawn), statistics(sorted_iid))]
+        assert min(pvalues) > 1e-4 / len(pvalues), pvalues
 
 
 @pytest.mark.parametrize(

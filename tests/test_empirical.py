@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srauctions import empirical, make_falpha, truncate_at
-from srauctions.dists import DiscreteTabular, Exponential, FAlpha
+from srauctions.dists import ORDER_BLOCK, DiscreteTabular, Exponential, FAlpha, SortedDraw
 from srauctions.empirical import (
     _FINE_BLOCK,
     _GRID_CHUNK,
@@ -38,6 +38,7 @@ from srauctions.empirical import (
     build_empirical,
     concave_envelope,
     lemma_grade_threshold,
+    reserve_and_coverage,
     theorem_grade_threshold,
     validate_params,
 )
@@ -1105,6 +1106,146 @@ class TestPresortedBuild:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 8 * m <= peaks[1], peaks
+
+
+class _Coarse(Exponential):
+    """Exponential values rounded down to multiples of ``step``: long runs of
+    equal values, many across block boundaries, and all zeros at a step
+    far above the values."""
+
+    def __init__(self, rate, step):
+        super().__init__(rate)
+        self.step = step
+
+    def _values_in_place(self, q):
+        super()._values_in_place(q)
+        q /= self.step
+        np.floor(q, out=q)
+        q *= self.step
+        return q
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64DXSM(seed))
+
+
+SWEEP_KINDS = [
+    make_falpha(0.5, 1e-6),
+    make_falpha(0.3, 1.0),
+    make_falpha(0.9, 1e9),
+    Exponential(2.0),
+    Exponential(1e-8),
+]
+
+
+class TestLazyReserveAndCoverage:
+    """`reserve_and_coverage` answers from a drawn sort's block ends and the
+    blocks it must read; its reserve and coverage verdict equal the full
+    build's (`build_empirical` of the whole sort, then
+    `coverage_event_holds`) bit for bit."""
+
+    @staticmethod
+    def _check(d, seed, m, xi, gammas, cover=None):
+        """Both answers at each gamma, from one full build and one lazy
+        draw of the same stream; coverage is checked against ``cover``
+        (default ``d``)."""
+        cover = cover or d
+        ps = [SampleParams(g, xi, 0.1) for g in gammas]
+        em = quiet_build(d.sorted_sample(_pcg(seed), m), ps[0])
+        full = [(em.empirical_reserve().hex(), em.coverage_event_holds(cover, g)) for g in gammas]
+        draw = d.sorted_draw(_pcg(seed), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleCountWarning)
+            lazy = [reserve_and_coverage(draw, q, cover) for q in ps]
+        assert [(r.hex(), covered) for r, covered in lazy] == full, (d, seed, m, xi)
+        return full, draw
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 1023, 1024, 1025, 4097, 60_000, 1_000_000])
+    def test_sweep_equals_the_full_build(self, m):
+        # coverage fails at gamma 0.01 and holds at 0.3 at the larger m
+        seed = 0
+        for d in SWEEP_KINDS:
+            for xi in (1e-5, 0.05, 0.3):
+                seed += 1
+                self._check(d, 1000 * m + seed, m, xi, (0.01, 0.3))
+
+    def test_many_seeds(self):
+        outcomes = set()
+        for seed in range(60):
+            d = SWEEP_KINDS[seed % len(SWEEP_KINDS)]
+            xi = (1e-5, 0.05, 0.3)[seed % 3]
+            m = (5_000, 20_000, 2_049)[seed % 3]
+            full, _ = self._check(d, seed, m, xi, (0.01, 0.04, 0.3))
+            outcomes.update(covered for _, covered in full)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_discrete_sorts_with_ties_at_every_boundary(self, seed):
+        # a DiscreteTabular draw is served from the sort in memory; its runs
+        # of equal values span many blocks
+        rng = np.random.Generator(np.random.Philox(key=[50, seed]))
+        d = random_tabular(rng, 12, scale=10.0 ** (3 * seed - 6))
+        self._check(d, seed, 30_000, (1e-5, 0.05, 0.3)[seed % 3], (0.01, 0.1, 0.3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_across_block_boundaries(self, seed):
+        # coarse continuous values: blocks that do not certify are read, and
+        # some open on the value that ended the block before, which the
+        # full build counts as no new distinct value
+        d = _Coarse(1.0, 0.125)
+        outcomes = set()
+        crossed = 0
+        for xi in (1e-5, 0.05):
+            full, draw = self._check(d, seed, 50_000, xi, (0.02, 0.1, 0.3), cover=Exponential(1.0))
+            outcomes.update(covered for _, covered in full)
+            crossed += sum(k > 0 and draw.block(k)[0] == draw.ends[k - 1] for k in list(draw._blocks))
+        assert crossed > 0
+        assert outcomes == {True, False}
+
+    def test_a_run_across_a_block_boundary_counts_once(self):
+        # values at Exponential(1)'s exact grid quantiles, but for a run of
+        # equal values from the last position of block 0 into block 1.
+        # Block 1 cannot certify and is read; its first value continues the
+        # run, so, as in the full build, it is no distinct value of its own,
+        # though checked at its own grid point it would fail the bracket
+        m, gamma = 4 * ORDER_BLOCK, 2e-4
+        t = (2 * np.arange(m) + 1) / (2 * m)
+        values = -np.log(t)
+        values[ORDER_BLOCK - 1 : ORDER_BLOCK + 77] = values[ORDER_BLOCK - 1]
+        p, d = SampleParams(gamma, 1e-5, 0.1), Exponential(1.0)
+        em = quiet_build(values, p)
+        draw = SortedDraw.of(values)
+        with pytest.warns(SampleCountWarning):
+            assert reserve_and_coverage(draw, p, d) == (em.empirical_reserve(), True)
+        assert em.coverage_event_holds(d)
+        assert 1 in draw._blocks
+        own = slice(ORDER_BLOCK, ORDER_BLOCK + 1)
+        assert not _bracketed(d, values[own], t[own], em.xi_bar, (1 + gamma) ** 2)
+
+    def test_no_positive_revenue_falls_back_to_the_full_build(self):
+        # every value rounds to 0: no grid row has R > 0, so the reserve is
+        # the point mass value, which the full build computes
+        d = _Coarse(1e3, 1.0)
+        full, draw = self._check(d, 5, 3_000, 0.05, (0.1,), cover=Exponential(1e3))
+        assert full == [((0.0).hex(), False)]
+        assert draw.blocks_read == draw.blocks
+
+    def test_a_theorem_grade_build_reads_few_blocks(self):
+        p = SampleParams(0.05, 0.05, 0.05).with_required_m()
+        d = make_falpha(0.5, 1.0)
+        draw = d.sorted_draw(_pcg(9), p.m)
+        reserve, covered = reserve_and_coverage(draw, p, d)
+        assert draw.blocks_read < draw.blocks // 8
+        em = build_empirical(d.sorted_sample(_pcg(9), p.m), p)
+        assert (reserve, covered) == (em.empirical_reserve(), em.coverage_event_holds(d))
+        assert reserve_and_coverage(d.sorted_draw(_pcg(9), p.m), p) == (reserve, None)
+
+    def test_bad_inputs_raise_as_the_build_does(self):
+        p = SampleParams(0.2, 0.5, 0.1)
+        with pytest.raises(InsufficientSamplesError):
+            reserve_and_coverage(make_falpha(0.5).sorted_draw(_pcg(1), 0), p)
+        with pytest.warns(SampleCountWarning):
+            reserve_and_coverage(make_falpha(0.5).sorted_draw(_pcg(1), 10), p)
 
 
 class TestNonFiniteSamples:

@@ -530,9 +530,9 @@ SAMPLED_SMALL = {
 @pytest.mark.parametrize("experiment_id", sorted(SAMPLED_SMALL))
 def test_thread_count_changes_no_byte(experiment_id, monkeypatch):
     """The sampled experiments give the same report on one thread, on the
-    machine's usable CPUs and on three threads whose builds end in a
-    scrambled order: builds and resamples are merged in stream order,
-    never in the order they end.  Metrics are compared as floats too,
+    machine's usable CPUs and on three threads whose resamples' auctions
+    end in a scrambled order: builds and resamples are merged in stream
+    order, never in the order they end.  Metrics are compared as floats too,
     since the CSV's 12 digits would hide a last-bit change in a sum."""
     cfg = ExperimentConfig(experiment_id=experiment_id, master_seed=4242, **SAMPLED_SMALL[experiment_id])
 
@@ -545,14 +545,14 @@ def test_thread_count_changes_no_byte(experiment_id, monkeypatch):
     unpatched = run()
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
     one = run()
-    build = experiments.build_empirical
+    batched = experiments.run_batched
 
-    def jittered(samples, params):
-        # 0 to 12 ms, set by the top sample's bits
-        time.sleep(samples[:1].view(np.uint64)[0] % 7 * 0.002)
-        return build(samples, params)
+    def jittered(batch_fn, trials, seed, case=0):
+        # 0 to 12 ms, set by the case
+        time.sleep(case * 5 % 7 * 0.002)
+        return batched(batch_fn, trials, seed, case)
 
-    monkeypatch.setattr(experiments, "build_empirical", jittered)
+    monkeypatch.setattr(experiments, "run_batched", jittered)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
     three = run()
     assert one == unpatched == three
@@ -1126,19 +1126,23 @@ CRITERION_SAMPLE_SHA256 = "c6b8894092aa8ae206e39d5160cbd2b76f4f97ee977a228130b9e
 #: experiment but lemma-square draws its trials from ``run_batched``'s
 #: block streams (``rng.block_stream``), and a run with one case is case 0.
 #: lottery-samp, posted-lp-samp and vcgl-samp draw each build's samples as
-#: order statistics (``sorted_sample``) from meta streams; vcgl-samp makes
-#: 100 resamples of two builds at m = 725,085 whatever its trial count.
+#: order statistics from meta streams: posted-lp-samp whole
+#: (``sorted_sample``), lottery-samp and vcgl-samp block by block
+#: (``sorted_draw``), reading only the blocks that their reserve and
+#: coverage need (``reserve_and_coverage``); a block's values are those of
+#: ``sorted_sample`` on the same stream.  vcgl-samp makes 100 resamples of
+#: two builds at m = 725,085 whatever its trial count.
 REPORT_SHA256 = {
     "vcg-duplicates": (300_000, "b01264c258ea88eb66370b893e681a71667e28eb94beb29a0434586dcb3a249e"),
     "vcgl": (300_000, "239afc4277c5cb05e5efcf67ddcea6ea7b7a13df437a27554925fdef9aedab40"),
     "posted-lp": (300_000, "b97b5e166706b40b7b5b9788e18bbf4beab55840fd219df45bb60691d01cb2b8"),
     "two-mech": (260_000, "c77049a3a34a0e848a10692bcf471e84afbc57a39ec5ff75b08f362a3aac797e"),
     "lottery": (260_000, "7723718621a00d841049f4186ccbb1776c7e661b2475a68817538a6f73e272ab"),
-    "lottery-samp": (260_000, "e48068ee2c56e673818380970f75a7434288e2c6254eec9bc85321143b402467"),
+    "lottery-samp": (260_000, "258681dcf0a15fa4cbd2d9c87da85b59558305b42cb3b880270a0b0d031f2708"),
     "posted-lp-samp": (260_000, "91286fb41b99284c450ad270c2bb998401183977c9d4fcfa3b8117e661a9a2ef"),
     "lemma-square": (20, "7052e82cb3f76bd3288d618d0b3cfec6a1866d2037726eb0f89f417915d117ae"),
     # 200 theorem-grade builds (m = 725,085) and 1,000 auctions per resample
-    "vcgl-samp": (1_000, "48f16c272b845f267a9767f90d516d2480b162815cfc38c38d458ec95a765c11"),
+    "vcgl-samp": (1_000, "f25c4e8f82bc687bf0dd66964ba0957d206db650c36d0c7be0e6adae85b5b3a5"),
 }
 
 
@@ -1163,8 +1167,10 @@ class TestReportBytes:
 
 class TestSampledReservesSkipTheHull:
     """lottery-samp and vcgl-samp read only each build's reserve and
-    coverage, which the build computes without a hull: a run passes with
-    `concave_envelope`, the hull's one entry point, made to raise."""
+    coverage, which `reserve_and_coverage` computes from a few blocks of
+    the drawn sort, with no hull and no build of the whole sort: a run
+    passes with `concave_envelope`, the hull's one entry point, and
+    `build_empirical` made to raise.  Its notes count the blocks read."""
 
     @pytest.mark.parametrize("experiment_id, trials", [("lottery-samp", 200), ("vcgl-samp", 100)])
     def test_no_build_is_hulled(self, experiment_id, trials, monkeypatch):
@@ -1173,9 +1179,18 @@ class TestSampledReservesSkipTheHull:
         def no_hull(*args, **kwargs):
             raise AssertionError("an empirical build was hulled")
 
+        def no_build(*args, **kwargs):
+            raise AssertionError("the whole sort was built")
+
         monkeypatch.setattr(empirical, "concave_envelope", no_hull)
+        monkeypatch.setattr(empirical, "build_empirical", no_build)
+        monkeypatch.setattr(experiments, "build_empirical", no_build)
         report = run_experiment(experiment_id, ExperimentConfig(experiment_id=experiment_id, trials=trials))
         assert report.verdict
+        (note,) = [n for n in report.notes if n.startswith("blocks_read=")]
+        read, total = map(int, note.removeprefix("blocks_read=").split("/"))
+        assert 0 < read < total // 8
+        assert note not in render_csv(report)
 
 
 #: run in a fresh interpreter: prints the scipy modules loaded after the
