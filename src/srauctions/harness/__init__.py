@@ -19,7 +19,6 @@ from .montecarlo import (
     MetricSummary,
     Report,
     Z95,
-    map_independent,
     render_csv,
     run_batched,
     wilson_interval,

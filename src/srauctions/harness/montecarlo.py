@@ -22,13 +22,6 @@ rows, each reading only its own rows of each section: their temporaries
 fit in a core's L2 cache, where a whole block's would take tens of MB.
 The sub-blocks' metric columns fill block-sized arrays, which are added
 once per block, so the sub-block size never changes a byte.
-
-``map_independent`` runs work that shares no data and no stream, such as
-the model builds of ``lottery-samp`` and the resamples of ``vcgl-samp``,
-on one thread per usable CPU (numpy's array loops release the GIL), and
-hands the results back in item order, so the thread count never changes a
-report byte.  A run's blocks and sub-blocks stay sequential on the calling
-thread.
 """
 
 from __future__ import annotations
@@ -36,10 +29,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -53,9 +44,6 @@ _CHUNK = 250_000
 
 #: Most rows one sub-block of a block holds (see the module docstring).
 _SUB_BLOCK = 32_768
-
-_Item = TypeVar("_Item")
-_Result = TypeVar("_Result")
 
 
 class Accumulator:
@@ -311,10 +299,8 @@ def run_batched(
     as sub-blocks of at most ``_SUB_BLOCK`` rows, whose ``Draws`` read
     their own rows of the block's sections; their arrays fill the block's,
     and each metric adds a block at once, in block order.  Everything runs
-    on the calling thread; a caller may run whole cases on threads
-    (``map_independent``) and merge their accumulators in case order.
-    Returns one accumulator per metric, in the order the first block named
-    them.
+    on the calling thread.  Returns one accumulator per metric, in the
+    order the first block named them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -334,76 +320,6 @@ def run_batched(
         for name, xs in out.items():
             accs.setdefault(name, Accumulator()).add_batch(xs)
     return accs
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (so ``taskset`` and container limits count), else the
-    machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def map_independent(
-    fn: Callable[[_Item], _Result], items: Iterable[_Item]
-) -> list[_Result]:
-    """``[fn(x) for x in items]``, on up to one thread per usable CPU.
-
-    Each call must draw from its own streams and share no mutable state
-    with the others; then the results, returned in item order, are the
-    loop's whatever the thread count or the order the calls finish in.
-    With w = min(len(items), usable CPUs) threads, the calling thread runs
-    items 0, w, 2w, ... and thread j items j, j + w, ..., since the items
-    cost about the same; with one usable CPU the calling thread runs them
-    all, in order, and no thread is started.  Once item f has failed, no
-    thread starts an item after f, so the run stops promptly, while every
-    item before f still runs: the error raised is that of the earliest
-    failing item, the one the loop would raise.  An interrupt that is not
-    an ``Exception``, such as ``KeyboardInterrupt``, stops every thread at
-    its next item and is raised in preference.  Every thread is joined
-    before this returns or raises.
-    """
-    items = list(items)
-    workers = max(1, min(len(items), _usable_cpus()))
-    results: list = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    last = len(items)  # no thread starts an item after this one
-
-    def stop_after(i: int) -> None:
-        nonlocal last
-        with lock:
-            last = min(last, i)
-
-    def share(j: int) -> None:
-        for i in range(j, len(items), workers):
-            if i > last:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # re-raised by the calling thread
-                errors[i] = exc
-                stop_after(i if isinstance(exc, Exception) else -1)
-                return
-
-    threads = [threading.Thread(target=share, args=(j,), daemon=True) for j in range(1, workers)]
-    try:
-        for t in threads:
-            t.start()
-        share(0)
-        for t in threads:
-            t.join()
-    except BaseException:
-        # an interrupt outside fn: stop the others, join those started
-        stop_after(-1)
-        for t in threads:
-            if t.ident is not None:
-                t.join()
-        raise
-    if errors:
-        raise errors[min(errors, key=lambda i: (isinstance(errors[i], Exception), i))]
-    return results
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> tuple[float, float]:

@@ -15,7 +15,6 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -44,7 +43,6 @@ from srauctions.harness import (
     expected_order_statistic_iid,
     lazy_vcg_k_uniform,
     lottery_k_uniform,
-    map_independent,
     meta_stream,
     myerson_optimal_revenue_iid,
     oracle_exact_expectation,
@@ -406,120 +404,6 @@ class TestDraws:
             assert sums(fn, trials) == whole[name], name
 
 
-class TestMapIndependent:
-    """``map_independent`` returns the loop's results, in item order, on any
-    number of threads, and joins them all before it returns or raises."""
-
-    def test_results_follow_item_order_not_finish_order(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-        delays = [0.06, 0.0, 0.03, 0.0, 0.05, 0.01, 0.0]
-        threads = set()
-
-        def slow_square(i):
-            time.sleep(delays[i])
-            threads.add(threading.get_ident())
-            return i * i
-
-        assert map_independent(slow_square, range(len(delays))) == [i * i for i in range(len(delays))]
-        assert len(threads) == 3
-
-    def test_earliest_failing_item_is_raised_after_every_join(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-        before = threading.active_count()
-        ran = []
-
-        def fail_at_4_and_5(i):
-            # item 5 fails first in time, item 4 first in item order; both
-            # run on worker threads (the calling thread takes 0, 3, 6, ...)
-            time.sleep(0.05 if i == 4 else 0.0)
-            ran.append(i)
-            if i in (4, 5):
-                raise ValueError(f"item {i}")
-            return i
-
-        with pytest.raises(ValueError, match="item 4"):
-            map_independent(fail_at_4_and_5, range(9))
-        assert threading.active_count() == before
-        # every item before the earliest failure runs; no thread starts an
-        # item after the failure it has seen (6 may run before 5 fails)
-        assert {0, 1, 2, 3, 4, 5} <= set(ran) <= {0, 1, 2, 3, 4, 5, 6}
-
-    def test_an_early_failure_stops_every_thread(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-        before = threading.active_count()
-        ran = []
-
-        def fail_at_1(i):
-            ran.append(i)
-            if i == 1:
-                raise ValueError("item 1")
-            time.sleep(0.01)
-            return i
-
-        with pytest.raises(ValueError, match="item 1"):
-            map_independent(fail_at_1, range(60))
-        assert threading.active_count() == before
-        # item 0 still runs; 2 only if its thread started it before 1 failed
-        assert {0, 1} <= set(ran) <= {0, 1, 2}
-
-    def test_an_interrupt_wins_over_an_earlier_failure(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        before = threading.active_count()
-        ran = []
-
-        def interrupt_at_2(i):
-            # the calling thread runs 0, 2, 4, ...; the worker 1, 3, 5, ...
-            # item 1 fails after the interrupt at item 2
-            ran.append(i)
-            if i == 1:
-                time.sleep(0.05)
-                raise ValueError("item 1")
-            if i == 2:
-                raise KeyboardInterrupt
-            return i
-
-        with pytest.raises(KeyboardInterrupt):
-            map_independent(interrupt_at_2, range(40))
-        assert threading.active_count() == before
-        assert sorted(ran) == [0, 1, 2]
-
-    def test_one_cpu_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        before = threading.active_count()
-
-        def where(i):
-            assert threading.active_count() == before
-            return threading.get_ident()
-
-        assert map_independent(where, range(4)) == [threading.get_ident()] * 4
-
-    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
-        # every thread writes its own result slots and error keys; with the
-        # interpreter switching threads every microsecond, no slot is lost
-        # and the earliest failure still wins
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            items = range(400)
-            assert map_independent(lambda i: sum(range(i)), items) == [sum(range(i)) for i in items]
-
-            def fail_from_101(i):
-                if i >= 101 and i % 3 == 2:
-                    raise ValueError(f"item {i}")
-                return sum(range(i))
-
-            with pytest.raises(ValueError, match="item 101"):
-                map_independent(fail_from_101, items)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-
-    def test_usable_cpus_is_a_positive_count(self):
-        assert montecarlo._usable_cpus() >= 1
-
-
 #: the small sampled configs of test_criterion_11_determinism
 SAMPLED_SMALL = {
     "vcgl-samp": dict(trials=2_000, sample_params=SampleParams(gamma=0.1, xi=0.01, delta=0.01, m=20_000)),
@@ -528,12 +412,11 @@ SAMPLED_SMALL = {
 
 
 @pytest.mark.parametrize("experiment_id", sorted(SAMPLED_SMALL))
-def test_thread_count_changes_no_byte(experiment_id, monkeypatch):
-    """The sampled experiments give the same report on one thread, on the
-    machine's usable CPUs and on three threads whose resamples' auctions
-    end in a scrambled order: builds and resamples are merged in stream
-    order, never in the order they end.  Metrics are compared as floats too,
-    since the CSV's 12 digits would hide a last-bit change in a sum."""
+def test_sampled_experiments_start_no_thread(experiment_id, monkeypatch):
+    """The sampled experiments run on the calling thread: with every thread
+    start raising, they give an unpatched run's report.  Metrics are
+    compared as floats too, since the CSV's 12 digits would hide a last-bit
+    change in a sum."""
     cfg = ExperimentConfig(experiment_id=experiment_id, master_seed=4242, **SAMPLED_SMALL[experiment_id])
 
     def run():
@@ -543,19 +426,12 @@ def test_thread_count_changes_no_byte(experiment_id, monkeypatch):
         return render_csv(report), report.metrics, report.notes
 
     unpatched = run()
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-    one = run()
-    batched = experiments.run_batched
 
-    def jittered(batch_fn, trials, seed, case=0):
-        # 0 to 12 ms, set by the case
-        time.sleep(case * 5 % 7 * 0.002)
-        return batched(batch_fn, trials, seed, case)
+    def no_start(thread):
+        raise AssertionError(f"{experiment_id} started a thread")
 
-    monkeypatch.setattr(experiments, "run_batched", jittered)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
-    three = run()
-    assert one == unpatched == three
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    assert run() == unpatched
 
 
 class TestConfidenceIntervals:
