@@ -434,6 +434,65 @@ def test_sampled_experiments_start_no_thread(experiment_id, monkeypatch):
     assert run() == unpatched
 
 
+@pytest.mark.parametrize("experiment_id", sorted(set(EXPERIMENTS) - set(SAMPLED_SMALL)))
+def test_experiment_starts_no_thread(experiment_id, monkeypatch):
+    """Every other experiment runs on the calling thread too, and gives the
+    same report with every thread start raising."""
+    cfg = ExperimentConfig(experiment_id=experiment_id, trials=200)
+
+    def run():
+        report = run_experiment(experiment_id, cfg)
+        return render_csv(report), report.metrics, report.notes
+
+    unpatched = run()
+
+    def no_start(thread):
+        raise AssertionError(f"{experiment_id} started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    assert run() == unpatched
+
+
+def test_library_neither_threads_nor_reads_the_cpu_count():
+    """No library module imports threading or asks how many CPUs it may
+    use, so a run's work and its peak memory do not depend on the host."""
+    package = Path(srauctions.__file__).resolve().parent
+    pattern = re.compile(r"threading|map_independent|sched_getaffinity|cpu_count")
+    hits = [
+        f"{path.relative_to(package)}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
+
+
+def test_vcgl_samp_resample_t_builds_from_meta_stream_t_and_runs_case_t(monkeypatch):
+    """Resample t draws its two sorts from meta stream t and its auctions
+    from case t's block streams, each once; the auctions run in t order,
+    so the merged sums are those of a run in any build order."""
+    builds, cases = [], []
+    meta, batched = experiments.meta_stream, experiments.run_batched
+
+    def logged_meta(seed, index):
+        builds.append((seed, index))
+        return meta(seed, index)
+
+    def logged_batched(batch_fn, trials, seed, case=0):
+        cases.append((trials, seed, case))
+        return batched(batch_fn, trials, seed, case)
+
+    monkeypatch.setattr(experiments, "meta_stream", logged_meta)
+    monkeypatch.setattr(experiments, "run_batched", logged_batched)
+    cfg = ExperimentConfig(experiment_id="vcgl-samp", master_seed=77, **SAMPLED_SMALL["vcgl-samp"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleCountWarning)
+        report = run_experiment("vcgl-samp", cfg)
+    assert builds == [(77, t) for t in range(100)]
+    assert cases == [(2_000, 77, t) for t in range(100)]
+    assert "resamples=100" in report.notes
+
+
 class TestConfidenceIntervals:
     def test_ci_covers_known_mean(self):
         # Bernoulli(0.3): the 95% interval should cover the truth in roughly
