@@ -100,6 +100,11 @@ def _uniform_on_half_open(rng: np.random.Generator, n: int) -> np.ndarray:
 #: Values per block of a drawn sort (`SortedDraw`).
 ORDER_BLOCK = 1024
 
+#: Most blocks a drawn sort reads in one pass (`SortedDraw`): 128 KiB of
+#: values, an array small enough to be reused from the heap rather than
+#: mapped and faulted in afresh.
+RUN_BLOCKS = 16
+
 _TINY = np.finfo(float).tiny
 
 
@@ -109,7 +114,8 @@ class _UniformOrderStatistics:
 
     ``ends[k]`` is the quantile at the last position of block k, which
     covers positions [k * ORDER_BLOCK, (k + 1) * ORDER_BLOCK) of n.
-    ``read(k, out)`` fills ``out`` (block k's length) with its quantiles.
+    ``read(k, rows)`` fills the rows of ``rows`` with the quantiles of
+    blocks k, k + 1, ..., one block a row.
     """
 
     def __init__(self, rng: np.random.Generator, n: int):
@@ -121,11 +127,12 @@ class _UniformOrderStatistics:
         shape[nb - 1 : nb] = n - (nb - 1) * ORDER_BLOCK  # the last block; none at n = 0
         shape[nb] = 1.0
         self._sums = rng.standard_gamma(shape)
-        self._cum = np.cumsum(self._sums)
-        self.ends = np.maximum(self._cum[:-1] / self._cum[-1], _TINY)
+        # S before each block, then S_(n+1); the leading 0 adds exactly
+        self._cum = np.cumsum(np.concatenate(([0.0], self._sums)))
+        self.ends = np.maximum(self._cum[1:-1] / self._cum[-1], _TINY)
         bits = rng.bit_generator
         if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-            # advance counts 64-bit words: a block's uniforms are read at
+            # advance counts 64-bit words: a run's uniforms are read at
             # their offset, by a generator of this draw's own
             self._u = None
             self._state = bits.state
@@ -150,29 +157,33 @@ class _UniformOrderStatistics:
         self._gen.random(out=out)
         self._pos = word + len(out)
 
-    def read(self, k: int, out: np.ndarray) -> np.ndarray:
-        """Block k's quantiles, written over ``out``: the partial sums of its
-        exponentials, -log1p(-u) of its uniforms, scaled to its drawn sum.
+    def read(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """The quantiles of blocks k, k + 1, ..., written over the rows of
+        ``rows``, a C-contiguous array of one block a row: each row the
+        partial sums of its block's exponentials, -log1p(-u) of its
+        uniforms, scaled to its drawn sum.
 
         Only ratios of the partial sums are taken, so they are summed as
         log1p(-u) <= 0 and the sign cancels.  The ratio at the last position
-        is exactly 1, so the block ends on its drawn end, ``ends[k]``, and
-        the next block starts from it: the quantiles are exactly
-        nondecreasing across blocks.
+        is exactly 1, so a block ends on its drawn end, ``ends[k]``, and the
+        next block starts from it: the quantiles are exactly nondecreasing
+        across blocks.  Every step is elementwise or runs along a row, so a
+        row's bytes do not depend on the rows read with it.
         """
-        self._uniforms(k * ORDER_BLOCK, out)
-        np.negative(out, out=out)
-        np.log1p(out, out=out)
-        np.add.accumulate(out, out=out)
-        if out[-1] < 0.0:
-            out /= out[-1]
-        else:  # every uniform 0 (probability 2**-53 a value): no spacing to split
-            out.fill(1.0)
-        out *= self._sums[k]
-        if k:
-            out += self._cum[k - 1]
-        out /= self._cum[-1]
-        return np.maximum(out, _TINY, out=out)
+        r = len(rows)
+        self._uniforms(k * ORDER_BLOCK, rows.reshape(-1))
+        np.negative(rows, out=rows)
+        np.log1p(rows, out=rows)
+        np.add.accumulate(rows, axis=1, out=rows)
+        last = rows[:, -1:].copy()
+        flat = ~(last[:, 0] < 0.0)
+        if flat.any():  # every uniform of a row 0 (probability 2**-53 a value): no spacing to split
+            rows[flat] = last[flat] = 1.0
+        rows /= last
+        rows *= self._sums[k : k + r, None]
+        rows += self._cum[k : k + r, None]
+        rows /= self._cum[-1]
+        return np.maximum(rows, _TINY, out=rows)
 
 
 def _uniform_order_statistics(rng: np.random.Generator, n: int) -> _UniformOrderStatistics:
@@ -193,10 +204,10 @@ def _uniform_order_statistics(rng: np.random.Generator, n: int) -> _UniformOrder
 
     The stream holds the block sums, then n uniforms, one 64-bit word each,
     block k's at words [k * ORDER_BLOCK, ...) after the sums.  On a PCG64
-    or PCG64DXSM stream, whose ``advance`` counts words, a block is read at
-    its offset and ``rng`` is left after the uniforms at once; on any other
-    generator the uniforms are drawn up front.  Either way ``rng`` ends
-    where a read of every block leaves it.
+    or PCG64DXSM stream, whose ``advance`` counts words, a run of blocks is
+    read at its offset and ``rng`` is left after the uniforms at once; on
+    any other generator the uniforms are drawn up front.  Either way
+    ``rng`` ends where a read of every block leaves it.
 
     The quantiles are computed directly, not as 1 - u, so the smallest
     ones, which give the largest values, keep their relative precision.
@@ -210,13 +221,20 @@ def _uniform_order_statistics(rng: np.random.Generator, n: int) -> _UniformOrder
 
 
 class SortedDraw:
-    """A sort of ``n`` values, largest first, read block by block: ``ends``
+    """A sort of ``n`` values, largest first, read by blocks: ``ends``
     holds the value at the last position of each block of `ORDER_BLOCK`
-    positions, and ``block(k)`` computes block k's values on its first
-    read.  ``blocks_read`` counts the blocks computed so far.
+    positions, and a block's values are computed on its first read.
+    ``blocks_read`` counts the blocks computed so far.
+
+    Blocks are read in runs: `run` reads the blocks of a range that are
+    not read yet as runs of at most `RUN_BLOCKS` consecutive blocks, each
+    in one pass of array operations with a block to a row, and `runs`
+    serves a set of blocks so.  `block` is a run of one, and `values()`
+    reads every block, in runs, straight into its output.  A block's values
+    are the same bytes however it is read.
 
     A continuous kind's `ValuationDistribution.sorted_draw` draws a block
-    only when it is read; `values()` reads every block, and is
+    only when it is read; `values()` is
     `ValuationDistribution.sorted_sample`.  ``SortedDraw.of`` serves the
     blocks of a sort already in memory.
     """
@@ -224,7 +242,8 @@ class SortedDraw:
     def __init__(self, n: int, ends: np.ndarray, read):
         self.n = n
         self.ends = ends
-        self._read = read  # read(k, out): block k's values, written over out
+        # read(k, rows): blocks k, k + 1, ..., one a row, written over rows
+        self._read = read
         self._blocks: dict[int, np.ndarray] = {}
 
     @classmethod
@@ -232,9 +251,9 @@ class SortedDraw:
         """The blocks of ``values``, a nonincreasing array."""
         last = np.minimum(np.arange(ORDER_BLOCK, len(values) + ORDER_BLOCK, ORDER_BLOCK), len(values)) - 1
 
-        def read(k, out):
-            out[:] = values[k * ORDER_BLOCK :][: len(out)]
-            return out
+        def read(k, rows):
+            rows.reshape(-1)[:] = values[k * ORDER_BLOCK :][: rows.size]
+            return rows
 
         return cls(len(values), values[last], read)
 
@@ -246,24 +265,50 @@ class SortedDraw:
     def blocks_read(self) -> int:
         return len(self._blocks)
 
+    def run(self, a: int, b: int) -> np.ndarray:
+        """The values of blocks [a, b), largest first, as one array, which
+        the blocks then view.  Blocks read before are copied; the others
+        are read in place, in runs of at most `RUN_BLOCKS` blocks of
+        `ORDER_BLOCK` values (a short last block is a run of its own)."""
+        if b - a == 1 and a in self._blocks:
+            return self._blocks[a]
+        out = np.empty(min(b * ORDER_BLOCK, self.n) - a * ORDER_BLOCK)
+        full = self.n // ORDER_BLOCK
+        k = a
+        while k < b:
+            c = k + 1
+            if k in self._blocks:
+                vals = self._blocks[k]
+                out[(k - a) * ORDER_BLOCK :][: len(vals)] = vals
+            else:
+                while c < min(b, k + RUN_BLOCKS, full) and c not in self._blocks:
+                    c += 1
+                self._read(k, out[(k - a) * ORDER_BLOCK : (c - a) * ORDER_BLOCK].reshape(c - k, -1))
+            k = c
+        for k in range(a, b):
+            self._blocks[k] = out[(k - a) * ORDER_BLOCK : (k - a + 1) * ORDER_BLOCK]
+        return out
+
+    def runs(self, ks):
+        """The blocks ``ks`` (ascending), a run of consecutive blocks, at
+        most `RUN_BLOCKS` long, at a time: yields (k, values) with k the
+        run's first block and values those of `run`."""
+        ks = list(ks)
+        i = 0
+        while i < len(ks):
+            j = i + 1
+            while j < len(ks) and ks[j] == ks[j - 1] + 1 and j - i < RUN_BLOCKS:
+                j += 1
+            yield ks[i], self.run(ks[i], ks[j - 1] + 1)
+            i = j
+
     def block(self, k: int) -> np.ndarray:
         """The values of block k, largest first."""
-        vals = self._blocks.get(k)
-        if vals is None:
-            vals = self._blocks[k] = self._read(k, np.empty(min(ORDER_BLOCK, self.n - k * ORDER_BLOCK)))
-        return vals
+        return self.run(k, k + 1)
 
     def values(self) -> np.ndarray:
         """All n values, as one contiguous array; the blocks are views of it."""
-        out = np.empty(self.n)
-        for k in range(self.blocks):
-            part = out[k * ORDER_BLOCK : (k + 1) * ORDER_BLOCK]
-            if k in self._blocks:
-                part[:] = self._blocks[k]
-            else:
-                self._read(k, part)
-            self._blocks[k] = part
-        return out
+        return self.run(0, self.blocks)
 
 
 class ValuationDistribution(ABC):
@@ -410,19 +455,21 @@ class _ContinuousKind(ValuationDistribution):
         return self.sorted_draw(rng, n).values()
 
     def sorted_draw(self, rng: np.random.Generator, n: int) -> SortedDraw:
-        """Each block's values go through ``_values_in_place`` on their own,
-        whether one block is read or all of them, so a SIMD loop splits
-        every block the same way.  The last is then set to the block's end
-        value, computed with the other ends, so it is exactly the end that
-        bounds the block and the next one, however numpy splits the two
-        arrays."""
+        """A run's values go through ``_values_in_place`` in one pass over
+        its rows.  Every block but a short last one is a row of
+        `ORDER_BLOCK` values, a multiple of every SIMD width, so a SIMD loop
+        splits each block the same way whether it is read alone, in a run or
+        with every other block; a short last block is always read alone.
+        The last value of each row is then set to the block's end value,
+        computed with the other ends, so it is exactly the end that bounds
+        the block and the next one, however numpy splits the two arrays."""
         q = _uniform_order_statistics(rng, n)
         ends = self._values_in_place(q.ends.copy())
 
-        def read(k, out):
-            self._values_in_place(q.read(k, out))
-            out[-1] = ends[k]
-            return out
+        def read(k, rows):
+            self._values_in_place(q.read(k, rows))
+            rows[:, -1] = ends[k : k + len(rows)]
+            return rows
 
         return SortedDraw(q.n, ends, read)
 

@@ -777,9 +777,11 @@ def reserve_and_coverage(
       R is at least the best end R*.  Values are nonnegative and rounding
       is monotone, so every row of block k has R = fl(t_j * v_j) <=
       fl(t_b * v'), and a block whose bound is below R* cannot hold the
-      first argmax.  The other blocks are read in order and scanned as
-      `_scan_grid` scans its chunks: after the anchor (0, 0), a row
-      replaces the best only if its R is strictly larger.  Where no row
+      first argmax.  The other blocks are read in order, in runs of
+      consecutive blocks (`SortedDraw.runs`), and each run's rows are
+      scored at once, as `_scan_grid` scores a chunk: after the anchor
+      (0, 0), a run's first argmax replaces the best only if its R is
+      strictly larger, so the first argmax of all rows wins.  Where no row
       has R > 0 the reserve is the point mass value, which this takes
       from the full build of the draw's values.
     - Coverage.  The certificate of `EmpiricalModel.coverage_event_holds`
@@ -795,6 +797,9 @@ def reserve_and_coverage(
       values that crosses a block boundary is split exactly where the full
       build splits it, and no tie needs the full build.  The verdict is
       the per-value check's at every distinct value, as the full check's.
+      These blocks are read one at a time, in order, up to the first that
+      fails: a run would read blocks past it that the verdict does not
+      need.
     """
     m = draw.n
     if m == 0:
@@ -808,20 +813,20 @@ def reserve_and_coverage(
     t_first, t_last = (2 * start + 1) / (2 * m), (2 * last + 1) / (2 * m)
     ends = draw.ends[k0:]
     prev = np.concatenate(([np.inf], draw.ends))[k0:-1]
-    odd = np.arange(1.0, 2 * ORDER_BLOCK, 2.0)
 
-    def span(i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block k0 + i's retained values and their grid points, the exact
-        odd numbers 2j + 1 over 2m, as the build's grid computes them."""
-        k, a = k0 + i, int(start[i])
-        v = draw.block(k)[a - k * ORDER_BLOCK :]
-        t = np.add(odd[: len(v)], 2 * a)
+    def span(k: int, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The retained part of ``vals``, the values of blocks k, k + 1,
+        ..., and their grid points, the exact odd numbers 2j + 1 over 2m,
+        as the build's grid computes them."""
+        a = int(start[k - k0])
+        v = vals[a - k * ORDER_BLOCK :]
+        t = np.arange(2 * a + 1, 2 * (a + len(v)), 2.0)
         t /= 2 * m
         return v, t
 
     t_star, r_star = 0.0, 0.0  # the anchor (0, 0)
-    for i in np.flatnonzero(t_last * prev >= (t_last * ends).max()).tolist():
-        v, t = span(i)
+    for k, vals in draw.runs((np.flatnonzero(t_last * prev >= (t_last * ends).max()) + k0).tolist()):
+        v, t = span(k, vals)
         y = t * v
         j = int(y.argmax())
         if y[j] > r_star:
@@ -836,7 +841,7 @@ def reserve_and_coverage(
     _, q_hi = d.quantile_interval(prev)
     certified = _certified(q_lo, q_hi, np.maximum(t_first, xi_bar), np.maximum(t_last, xi_bar), factor)
     for i in np.flatnonzero(~certified).tolist():
-        v, t = span(i)
+        v, t = span(k0 + i, draw.block(k0 + i))
         opens = np.empty(len(v), dtype=bool)
         opens[0] = start[i] == kept_from - 1 or v[0] != prev[i]
         np.not_equal(v[1:], v[:-1], out=opens[1:])

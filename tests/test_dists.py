@@ -18,6 +18,7 @@ from scipy import stats
 
 from srauctions.dists import (
     ORDER_BLOCK,
+    RUN_BLOCKS,
     DiscreteTabular,
     Exponential,
     FAlpha,
@@ -731,6 +732,101 @@ class TestSortedSample:
 
         pvalues = [stats.ks_2samp(x, y).pvalue for x, y in zip(statistics(drawn), statistics(sorted_iid))]
         assert min(pvalues) > 1e-4 / len(pvalues), pvalues
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=[seed, 7]))
+
+
+def _block_by_block(d, rng, n):
+    """``d.sorted_sample(rng, n)`` with every block read on its own: a
+    transcription of the block reader that the run reader replaced, kept as
+    the reference for its bytes.  A PCG64DXSM stream's uniforms are read at
+    each block's word offset, any other stream's up front."""
+    tiny = np.finfo(float).tiny
+    nb = -(-n // ORDER_BLOCK)
+    shape = np.full(nb + 1, float(ORDER_BLOCK))
+    shape[nb - 1 : nb] = n - (nb - 1) * ORDER_BLOCK
+    shape[nb] = 1.0
+    sums = rng.standard_gamma(shape)
+    cum = np.cumsum(sums)
+    ends = d._values_in_place(np.maximum(cum[:-1] / cum[-1], tiny))
+    if isinstance(rng.bit_generator, np.random.PCG64DXSM):
+        state = rng.bit_generator.state
+        rng.bit_generator.advance(n)
+
+        def uniforms(word, out):
+            gen = np.random.Generator(np.random.PCG64DXSM(0))
+            gen.bit_generator.state = state
+            gen.bit_generator.advance(word)
+            gen.random(out=out)
+
+    else:
+        u = rng.random(n)
+
+        def uniforms(word, out):
+            out[:] = u[word : word + len(out)]
+
+    values = np.empty(n)
+    for k in range(nb):
+        out = np.empty(min(ORDER_BLOCK, n - k * ORDER_BLOCK))
+        uniforms(k * ORDER_BLOCK, out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.add.accumulate(out, out=out)
+        if out[-1] < 0.0:
+            out /= out[-1]
+        else:
+            out.fill(1.0)
+        out *= sums[k]
+        if k:
+            out += cum[k - 1]
+        out /= cum[-1]
+        np.maximum(out, tiny, out=out)
+        d._values_in_place(out)
+        out[-1] = ends[k]
+        values[k * ORDER_BLOCK : (k + 1) * ORDER_BLOCK] = out
+    return values
+
+
+class TestRunReads:
+    """A drawn sort reads its blocks in runs of up to `RUN_BLOCKS`, one
+    pass of array operations a run; every block has the bytes it has when
+    read on its own (`_block_by_block`), whatever run it is read in, with
+    or without numpy's AVX-512 loops."""
+
+    @staticmethod
+    def _check(d, gen, n):
+        ref_rng = gen(n)
+        ref = _block_by_block(d, ref_rng, n)
+        rng = gen(n)
+        assert d.sorted_sample(rng, n).tobytes() == ref.tobytes()
+        assert rng.random(3).tobytes() == ref_rng.random(3).tobytes()
+        for length in range(1, RUN_BLOCKS + 2):
+            # runs of `length` blocks with gaps between them, then the rest,
+            # whose runs are read around the blocks read before
+            draw = d.sorted_draw(gen(n), n)
+            ks = [k for k in range(draw.blocks) if k // length % 2 == 0]
+            for k, vals in draw.runs(ks):
+                assert vals.tobytes() == ref[k * ORDER_BLOCK :][: len(vals)].tobytes(), (length, k)
+            assert draw.blocks_read == len(ks)
+            assert draw.values().tobytes() == ref.tobytes(), length
+            assert draw.blocks_read == draw.blocks
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5_000, 1_107_402])
+    @pytest.mark.parametrize("gen", [_pcg, _philox], ids=["pcg64dxsm", "philox"])
+    @pytest.mark.parametrize("d", [make_falpha(0.5), make_exponential(2.0)], ids=repr)
+    def test_runs_read_the_bytes_of_single_blocks(self, d, gen, n):
+        self._check(d, gen, n)
+
+    @pytest.mark.parametrize("zeros, flat", [(1, 0), (ORDER_BLOCK, 1), (2 * ORDER_BLOCK + 5, 2)])
+    @pytest.mark.parametrize("d", [make_falpha(0.5), make_exponential(2.0)], ids=repr)
+    def test_an_all_zero_row_reads_as_alone(self, d, zeros, flat):
+        # the first `flat` blocks' uniforms are all 0: their rows take the
+        # fill branch, each at one value, beside rows that do not
+        self._check(d, lambda n: _ZeroLeadingExponentials(zeros), 5_000)
+        draw = d.sorted_draw(_ZeroLeadingExponentials(zeros), 5_000)
+        assert [np.unique(draw.block(k)).size == 1 for k in range(flat + 1)] == [True] * flat + [False]
 
 
 @pytest.mark.parametrize(

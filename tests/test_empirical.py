@@ -1222,6 +1222,18 @@ class TestLazyReserveAndCoverage:
         own = slice(ORDER_BLOCK, ORDER_BLOCK + 1)
         assert not _bracketed(d, values[own], t[own], em.xi_bar, (1 + gamma) ** 2)
 
+    @pytest.mark.parametrize(
+        "d, seed, blocks_read",
+        [(make_falpha(0.5), 0, 17), (make_falpha(0.5), 2, 20), (Exponential(2.0), 0, 14)],
+        ids=repr,
+    )
+    def test_a_failing_coverage_check_reads_no_block_past_the_failing_one(self, d, seed, blocks_read):
+        # the counts are those of a reader of one block at a time; a
+        # reader of runs of blocks would read past the block that fails
+        full, draw = self._check(d, seed, 60_000, 0.05, (0.01,))
+        assert full[0][1] is False
+        assert draw.blocks_read == blocks_read
+
     def test_no_positive_revenue_falls_back_to_the_full_build(self):
         # every value rounds to 0: no grid row has R > 0, so the reserve is
         # the point mass value, which the full build computes

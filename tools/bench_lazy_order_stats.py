@@ -86,7 +86,7 @@ from srauctions.harness import ExperimentConfig, render_csv, run_experiment
 from srauctions.harness.cli import main
 
 class OldDraw:
-    # the parent's _uniform_order_statistics, served block by block
+    # the parent's _uniform_order_statistics, served a run of blocks at a time
     def __init__(self, rng, n):
         s = rng.standard_exponential(int(n) + 1)
         np.cumsum(s, out=s)
@@ -96,9 +96,9 @@ class OldDraw:
         B = dists.ORDER_BLOCK
         self.ends = q[np.minimum(np.arange(B, n + B, B), n) - 1].copy()
 
-    def read(self, k, out):
-        out[:] = self._q[k * dists.ORDER_BLOCK :][: len(out)]
-        return out
+    def read(self, k, rows):
+        rows.reshape(-1)[:] = self._q[k * dists.ORDER_BLOCK :][: rows.size]
+        return rows
 
 dists._uniform_order_statistics = OldDraw
 out = {}
