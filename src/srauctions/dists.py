@@ -100,10 +100,11 @@ def _uniform_on_half_open(rng: np.random.Generator, n: int) -> np.ndarray:
 #: Values per block of a drawn sort (`SortedDraw`).
 ORDER_BLOCK = 1024
 
-#: Most blocks a drawn sort reads in one pass (`SortedDraw`): 128 KiB of
-#: values, an array small enough to be reused from the heap rather than
-#: mapped and faulted in afresh.
-RUN_BLOCKS = 16
+#: Most blocks a drawn sort reads in one pass (`SortedDraw`): 64 KiB of
+#: values, below glibc's default 128 KiB mmap threshold, so a run's array
+#: comes from the heap from the first read on rather than being mapped and
+#: faulted in afresh.
+RUN_BLOCKS = 8
 
 _TINY = np.finfo(float).tiny
 

@@ -802,7 +802,7 @@ class TestRunReads:
         rng = gen(n)
         assert d.sorted_sample(rng, n).tobytes() == ref.tobytes()
         assert rng.random(3).tobytes() == ref_rng.random(3).tobytes()
-        for length in range(1, RUN_BLOCKS + 2):
+        for length in range(1, 2 * RUN_BLOCKS + 2):
             # runs of `length` blocks with gaps between them, then the rest,
             # whose runs are read around the blocks read before
             draw = d.sorted_draw(gen(n), n)

@@ -4,7 +4,7 @@ Writes one JSON file per part into ``--out`` and, with ``assemble``, merges
 them into ``BENCH_block_runs.json``.  Parts::
 
     python3 tools/bench_block_runs.py pairs --out DIR --parent P --change C \\
-        --workload W --seed S --pairs N [--seconds T]
+        --workload W --seed S --pairs N
     python3 tools/bench_block_runs.py draws --out DIR --parent P --change C
     python3 tools/bench_block_runs.py vcgl-samp --out DIR --parent P --change C
     python3 tools/bench_block_runs.py sweep --out DIR
@@ -13,8 +13,8 @@ them into ``BENCH_block_runs.json``.  Parts::
 P and C are checkouts of the parent and of the change (a ``git archive``
 copy of each, so that ``bench/`` is the same file set in both).
 
-* ``pairs`` is that of ``tools/bench_sub_blocks.py``: alternating
-  ``bench/run.py --trace 0`` runs of ``--seconds`` each (30 by default).
+* ``pairs`` is that of ``tools/bench_sub_blocks.py``: alternating 30 s
+  ``bench/run.py --trace 0`` runs.
 * ``draws`` runs, in fresh processes alternating between the checkouts, 12
   lottery-samp builds (FAlpha(1/2), m = 1,107,402, meta streams (1, slot))
   through ``sorted_draw`` and ``reserve_and_coverage``, timing each build,
@@ -169,13 +169,12 @@ def main(argv=None) -> None:
     ap.add_argument("--workload")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--passes", type=int, default=15)
     ap.add_argument("--result", type=Path, default=ROOT / "BENCH_block_runs.json")
     args = ap.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     if args.part == "pairs":
-        pairs(args.out, args.parent, args.change, args.workload, args.seed, args.pairs, args.seconds)
+        pairs(args.out, args.parent, args.change, args.workload, args.seed, args.pairs)
     elif args.part == "draws":
         draws(args.out, args.parent, args.change)
     elif args.part == "vcgl-samp":

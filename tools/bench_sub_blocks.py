@@ -19,7 +19,7 @@ copy of each, so that ``bench/`` is the same file set in both).
   ``_CHUNK`` runs every block as one sub-block.
 * ``pairs`` alternates ``bench/run.py --seconds 30 --trace 0`` between the
   two checkouts (the parent first in even pairs, counting from 0) and keeps
-  the last JSON line of each run; ``--seconds`` sets a shorter run.
+  the last JSON line of each run.
 * ``faults`` counts the minor page faults (``getrusage`` ``ru_minflt``) of
   one default run of ``vcgl``, ``posted-lp`` and ``posted-lp-samp``, each
   in a fresh process after a warm-up run of the same experiment.
@@ -124,10 +124,10 @@ def sweep(out: Path, passes: int) -> None:
     (out / "sweep.json").write_text(json.dumps(result, indent=1))
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float = 30) -> dict:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", "30", "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     line = json.loads(proc.stdout.splitlines()[-1])
@@ -142,14 +142,14 @@ def bench_run(checkout: Path, workload: str, seed: int, seconds: float = 30) -> 
     }
 
 
-def pairs(out: Path, parent: Path, change: Path, workload: str, seed: int, n: int, seconds: float = 30) -> None:
+def pairs(out: Path, parent: Path, change: Path, workload: str, seed: int, n: int) -> None:
     runs = {"parent": [], "change": []}
     for k in range(n):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(bench_run(parent if side == "parent" else change, workload, seed, seconds))
+            runs[side].append(bench_run(parent if side == "parent" else change, workload, seed))
         print(workload, seed, k, {s: runs[s][-1]["verdict_s"] for s in runs}, flush=True)
-    result = {"workload": workload, "seed": seed, "pairs": n, "seconds": seconds}
+    result = {"workload": workload, "seed": seed, "pairs": n}
     for metric in ("verdict_s", "setup_s", "peak_rss_mb"):
         p = [r[metric] for r in runs["parent"]]
         c = [r[metric] for r in runs["change"]]
@@ -255,14 +255,13 @@ def main(argv=None) -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--passes", type=int, default=15)
-    ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--result", type=Path, default=ROOT / "BENCH_sub_blocks.json")
     args = ap.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
     if args.part == "sweep":
         sweep(args.out, args.passes)
     elif args.part == "pairs":
-        pairs(args.out, args.parent, args.change, args.workload, args.seed, args.pairs, args.seconds)
+        pairs(args.out, args.parent, args.change, args.workload, args.seed, args.pairs)
     elif args.part == "faults":
         faults(args.out, args.parent, args.change)
     elif args.part == "vcgl-samp":
