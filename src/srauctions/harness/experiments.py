@@ -10,7 +10,7 @@ functions in the test suite.
 Benchmarks:
 
 * single-item optimal revenue comes from exact enumeration (discrete) or
-  quadrature (analytic families);
+  closed forms (analytic families);
 * the budgeted-welfare experiment compares against the unconstrained
   efficient welfare E[max feasible sum of values], a strict upper bound on
   any budget-feasible benchmark, so its verdict is conservative;
@@ -469,9 +469,9 @@ def run_vcgl(cfg: ExperimentConfig) -> Report:
     """Reserve-gated efficient auction revenue vs efficient welfare.
 
     Bound: revenue >= alpha^(1/(1-alpha)) * E[welfare], with E[welfare]
-    exact (quadrature).  Welfare has infinite variance at alpha <= 1/2, so
-    only revenue, whose tail is lighter, goes under the 4-stderr rule; the
-    Monte Carlo welfare is informational.  At one bidder revenue equals
+    exact (closed-form order-statistic means).  Welfare has infinite
+    variance at alpha <= 1/2, so only revenue, whose tail is lighter, goes
+    under the 4-stderr rule; the Monte Carlo welfare is informational.  At one bidder revenue equals
     r q(r) exactly, which is checked as a two-sided gap.
     """
     started = time.perf_counter()

@@ -1,14 +1,12 @@
-"""Brute-force and quadrature oracles.
+"""Brute-force and closed-form oracles.
 
 These deliberately avoid the mechanism implementations: expectations come
-from exhaustive enumeration over discrete profiles (or adaptive quadrature
-for the analytic families), so Monte Carlo means have something independent
-to be checked against.
-
-Quadrature is the one use of scipy in the package.  `_quad` imports
-``scipy.integrate`` on its first call, so a run that never integrates
-(the sampled mechanisms, the CLI, enumeration over discrete profiles) never
-loads scipy.
+from exhaustive enumeration over discrete profiles, or from closed forms for
+the analytic families, so Monte Carlo means have something independent to
+be checked against.  The closed forms rest on one fact: the rank-th largest
+of n i.i.d. draws sits at the rank-th smallest of n uniform quantiles, which
+is Beta(rank, n - rank + 1) distributed.  The tests check each form against
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -17,22 +15,10 @@ import itertools
 import math
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
-from ..dists import DiscreteTabular, ValuationDistribution
+from ..dists import DiscreteTabular, Exponential, FAlpha, ValuationDistribution
 from ..mechanisms import Environment
 
 _MAX_PROFILES = 2_000_000
-
-
-def _quad(integrand: Callable[[float], float], lo: float) -> float:
-    """Integral of ``integrand`` over [lo, inf) by adaptive quadrature
-    (``scipy.integrate.quad``, relative tolerance 1e-10, at most 400
-    subintervals)."""
-    from scipy import integrate
-
-    val, _ = integrate.quad(integrand, lo, np.inf, epsrel=1e-10, limit=400)
-    return float(val)
 
 
 def enumerate_profiles(
@@ -105,40 +91,74 @@ def oracle_feasible_argmax(
 def myerson_optimal_revenue_iid(d: ValuationDistribution, n: int) -> float:
     """Optimal revenue for ``n`` i.i.d. regular bidders, one item.
 
-    E[max(0, phi(max of n draws))] via adaptive quadrature over the value
-    axis: the integrand is phi(v) * n F(v)^(n-1) f(v) above the reserve.
+    E[max(0, phi(V))] for V the largest of n draws: profile enumeration for
+    `DiscreteTabular`, closed forms for the analytic kinds.  Their virtual
+    value is a line with slope a through the reserve r (a = alpha and
+    r = scale for FAlpha, a = 1 and r = 1/rate for Exponential), so the
+    revenue is a E[(V - r)^+], the integral of Pr[V > v] over v >= r.
+    V's quantile U is Beta(1, n) distributed, so Pr[V > v] = Pr[U < q(v)]
+    = 1 - (1 - q(v))^n = q(v) sum_{i=0..n-1} (1 - q(v))^i.  Integrated over
+    the quantile t = q(v) from 0 to q_r = q(r), this is
+
+        FAlpha:       scale alpha^2 sum_{i=0..n-1} I_i,  q_r = alpha^(1/(1-alpha)),
+                      I_i = integral_0^q_r t^(alpha-1) (1-t)^i dt;
+        Exponential:  (1/rate) sum_{j=1..n} (1 - (1 - 1/e)^j) / j.
+
+    The incomplete Beta integrals I_i follow from I_0 = q_r^alpha / alpha
+    and (alpha + i) I_i = q_r^alpha (1 - q_r)^i + i I_{i-1}, so every term
+    summed is positive.  Expanding (1 - q)^n instead gives the same values
+    as alternating binomial sums, such as alpha sum_{j=1..n} C(n,j)
+    (-1)^(j+1) (scale/b) c/(j - c) (1 + b)^(1 - j/c) for FAlpha with
+    c = 1 - alpha and b = c/alpha, whose terms cancel as n grows.
+    Any other kind raises `TypeError`.
     """
+    if n < 1:
+        raise ValueError(f"need at least one bidder, got n={n!r}")
     if isinstance(d, DiscreteTabular):
         return oracle_optimal_revenue_single_item([d] * n)
-    r = d.reserve_price
-
-    def integrand(v: float) -> float:
-        return (
-            float(d.virtual_valuation(v))
-            * n
-            * float(d.cdf(v)) ** (n - 1)
-            * float(d.density(v))
-        )
-
-    return _quad(integrand, r)
+    if isinstance(d, FAlpha):
+        a = d.alpha
+        q_r = a ** (1.0 / (1.0 - a))
+        head = q_r**a
+        term = total = head / a
+        for i in range(1, n):
+            term = (head * (1.0 - q_r) ** i + i * term) / (a + i)
+            total += term
+        return d.scale * a * a * total
+    if isinstance(d, Exponential):
+        keep = 1.0 - math.exp(-1.0)
+        return math.fsum((1.0 - keep**j) / j for j in range(1, n + 1)) / d.rate
+    raise TypeError(f"no exact oracle for {type(d).__name__}")
 
 
 def expected_order_statistic_iid(
     d: ValuationDistribution, n: int, rank: int
 ) -> float:
-    """E[rank-th largest of n i.i.d. draws] by quadrature (rank from 1).
+    """E[rank-th largest of n i.i.d. draws] (rank from 1), exactly.
 
-    Uses E[X] = integral of the survival function of the order statistic:
-    Pr[X_(rank) > v] = sum_{j=rank}^{n} C(n,j) q^j (1-q)^(n-j), q = 1-F(v).
+    Profile enumeration for `DiscreteTabular`.  For the analytic kinds the
+    draw's quantile U is Beta(rank, n - rank + 1) distributed, and:
+
+    - FAlpha: the value at quantile q is (scale/b)(q^-c - 1), with
+      c = 1 - alpha and b = c/alpha, and
+      E[U^-c] = B(rank - c, n - rank + 1) / B(rank, n - rank + 1)
+              = prod_{j=rank..n} j / (j - c),
+      so the mean is (scale/b)(prod_{j=rank..n} j/(j - c) - 1), taken as
+      expm1 of a sum of log1p(c/(j - c)) so that nothing cancels;
+    - Exponential: the value is -log(q)/rate and E[-log U] is the digamma
+      difference sum_{j=rank..n} 1/j, so the mean is
+      (1/rate) sum_{j=rank..n} 1/j.
+
+    Any other kind raises `TypeError`.
     """
     if not 1 <= rank <= n:
         raise ValueError("rank out of range")
-
-    def survival(v: float) -> float:
-        q = float(d.quantile_of_value(v))
-        return sum(
-            math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(rank, n + 1)
-        )
-
-    lo = float(d.support_min())
-    return lo + _quad(survival, lo)
+    if isinstance(d, DiscreteTabular):
+        return oracle_exact_expectation([d] * n, lambda values: sorted(values)[n - rank])
+    if isinstance(d, FAlpha):
+        c = 1.0 - d.alpha
+        log_moment = math.fsum(math.log1p(c / (j - c)) for j in range(rank, n + 1))
+        return d.scale / (c / d.alpha) * math.expm1(log_moment)
+    if isinstance(d, Exponential):
+        return math.fsum(1.0 / j for j in range(rank, n + 1)) / d.rate
+    raise TypeError(f"no exact oracle for {type(d).__name__}")

@@ -20,11 +20,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import srauctions
 from srauctions.dists import (
     DiscreteTabular,
     Exponential,
+    ValuationDistribution,
     make_falpha,
     make_random_alpha_sr_discrete,
 )
@@ -541,12 +543,12 @@ class TestOracles:
 
     def test_myerson_revenue_continuous_one_bidder(self):
         d = make_falpha(0.5, 1.0)
-        assert myerson_optimal_revenue_iid(d, 1) == pytest.approx(0.25, abs=1e-8)
+        assert myerson_optimal_revenue_iid(d, 1) == pytest.approx(0.25, rel=1e-15)
 
     def test_myerson_revenue_continuous_two_bidders(self):
         d = make_falpha(0.5, 1.0)
         assert myerson_optimal_revenue_iid(d, 2) == pytest.approx(
-            23.0 / 48.0, abs=1e-8
+            23.0 / 48.0, rel=1e-14
         )
 
     def test_myerson_revenue_discrete_delegates_to_enumeration(self):
@@ -556,16 +558,41 @@ class TestOracles:
         d = make_falpha(0.5, 1.0)
         emax = expected_order_statistic_iid(d, 2, 1)
         emin = expected_order_statistic_iid(d, 2, 2)
-        assert emax == pytest.approx(5.0 / 3.0, abs=1e-8)
-        assert emin == pytest.approx(1.0 / 3.0, abs=1e-8)
-        assert emax / emin == pytest.approx(5.0, abs=1e-6)
+        assert emax == pytest.approx(5.0 / 3.0, rel=1e-14)
+        assert emin == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert emax / emin == pytest.approx(5.0, rel=1e-14)
         assert expected_order_statistic_iid(d, 4, 2) == pytest.approx(
-            29.0 / 35.0, abs=1e-8
+            29.0 / 35.0, rel=1e-14
         )
+        # quadrature read 1.7692307692251 here
+        assert expected_order_statistic_iid(make_falpha(0.3, 1.0), 2, 1) == pytest.approx(
+            23.0 / 13.0, rel=1e-14
+        )
+
+    @pytest.mark.parametrize("rate", [0.5, 2.0])
+    def test_exponential_order_statistics_are_harmonic_tails(self, rate):
+        d = Exponential(rate)
+        for rank, tail in ((1, 11.0 / 6.0), (2, 5.0 / 6.0), (3, 1.0 / 3.0)):
+            assert expected_order_statistic_iid(d, 3, rank) == pytest.approx(tail / rate, rel=1e-15)
+
+    def test_discrete_order_statistics_enumerate(self):
+        # (1,1) with 1/4, else the max is 2; the min is 2 only at (2,2)
+        assert expected_order_statistic_iid(COIN, 2, 1) == pytest.approx(1.75)
+        assert expected_order_statistic_iid(COIN, 2, 2) == pytest.approx(1.25)
 
     def test_order_statistic_rank_range(self):
         with pytest.raises(ValueError):
             expected_order_statistic_iid(COIN, 2, 3)
+        with pytest.raises(ValueError):
+            myerson_optimal_revenue_iid(make_falpha(0.5), 0)
+
+    def test_unsupported_kind_raises_type_error(self):
+        # every abstract method stubbed out: a kind with no exact oracle
+        other = type("Other", (ValuationDistribution,), dict.fromkeys(ValuationDistribution.__abstractmethods__))()
+        with pytest.raises(TypeError):
+            myerson_optimal_revenue_iid(other, 2)
+        with pytest.raises(TypeError):
+            expected_order_statistic_iid(other, 2, 1)
 
     def test_feasible_argmax_single_item(self):
         members, weight = oracle_feasible_argmax(single_item(2), [3.0, 2.0])
@@ -586,6 +613,70 @@ class TestOracles:
     def test_feasible_argmax_tie_prefers_small_index(self):
         members, _ = oracle_feasible_argmax(single_item(2), [2.0, 2.0])
         assert members == (0,)
+
+
+def quad_order_statistic(d, n, rank):
+    """E[rank-th largest of n i.i.d. draws] by quadrature of its survival
+    function, sum_{j=rank..n} C(n,j) q^j (1-q)^(n-j) at q = 1 - F(v)."""
+
+    def survival(v):
+        q = float(d.quantile_of_value(v))
+        return sum(math.comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(rank, n + 1))
+
+    return integrate.quad(survival, 0.0, np.inf, epsrel=1e-10, limit=400)[0]
+
+
+def quad_optimal_revenue(d, n):
+    """E[max(0, phi(max of n draws))] by quadrature of phi n F^(n-1) f
+    above the reserve."""
+
+    def integrand(v):
+        return float(d.virtual_valuation(v)) * n * float(d.cdf(v)) ** (n - 1) * float(d.density(v))
+
+    return integrate.quad(integrand, d.reserve_price, np.inf, epsrel=1e-10, limit=400)[0]
+
+
+CLOSED_FORM_CASES = [(make_falpha(alpha), n) for alpha in (0.3, 0.5, 0.7, 0.9) for n in range(1, 13)] + [
+    (Exponential(rate), n) for rate in (0.5, 2.0) for n in range(1, 25)
+]
+
+
+class TestClosedFormOracles:
+    """The analytic kinds' closed forms against adaptive quadrature, an
+    independent reference, to its relative tolerance of 1e-10."""
+
+    @pytest.mark.parametrize("d, n", CLOSED_FORM_CASES, ids=lambda x: repr(x))
+    def test_closed_forms_match_quadrature(self, d, n):
+        assert myerson_optimal_revenue_iid(d, n) == pytest.approx(quad_optimal_revenue(d, n), rel=1e-10)
+        for rank in range(1, n + 1):
+            assert expected_order_statistic_iid(d, n, rank) == pytest.approx(
+                quad_order_statistic(d, n, rank), rel=1e-10
+            )
+
+    @pytest.mark.parametrize("d", [make_falpha(0.5), make_falpha(0.9), Exponential(1.0)], ids=repr)
+    def test_optimal_revenue_holds_at_many_bidders(self, d):
+        # the alternating binomial sum for the same value loses every digit
+        # by n = 200 (terms near 1.25^200 at alpha = 1/2); the form summed
+        # here has positive terms only
+        assert myerson_optimal_revenue_iid(d, 200) == pytest.approx(quad_optimal_revenue(d, 200), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "unit, scaled",
+        [(make_falpha(0.5), make_falpha(0.5, 1e8)), (make_falpha(0.3), make_falpha(0.3, 1e8)),
+         (Exponential(1.0), Exponential(1e-8))],
+        ids=repr,
+    )
+    def test_values_scale_with_the_unit(self, unit, scaled):
+        # no absolute epsilon: a value 1e8 times larger is 1e8 times the
+        # value, up to the rounding of the scale itself
+        for n in (1, 2, 5, 12):
+            pairs = [(myerson_optimal_revenue_iid(scaled, n), myerson_optimal_revenue_iid(unit, n))]
+            pairs += [
+                (expected_order_statistic_iid(scaled, n, rank), expected_order_statistic_iid(unit, n, rank))
+                for rank in range(1, n + 1)
+            ]
+            for big, small in pairs:
+                assert abs(big - 1e8 * small) <= 4 * math.ulp(big)
 
 
 class TestOracleAgreement:
@@ -1135,31 +1226,28 @@ class TestSampledReservesSkipTheHull:
 
 
 #: run in a fresh interpreter: prints the scipy modules loaded after the
-#: imports, after six experiments that do not integrate, and after vcgl
+#: imports and after every registered experiment, at small trial counts
 SCIPY_PROBE = """
 import json, sys
 import srauctions, srauctions.harness, srauctions.harness.cli
-from srauctions.harness import ExperimentConfig, run_experiment
+from srauctions.harness import EXPERIMENTS, ExperimentConfig, run_experiment
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 loaded = [scipy_modules()]
-for eid in ("lottery-samp", "two-mech", "lottery", "posted-lp", "posted-lp-samp", "lemma-square"):
-    assert run_experiment(eid, ExperimentConfig(experiment_id=eid, trials=200)).verdict
+for eid in EXPERIMENTS:
+    assert run_experiment(eid, ExperimentConfig(experiment_id=eid, trials=200)).verdict, eid
 loaded.append(scipy_modules())
-assert run_experiment("vcgl", ExperimentConfig(experiment_id="vcgl", trials=200)).verdict
-loaded.append(scipy_modules())
-print(json.dumps(loaded))
+print(json.dumps([loaded, sorted(EXPERIMENTS)]))
 """
 
 
-class TestScipyOnlyForQuadrature:
-    """scipy is imported by the first quadrature call (`oracles._quad`),
-    not by importing the package: the library, the CLI and every
-    experiment whose exact values need no quadrature run without it."""
+class TestNoScipyAtRunTime:
+    """scipy is a test dependency only: the library, the CLI and every
+    experiment, exact oracles included, run on numpy alone."""
 
-    def test_scipy_is_loaded_by_the_first_quadrature(self):
+    def test_no_experiment_loads_scipy(self):
         src = str(Path(srauctions.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-c", SCIPY_PROBE],
@@ -1168,10 +1256,10 @@ class TestScipyOnlyForQuadrature:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        after_import, after_six, after_vcgl = json.loads(proc.stdout)
+        (after_import, after_all), ran = json.loads(proc.stdout)
+        assert ran == sorted(EXPERIMENTS) and len(ran) == 9
         assert after_import == []
-        assert after_six == []
-        assert "scipy.integrate" in after_vcgl
+        assert after_all == []
 
 
 class TestExperimentsOnTheEngine:
