@@ -347,8 +347,10 @@ class ValuationDistribution(ABC):
 
         Contract: each end is nonincreasing in v up to an absolute 2**-50,
         a few ulps of 1; that is, for v >= v' each end at v is at most the
-        same end at v' plus 2**-50.  `EmpiricalModel.coverage_event_holds`
-        certifies whole blocks of values from their ends on this contract.
+        same end at v' plus 2**-50.  The coverage check of
+        `empirical.reserve_and_coverage` (and so of
+        `EmpiricalModel.coverage_event_holds`) certifies whole blocks of
+        values from their ends on this contract.
         The three distributions meet it as follows.
 
         - FAlpha: the base 1 + b * max(v, 0) / scale is a chain of

@@ -27,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -322,22 +322,11 @@ def _run_ends(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-#: Margin by which a block's ends must clear the coverage bracket for
-#: `EmpiricalModel.coverage_event_holds` to certify the block: the 2**-50
-#: of `ValuationDistribution.quantile_interval`'s monotonicity contract,
-#: plus the rounding of adding the margin to a quantile in [0, 1].
+#: Margin by which a block's ends must clear the coverage bracket for the
+#: coverage check (`_covered`) to certify the block: the 2**-50 of
+#: `ValuationDistribution.quantile_interval`'s monotonicity contract, plus
+#: the rounding of adding the margin to a quantile in [0, 1].
 _QUANTILE_MARGIN = 2.0**-48
-
-
-def _certified(q_lo, q_hi, qbar_first, qbar_last, factor: float) -> np.ndarray:
-    """Which blocks of values the coverage check certifies from their ends:
-    ``q_lo`` at each block's last value and ``q_hi`` at its first (or at a
-    value above it) must clear the brackets at the opposite end, around the
-    leftmost quantiles ``qbar_last`` and ``qbar_first``, by
-    `_QUANTILE_MARGIN`."""
-    return (q_lo + _QUANTILE_MARGIN <= qbar_first * factor + 1e-15) & (
-        q_hi - _QUANTILE_MARGIN >= qbar_last / factor - 1e-15
-    )
 
 
 def _xi_bar(p: SampleParams, m: int, kept_from: int) -> float:
@@ -471,8 +460,8 @@ class EmpiricalModel:
     Stored: the build's sort ``sorted_samples`` (one contiguous, descending
     array), ``kept_from``, ``params``, the empirical ``reserve``,
     ``xi_bar``, ``point_mass_value`` and ``tie_free``, the build's own
-    answer to whether no two retained values are equal, which the coverage
-    check and the hull read instead of scanning the values again.
+    answer to whether no two retained values are equal, which the hull
+    reads to pick its path.
     Everything else is a closed form of the sort: the retained value at
     0-based position j is ``sorted_samples[kept_from - 1 + j]``, at grid
     point ``(2(kept_from + j) - 1) / (2m)`` (`_grid_at`).
@@ -610,62 +599,12 @@ class EmpiricalModel:
     def retained_quantiles(self) -> np.ndarray:
         return self.revenue_points[1:-1, 0]
 
-    def _distinct_retained(self) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """Distinct retained values (descending), and a map from positions
-        among them to the grid point t_j of each one's first occurrence.
-
-        Clipped below at xi_bar, that grid point is the value's leftmost
-        quantile, what `quantile_of_value` returns for it, read off the
-        build's own sort without a search and computed only where asked
-        (`_grid_at`).  A build without ties returns a view of the sort and
-        `_grid_at` itself, with no gather and no array of positions.
-        """
-        kept = self.retained_values()
-        if self.tie_free:
-            return kept, self._grid_at
-        first, _ = _run_ends(kept)
-        pos = np.flatnonzero(first)
-        return kept[pos], lambda k: self._grid_at(pos[k])
-
-    def coverage_event_holds(self, d: ValuationDistribution, gamma: float | None = None) -> bool:
+    def coverage_event_holds(self, d: ValuationDistribution) -> bool:
         """True iff, for every retained sample value, the true quantile meets
-        a (1+gamma)^2 multiplicative bracket around its empirical quantile.
-
-        At an atom of ``d`` the true quantile is the whole jump interval
-        ``[Pr[v > u], Pr[v >= u]]``; the event asks that this interval
-        intersect the bracket.  Off atoms the interval collapses to
-        ``1 - F(u)`` and the check is the usual two-sided one.  Both sides
-        carry an absolute slack of 1e-15, which is sound because quantiles
-        lie in [0, 1].
-
-        The distinct values are checked block by block, `_PRUNE_BLOCK` at a
-        time, from the blocks' ends.  Along the descending values both ends
-        of ``d.quantile_interval`` increase, by its contract up to 2**-50,
-        and so do the leftmost quantiles qbar and both bracket bounds.  So
-        in a block [a, b], ``q_lo(v_b)`` bounds q_lo from above and
-        ``q_hi(v_a)`` bounds q_hi from below, and a block whose ends clear
-        the bounds at the opposite end by the margin `_QUANTILE_MARGIN` =
-        2**-48 (the contract's 2**-50 plus the margin's own rounding) holds
-        at every value.  ``d`` is evaluated, and the grid points read by
-        index, on the block ends and on blocks that do not certify; the
-        first of those that fails the per-value check decides.  The verdict
-        is the per-value check's.
-        """
-        g = self.params.gamma if gamma is None else float(gamma)
-        factor = (1.0 + g) ** 2
-        values, grid = self._distinct_retained()
-        n = len(values)
-        first = np.arange(0, n, _PRUNE_BLOCK)
-        last = np.append(first[1:] - 1, n - 1)
-        ends = np.concatenate((first, last))
-        q_lo, q_hi = d.quantile_interval(values[ends])
-        qbar = np.maximum(grid(ends), self.xi_bar)
-        nb = len(first)
-        certified = _certified(q_lo[nb:], q_hi[:nb], qbar[:nb], qbar[nb:], factor)
-        return all(
-            _bracketed(d, values[a:b], grid(np.arange(a, b)), self.xi_bar, factor)
-            for a, b in zip(first[~certified].tolist(), (last[~certified] + 1).tolist())
-        )
+        a (1+gamma)^2 multiplicative bracket around its empirical quantile:
+        the block certificate of `reserve_and_coverage`, which states it, on
+        the build's own sort."""
+        return _covered(SortedDraw.of(self.sorted_samples), self.params, d)
 
     def to_json_dict(self) -> dict:
         return {
@@ -715,12 +654,12 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     One pass over the anchored revenue grid (`_scan_grid`), in chunks that
     fit in L2, checks the retained values for ties and finds the grid's
     first argmax of R, the envelope's maximizer.  The model stores the
-    answers: ``tie_free``, which picks the hull's path and spares the
-    coverage check a second scan, and the ``reserve``, R/t at that row (the
-    point mass value at the anchor q = 0).  The build neither hulls nor
-    writes out the revenue points: the envelope is computed on its first
-    read (`EmpiricalModel.envelope`), and the revenue points only if a
-    curve lookup or a tie-free build's envelope asks for them.  The point
+    answers: ``tie_free``, which picks the hull's path, and the
+    ``reserve``, R/t at that row (the point mass value at the anchor
+    q = 0).  The build neither hulls nor writes out the revenue points:
+    the envelope is computed on its first read (`EmpiricalModel.envelope`),
+    and the revenue points only if a curve lookup or a tie-free build's
+    envelope asks for them.  The point
     mass value interpolates the raw curve on the one pair of grid rows that
     brackets xi_bar.
 
@@ -759,13 +698,62 @@ def build_empirical(samples: Sequence[float], p: SampleParams) -> EmpiricalModel
     )
 
 
+def _retained_blocks(draw: SortedDraw, kept_from: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks of ``draw`` from k0 on, which hold the retained values
+    from 1-based position ``kept_from``: k0, each block's first retained
+    and last 0-based positions, and the previous block's end value v'
+    (+inf before block 0)."""
+    k0 = (kept_from - 1) // ORDER_BLOCK
+    start = np.maximum(np.arange(k0, draw.blocks) * ORDER_BLOCK, kept_from - 1)
+    last = np.minimum(start // ORDER_BLOCK * ORDER_BLOCK + ORDER_BLOCK, draw.n) - 1
+    return k0, start, last, np.concatenate(([np.inf], draw.ends))[k0:-1]
+
+
+def _span(vals: np.ndarray, k: int, a: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part of ``vals``, the values of blocks k, k + 1, ... of a sort of
+    m values, from sort position a on, and their grid points, the exact odd
+    numbers 2j + 1 over 2m, as the build's grid computes them."""
+    v = vals[a - k * ORDER_BLOCK :]
+    t = np.arange(2 * a + 1, 2 * (a + len(v)), 2.0)
+    t /= 2 * m
+    return v, t
+
+
+def _covered(draw: SortedDraw, p: SampleParams, d: ValuationDistribution) -> bool:
+    """The coverage event of ``build_empirical(draw.values(), p)`` against
+    ``d``, from the draw's block ends and the blocks that do not certify;
+    the certificate is stated in `reserve_and_coverage`."""
+    m = draw.n
+    kept_from = max(math.floor(p.xi * m), 1)
+    k0, start, last, prev = _retained_blocks(draw, kept_from)
+    factor = (1.0 + p.gamma) ** 2
+    xi_bar = _xi_bar(p, m, kept_from)
+    q_lo, _ = d.quantile_interval(draw.ends[k0:])
+    _, q_hi = d.quantile_interval(prev)
+    qbar_first = np.maximum((2 * start + 1) / (2 * m), xi_bar)
+    qbar_last = np.maximum((2 * last + 1) / (2 * m), xi_bar)
+    certified = (q_lo + _QUANTILE_MARGIN <= qbar_first * factor + 1e-15) & (
+        q_hi - _QUANTILE_MARGIN >= qbar_last / factor - 1e-15
+    )
+    for i in np.flatnonzero(~certified).tolist():
+        v, t = _span(draw.block(k0 + i), k0 + i, int(start[i]), m)
+        opens = np.empty(len(v), dtype=bool)
+        opens[0] = start[i] == kept_from - 1 or v[0] != prev[i]
+        np.not_equal(v[1:], v[:-1], out=opens[1:])
+        if not opens.all():
+            v, t = v[opens], t[opens]
+        if not _bracketed(d, v, t, xi_bar, factor):
+            return False
+    return True
+
+
 def reserve_and_coverage(
     draw: SortedDraw, p: SampleParams, d: ValuationDistribution | None = None
 ) -> tuple[float, bool | None]:
     """``build_empirical(draw.values(), p)``'s empirical reserve and, when
-    ``d`` is given, its ``coverage_event_holds(d)``, bit for bit, from the
-    draw's block ends and the few blocks that can change either answer.
-    Without ``d``, coverage is None.
+    ``d`` is given, its ``coverage_event_holds(d)``, from the draw's block
+    ends and the few blocks that can change either answer.  Without ``d``,
+    coverage is None.
 
     Block k of the draw holds sort positions [k * ORDER_BLOCK, ...); its
     retained part runs from its first retained position a to its last
@@ -784,69 +772,44 @@ def reserve_and_coverage(
       strictly larger, so the first argmax of all rows wins.  Where no row
       has R > 0 the reserve is the point mass value, which this takes
       from the full build of the draw's values.
-    - Coverage.  The certificate of `EmpiricalModel.coverage_event_holds`
-      holds on raw positions too: q_lo(v_b) and q_hi(v') bound the
-      block's quantile-interval ends, and the grid points t_a and t_b its
-      brackets.  A certified block holds at every position, so at the
-      first position of every run of equal values in it, which are the
-      values the full check reads.  A block that does not certify is
-      read and checked value by value at its first-of-run positions: the
-      first retained position opens a run, and another opens one where
-      its value differs from the one before, which for a block's first
-      position is v', the previous block's pinned end.  So a run of equal
-      values that crosses a block boundary is split exactly where the full
-      build splits it, and no tie needs the full build.  The verdict is
-      the per-value check's at every distinct value, as the full check's.
-      These blocks are read one at a time, in order, up to the first that
-      fails: a run would read blocks past it that the verdict does not
-      need.
+    - Coverage (`_covered`, the library's one coverage check).  For every
+      distinct retained value v, its true quantile interval
+      ``d.quantile_interval(v)`` must meet the bracket
+      [qbar / (1+gamma)^2, qbar * (1+gamma)^2] around its leftmost
+      quantile qbar, the grid point of its first occurrence clipped below
+      at xi_bar, with an absolute slack of 1e-15 on both sides (sound, as
+      quantiles lie in [0, 1]).  At an atom of ``d`` the interval is the
+      jump [Pr[v > u], Pr[v >= u]]; off atoms it is the point 1 - F(u).
+      Along the descending values both interval ends increase, by
+      `ValuationDistribution.quantile_interval`'s contract up to 2**-50,
+      and so do the grid points and both bracket bounds.  So q_lo(v_b) and
+      q_hi(v') bound a block's interval ends, and t_a and t_b its
+      brackets, and a block whose ends clear the bounds at the opposite
+      end by `_QUANTILE_MARGIN` holds at every position, so at the first
+      position of every run of equal values in it.  A block that does not
+      certify is read and checked value by value (`_bracketed`) at its
+      first-of-run positions: the first retained position opens a run,
+      and another opens one where its value differs from the one before,
+      which for a block's first position is v', the previous block's
+      pinned end.  So a run of equal values that crosses a block boundary
+      is split exactly where the full build splits it.  The verdict is the
+      per-value check's at every distinct value.  These blocks are read
+      one at a time, in order, up to the first that fails: a run would
+      read blocks past it that the verdict does not need.
     """
     m = draw.n
     if m == 0:
         raise InsufficientSamplesError("no samples given")
     kept_from = _kept_from(m, p)
-    # the blocks from k0 on, which hold the retained values: their first
-    # retained and last positions, grid points at both, and end values
-    k0 = (kept_from - 1) // ORDER_BLOCK
-    start = np.maximum(np.arange(k0, draw.blocks) * ORDER_BLOCK, kept_from - 1)
-    last = np.minimum(start // ORDER_BLOCK * ORDER_BLOCK + ORDER_BLOCK, m) - 1
-    t_first, t_last = (2 * start + 1) / (2 * m), (2 * last + 1) / (2 * m)
+    k0, start, last, prev = _retained_blocks(draw, kept_from)
+    t_last = (2 * last + 1) / (2 * m)
     ends = draw.ends[k0:]
-    prev = np.concatenate(([np.inf], draw.ends))[k0:-1]
-
-    def span(k: int, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The retained part of ``vals``, the values of blocks k, k + 1,
-        ..., and their grid points, the exact odd numbers 2j + 1 over 2m,
-        as the build's grid computes them."""
-        a = int(start[k - k0])
-        v = vals[a - k * ORDER_BLOCK :]
-        t = np.arange(2 * a + 1, 2 * (a + len(v)), 2.0)
-        t /= 2 * m
-        return v, t
-
     t_star, r_star = 0.0, 0.0  # the anchor (0, 0)
     for k, vals in draw.runs((np.flatnonzero(t_last * prev >= (t_last * ends).max()) + k0).tolist()):
-        v, t = span(k, vals)
+        v, t = _span(vals, k, int(start[k - k0]), m)
         y = t * v
         j = int(y.argmax())
         if y[j] > r_star:
             t_star, r_star = t[j], y[j]
     reserve = float(r_star / t_star) if t_star > 0 else build_empirical(draw.values(), p).reserve
-    if d is None:
-        return reserve, None
-
-    factor = (1.0 + p.gamma) ** 2
-    xi_bar = _xi_bar(p, m, kept_from)
-    q_lo, _ = d.quantile_interval(ends)
-    _, q_hi = d.quantile_interval(prev)
-    certified = _certified(q_lo, q_hi, np.maximum(t_first, xi_bar), np.maximum(t_last, xi_bar), factor)
-    for i in np.flatnonzero(~certified).tolist():
-        v, t = span(k0 + i, draw.block(k0 + i))
-        opens = np.empty(len(v), dtype=bool)
-        opens[0] = start[i] == kept_from - 1 or v[0] != prev[i]
-        np.not_equal(v[1:], v[:-1], out=opens[1:])
-        if not opens.all():
-            v, t = v[opens], t[opens]
-        if not _bracketed(d, v, t, xi_bar, factor):
-            return reserve, False
-    return reserve, True
+    return reserve, None if d is None else _covered(draw, p, d)

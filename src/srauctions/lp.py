@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dists import DiscreteTabular, check_alpha_sr, dist_from_spec, reject_unknown_keys, revenue_curve_hull
-from .empirical import EmpiricalModel, SampleParams
+from .empirical import EmpiricalModel, SampleParams, _run_ends
 
 __all__ = [
     "MultiItemInstance",
@@ -166,13 +166,15 @@ class EmpiricalAtoms:
 
 
 def discretize_model(em: EmpiricalModel) -> EmpiricalAtoms:
-    distinct, grid = em._distinct_retained()  # descending values
+    kept = em.retained_values()  # descending values
+    first, _ = _run_ends(kept)
+    pos = np.flatnonzero(first)  # each distinct value's first occurrence
     # the point mass value is R/q at xi_bar, which lies between the grid
     # rows of the top two retained values, so it stands for the top distinct
     # value and every other one lies below it.  Picking them by position
     # rather than by a value comparison leaves no slack in the unit of value
-    below = distinct[1:]
-    leftmost = np.maximum(grid(np.arange(1, len(distinct))), em.xi_bar)
+    below = kept[pos[1:]]
+    leftmost = np.maximum(em._grid_at(pos[1:]), em.xi_bar)
     atom_values = np.concatenate(([em.point_mass_value], below))
     boundaries = np.concatenate(([0.0], leftmost, [1.0]))
     masses = np.diff(boundaries)

@@ -43,6 +43,7 @@ from srauctions.empirical import (
     validate_params,
 )
 from srauctions.harness import criterion_instance
+from srauctions.lp import discretize_model
 
 
 def quiet_build(samples, p):
@@ -77,6 +78,21 @@ def leftmost_quantile_reference(em, u):
     """Brute force: the grid point of u's first occurrence, clipped at xi_bar."""
     kept = em.retained_values()
     return max(em.retained_quantiles()[np.flatnonzero(kept == u)[0]], em.xi_bar)
+
+
+def covers(em, d, gamma):
+    """The model's coverage verdict against d at another gamma: the
+    library's coverage check, with the model's params but for gamma."""
+    return dataclasses.replace(em, params=dataclasses.replace(em.params, gamma=gamma)).coverage_event_holds(d)
+
+
+def per_value_coverage(em, d, gamma=None):
+    """The coverage event value by value, apart from the block certificate:
+    `_bracketed` over each distinct retained value's first occurrence
+    (`_run_ends`) and its grid point in the materialized quantile column."""
+    first, _ = _run_ends(em.retained_values())
+    factor = (1 + (em.params.gamma if gamma is None else gamma)) ** 2
+    return _bracketed(d, em.retained_values()[first], em.quantile_points[first, 0], em.xi_bar, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +268,23 @@ class TestAssembly:
         assert len(seen) == 4
 
     @pytest.mark.parametrize("prior", ["falpha", "tabular"])
-    def test_distinct_retained_are_first_occurrences(self, prior):
-        # a tie-free build returns a view of the sort; grid points are read
-        # by index, byte-equal to the derived quantile column
+    def test_discretized_atoms_are_first_occurrences(self, prior):
+        # below the point mass atom, one atom per distinct retained value,
+        # bounded at the grid point of its first occurrence (read by index,
+        # byte-equal to the derived quantile column), clipped at xi_bar
         rng = np.random.Generator(np.random.Philox(key=[22, 0]))
         d = make_falpha(0.5, 1.0) if prior == "falpha" else tabular_prior()
         em = quiet_build(d.sample(rng, 9888), SampleParams(0.2, 0.1, 0.1))
+        atoms = discretize_model(em)
         first, _ = _run_ends(em.retained_values())
-        values, grid = em._distinct_retained()
-        t = grid(np.arange(len(values)))
-        assert "quantile_points" not in em.__dict__ and "revenue_points" not in em.__dict__
-        assert values.tolist() == em.retained_values()[first].tolist()
-        assert t.tobytes() == em.retained_quantiles()[first].tobytes()
+        t = np.maximum(em.retained_quantiles()[first], em.xi_bar)
+        assert atoms.values[0] == em.point_mass_value
+        assert atoms.values[1:].tolist() == em.retained_values()[first][1:].tolist()
+        assert atoms.boundaries.tobytes() == np.concatenate(([0.0], t[1:], [1.0])).tobytes()
         if prior == "falpha":
-            assert first.all() and np.shares_memory(values, em.sorted_samples)
+            assert first.all()
         else:
-            assert len(values) < 5
+            assert len(atoms.values) < 5
 
 
 def retained_count_m(n, xi):
@@ -317,17 +334,44 @@ class TestLeanModel:
             em.envelope = envelope
 
     @pytest.mark.parametrize("m", [3000, 20_000])
-    def test_coverage_reuses_the_build_tie_check(self, m, monkeypatch):
-        # a tie-free build's coverage check reads the sort as it is, without
-        # scanning the values for ties a second time
+    def test_coverage_reads_only_the_blocks_that_do_not_certify(self, m, monkeypatch):
+        # a tie-free build's coverage check serves the build's own sort by
+        # blocks (`SortedDraw.of`) and reads only the blocks whose ends do
+        # not certify them, those where q_lo at the block's last value or
+        # q_hi at the previous block's last value (+inf for block 0, which
+        # so never certifies) misses its bracket: all of them where
+        # coverage holds, else up to the first that fails
         d = make_falpha(0.5, 1.0)
         em = quiet_build(d.sample(np.random.Generator(np.random.Philox(key=[31, m])), m), SampleParams(0.2, 0.05, 0.1))
-
-        def no_scan(vals):
-            raise AssertionError("the retained values were scanned for ties again")
-
-        monkeypatch.setattr(empirical, "_run_ends", no_scan)
-        assert em.coverage_event_holds(d, gamma=1.0)
+        assert em.tie_free
+        draws = []
+        of = SortedDraw.of
+        monkeypatch.setattr(SortedDraw, "of", lambda values: draws.append((values, of(values))) or draws[-1][1])
+        k0 = (em.kept_from - 1) // ORDER_BLOCK
+        ks = np.arange(k0, -(-m // ORDER_BLOCK))
+        first = np.maximum(ks * ORDER_BLOCK, em.kept_from - 1)
+        last = np.minimum((ks + 1) * ORDER_BLOCK, m) - 1
+        prev = np.concatenate(([np.inf], em.sorted_samples))[ks * ORDER_BLOCK]
+        read, outcomes = set(), set()
+        for g in (0.01, 0.2, 0.99):
+            factor = (1 + g) ** 2
+            bracket_lo = np.maximum((2 * last + 1) / (2 * m), em.xi_bar) / factor
+            bracket_hi = np.maximum((2 * first + 1) / (2 * m), em.xi_bar) * factor
+            certified = (d.quantile_interval(em.sorted_samples[last])[0] + 2**-48 <= bracket_hi + 1e-15) & (
+                d.quantile_interval(prev)[1] - 2**-48 >= bracket_lo - 1e-15
+            )
+            verdict = covers(em, d, g)
+            assert verdict == per_value_coverage(em, d, g)
+            assert draws[-1][0] is em.sorted_samples
+            uncertified = ks[~certified].tolist()
+            blocks = sorted(draws[-1][1]._blocks)
+            if verdict:
+                assert blocks == uncertified, g
+            else:
+                assert blocks and blocks == uncertified[: len(blocks)], g
+            read.add(len(blocks))
+            outcomes.add(verdict)
+        assert outcomes == {True, False} and min(read) < len(ks) and len(read) > 1
 
     def test_model_keeps_one_copy_of_its_sample(self):
         m = 2**18
@@ -378,16 +422,11 @@ class TestLeanModel:
             builds.append((tab, quiet_build(rng.permutation(samples), SampleParams(0.2, 1e-5, 0.1))))
         outcomes = set()
         for d, em in builds:
-            for g in (0.01, 0.05, 0.2, 1.0):
-                verdict = em.coverage_event_holds(d, gamma=g)
+            for g in (0.01, 0.05, 0.2, 0.99):
+                verdict = covers(em, d, g)
                 assert "quantile_points" not in em.__dict__
-                first, _ = _run_ends(em.retained_values())
-                assert first.sum() == n_distinct
-                values, t = em.retained_values()[first], em.quantile_points[first, 0]
-                assert verdict == _bracketed(d, values, t, em.xi_bar, (1 + g) ** 2), g
-                read_values, grid = em._distinct_retained()
-                assert read_values.tobytes() == values.tobytes()
-                assert grid(np.arange(n_distinct)).tobytes() == t.tobytes()
+                assert _run_ends(em.retained_values())[0].sum() == n_distinct
+                assert verdict == per_value_coverage(em, d, g), g
                 em.__dict__.pop("quantile_points")
                 em.__dict__.pop("revenue_points")
                 outcomes.add(verdict)
@@ -972,7 +1011,7 @@ class TestGridHull:
         values[kept_from + i] = values[kept_from - 1 + i]
         em = quiet_build(rng.permutation(values), p)
         assert not em.tie_free
-        assert len(em._distinct_retained()[0]) == n - 1
+        assert _run_ends(em.retained_values())[0].sum() == n - 1
         assert em.envelope.tobytes() == concave_envelope(em.revenue_points).tobytes()
         assert em.empirical_reserve() == hull_reserve(em)
 
@@ -1140,9 +1179,10 @@ SWEEP_KINDS = [
 
 class TestLazyReserveAndCoverage:
     """`reserve_and_coverage` answers from a drawn sort's block ends and the
-    blocks it must read; its reserve and coverage verdict equal the full
-    build's (`build_empirical` of the whole sort, then
-    `coverage_event_holds`) bit for bit."""
+    blocks it must read; its reserve equals the full build's
+    (`build_empirical` of the whole sort) bit for bit, and its coverage
+    verdict the per-value check's (`per_value_coverage`) and the full
+    build's ``coverage_event_holds``."""
 
     @staticmethod
     def _check(d, seed, m, xi, gammas, cover=None):
@@ -1152,7 +1192,8 @@ class TestLazyReserveAndCoverage:
         cover = cover or d
         ps = [SampleParams(g, xi, 0.1) for g in gammas]
         em = quiet_build(d.sorted_sample(_pcg(seed), m), ps[0])
-        full = [(em.empirical_reserve().hex(), em.coverage_event_holds(cover, g)) for g in gammas]
+        full = [(em.empirical_reserve().hex(), per_value_coverage(em, cover, g)) for g in gammas]
+        assert [(em.empirical_reserve().hex(), covers(em, cover, g)) for g in gammas] == full
         draw = d.sorted_draw(_pcg(seed), m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleCountWarning)
@@ -1217,7 +1258,7 @@ class TestLazyReserveAndCoverage:
         draw = SortedDraw.of(values)
         with pytest.warns(SampleCountWarning):
             assert reserve_and_coverage(draw, p, d) == (em.empirical_reserve(), True)
-        assert em.coverage_event_holds(d)
+        assert em.coverage_event_holds(d) and per_value_coverage(em, d)
         assert 1 in draw._blocks
         own = slice(ORDER_BLOCK, ORDER_BLOCK + 1)
         assert not _bracketed(d, values[own], t[own], em.xi_bar, (1 + gamma) ** 2)
@@ -1249,7 +1290,7 @@ class TestLazyReserveAndCoverage:
         reserve, covered = reserve_and_coverage(draw, p, d)
         assert draw.blocks_read < draw.blocks // 8
         em = build_empirical(d.sorted_sample(_pcg(9), p.m), p)
-        assert (reserve, covered) == (em.empirical_reserve(), em.coverage_event_holds(d))
+        assert (reserve, covered) == (em.empirical_reserve(), per_value_coverage(em, d))
         assert reserve_and_coverage(d.sorted_draw(_pcg(9), p.m), p) == (reserve, None)
 
     def test_bad_inputs_raise_as_the_build_does(self):
@@ -1493,7 +1534,7 @@ class TestCoverage:
         samples[0] = d.value_of_quantile((1 / 400) * 1.1**3)
         em = quiet_build(samples, SampleParams(0.1, 0.002, 0.1))
         # a looser gamma absorbs the same displacement
-        assert em.coverage_event_holds(d, gamma=0.4)
+        assert covers(em, d, 0.4)
 
     @pytest.mark.parametrize(
         "prior, gamma, xi, m",
@@ -1533,9 +1574,9 @@ class TestCoverage:
         for seed in range(20):
             rng = np.random.Generator(np.random.Philox(key=[seed, 23]))
             em = quiet_build(d.sample(rng, m), SampleParams(0.05, 1e-5, 0.1))
-            for g in (0.05, 0.5, 5.0):
+            for g in (0.05, 0.5, 0.99):
                 expected = brute_force_coverage(em, d, g)
-                assert em.coverage_event_holds(d, gamma=g) == expected, (seed, g)
+                assert covers(em, d, g) == expected, (seed, g)
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
@@ -1561,7 +1602,7 @@ class TestCoverage:
             assert len(np.unique(em.retained_values())) > 4 * _PRUNE_BLOCK
             for g in (gamma, 2 * gamma):
                 expected = brute_force_coverage(em, d, g)
-                assert em.coverage_event_holds(d, gamma=g) == expected, (seed, g)
+                assert covers(em, d, g) == expected, (seed, g)
                 outcomes.append(expected)
         if gamma < 0.2:
             assert 0 < sum(outcomes) < len(outcomes)
@@ -1644,8 +1685,10 @@ class TestCoverage:
         em = build_empirical(d.sample(np.random.Generator(np.random.Philox(key=[4, 0])), p.m), p)
         evaluated = count_evaluations(d)
         verdict = em.coverage_event_holds(d)
-        nb = -(-(p.m - em.kept_from + 1) // _PRUNE_BLOCK)
-        assert evaluated[0] == 2 * nb and sum(evaluated) < p.m // 10
+        # one end of each block from the first that holds a retained value,
+        # and the end of the block before it
+        nb = -(-p.m // ORDER_BLOCK) - (em.kept_from - 1) // ORDER_BLOCK
+        assert evaluated[:2] == [nb, nb] and sum(evaluated) < p.m // 10
         assert verdict == brute_force_coverage(em, d)
 
     def test_margin_covers_a_block_end_reversed_by_two_ulps(self):
